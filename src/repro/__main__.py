@@ -87,6 +87,7 @@ def _cmd_profile(args) -> int:
     from .core import PlanCache, PotrfOptions, VBatch, potrf_vbatched
     from .core.optimizer import OPTIMIZER_COUNTERS
     from .device import Device
+    from .device.device import publish_cost_memo
     from .distributions import generate_sizes
     from .observability import MetricsRegistry
 
@@ -107,6 +108,7 @@ def _cmd_profile(args) -> int:
             stats.merge(result.launch_stats)
         cache.publish(registry)
         stats.publish(registry)
+        publish_cost_memo(registry, [device])
     vals = registry.as_dict()
     print(f"{result.gflops:.1f} Gflop/s via {result.approach} "
           f"({result.elapsed * 1e3:.2f} ms simulated)")
@@ -116,6 +118,10 @@ def _cmd_profile(args) -> int:
           f"{vals['driver_batches']:.0f} batches "
           f"({vals['plan_cache_hit_ratio'] * 100:.0f}% hit rate, "
           f"{vals['plan_cache_size']:.0f} cached)")
+    print(f"cost memo: {vals['device_cost_memo_hits']:.0f} hits / "
+          f"{vals['device_cost_memo_misses']:.0f} misses "
+          f"({vals['device_cost_memo_hit_ratio'] * 100:.0f}% hit rate, "
+          f"{vals['device_cost_memo_size']:.0f} cached)")
     if args.optimize != "none":
         for counter_name, meta_key, help_text in OPTIMIZER_COUNTERS:
             registry.counter(counter_name, help_text).inc(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from .. import flops as _flops
 from ..device.kernel import BlockWork, Kernel, LaunchConfig
@@ -158,6 +159,13 @@ class _FlexTrsmKernel(Kernel):
         threads = min(1024, -(-self.max_rows // 32) * 32)
         return LaunchConfig(threads, min(48 * 1024, threads * 8 * self._info.bytes_per_element), ilp=2.0)
 
+    def cost_key(self) -> tuple:
+        dims = np.fromiter(
+            (d for na, m, n, _, _ in self.items for d in (na, m, n)),
+            dtype=np.int64, count=3 * len(self.items),
+        )
+        return (self.side, dims.tobytes())
+
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
@@ -252,6 +260,10 @@ class _FullTrtriKernel(Kernel):
     def launch_config(self) -> LaunchConfig:
         threads = min(1024, -(-self.max_rows // 32) * 32)
         return LaunchConfig(threads, min(48 * 1024, threads * 8 * self._info.bytes_per_element), ilp=2.0)
+
+    def cost_key(self) -> tuple:
+        orders = np.fromiter((n for n, _ in self.items), dtype=np.int64, count=len(self.items))
+        return (orders.tobytes(),)
 
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight

@@ -10,14 +10,23 @@ A simulated kernel describes itself in two planes:
   kernel performs on device arrays.  Tests always execute it; figure
   sweeps may disable it (``Device(execute_numerics=False)``) since the
   timing plane never reads matrix values.
+
+``cost_key()`` digests exactly what the timing plane reads, so the
+device can serve a launch's cost from its memo without building
+``block_works()`` (see :meth:`repro.device.Device.prepare_launch`).
 """
 
 from __future__ import annotations
 
 import abc
+import pickle
 from dataclasses import dataclass
 
-__all__ = ["LaunchConfig", "BlockWork", "Kernel", "EtmMode"]
+import numpy as np
+
+from ..types import Precision
+
+__all__ = ["LaunchConfig", "BlockWork", "Kernel", "EtmMode", "array_key"]
 
 
 EtmMode = str  # "classic" | "aggressive"
@@ -93,6 +102,13 @@ class BlockWork:
         return self.active_threads == 0
 
 
+def array_key(values) -> tuple:
+    """Hashable, exact digest of an array's contents (dtype and shape
+    included, so equal bytes of different dtypes never collide)."""
+    a = np.asarray(values)
+    return (a.dtype.str, a.shape, a.tobytes())
+
+
 class Kernel(abc.ABC):
     """Base class for every simulated device kernel.
 
@@ -118,6 +134,9 @@ class Kernel(abc.ABC):
     #: ``None`` means "unknown" and the plan optimizer must assume the
     #: launch may touch the whole batch.
     matrix_indices: tuple | None = None
+    #: :meth:`memo_key`'s value once computed (kernels are not mutated
+    #: after planning, and a cached plan re-launches the same objects).
+    _memo_key: tuple | None = None
 
     def __init__(self):
         if self.etm_mode not in _ETM_MODES:
@@ -139,6 +158,48 @@ class Kernel(abc.ABC):
     @abc.abstractmethod
     def block_works(self) -> list[BlockWork]:
         """Timing plane: grouped per-block work records."""
+
+    def cost_key(self) -> tuple | None:
+        """Hashable digest of everything ``launch_config()`` and
+        ``block_works()`` read (sizes, steps, tiling, ...).
+
+        Two kernels of the same class with equal keys, precision, ETM
+        mode and efficiency constants must cost the same.  Group arrays
+        are keyed in issue order: the exact scheduler depends on it.
+        Plain values only (numbers, strings, bytes, tuples), since the
+        key is pickled.  ``None`` (the default) opts the kernel out of
+        the device's memo.
+        """
+        return None
+
+    def memo_key(self) -> tuple:
+        """The device cost memo's key, computed once per kernel object.
+
+        The class plus a pickle of :meth:`cost_key` and every other
+        kernel-level input of the cost model; ``()`` when the kernel
+        opts out.  Pickling is exact (equal bytes only for equal
+        values) and leaves a key whose hash is cached, so a re-launch
+        costs one cheap dict lookup.
+        """
+        key = self._memo_key
+        if key is None:
+            cost = self.cost_key()
+            if cost is None:
+                key = ()
+            else:
+                # Flattened to plain values: they pickle several times
+                # faster than the dataclasses and enum they come from.
+                c = self.launch_config()
+                p = self.precision
+                inputs = (
+                    cost,
+                    c.threads_per_block, c.shared_mem_per_block, c.regs_per_thread, c.ilp,
+                    p.value if isinstance(p, Precision) else p,
+                    self.etm_mode, self.compute_efficiency, self.serial_latency_scale,
+                )
+                key = (type(self), pickle.dumps(inputs, protocol=pickle.HIGHEST_PROTOCOL))
+            self._memo_key = key
+        return key
 
     def run_numerics(self) -> None:
         """Functional plane: perform the kernel's math on device arrays.

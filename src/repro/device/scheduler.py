@@ -11,7 +11,10 @@ Two paths compute the makespan of a launch from its per-block durations:
 
 Both consume the same grouped ``(duration, count)`` records, so the
 effects the paper measures — load imbalance from mixed block durations,
-its reduction by implicit sorting — appear in either path.
+its reduction by implicit sorting — appear in either path.  Nothing is
+cached here: repeated launches are served by the device's cost memo
+(:meth:`repro.device.Device.prepare_launch`) before they reach the
+scheduler.
 """
 
 from __future__ import annotations
@@ -83,17 +86,7 @@ class BlockScheduler:
 
         use_exact = force == "exact" or (force is None and total_blocks <= self.exact_threshold)
         if use_exact:
-            # The schedule is a pure function of (slots, durations,
-            # counts), and launches repeat the same grouped records
-            # constantly (aux kernels every step, sweeps re-running
-            # identical shapes) — memoize across all devices.
-            key = (slots, d.tobytes(), c.tobytes())
-            span = _SCHEDULE_MEMO.get(key)
-            if span is None:
-                span = _exact_list_schedule(d, c, slots)
-                if len(_SCHEDULE_MEMO) >= 1 << 17:
-                    _SCHEDULE_MEMO.clear()
-                _SCHEDULE_MEMO[key] = span
+            span = _exact_list_schedule(d, c, slots)
             return ScheduleResult(span, total_time, slots, exact=True)
 
         # Analytic: area bound plus half the classic list-scheduling
@@ -101,9 +94,6 @@ class BlockScheduler:
         # adversarial (1 - 1/S) * max_d bound).
         span = max(max_d, total_time / slots + 0.5 * (1.0 - 1.0 / slots) * max_d)
         return ScheduleResult(span, total_time, slots, exact=False)
-
-
-_SCHEDULE_MEMO: dict[tuple, float] = {}
 
 
 def _exact_list_schedule(durations: np.ndarray, counts: np.ndarray, slots: int) -> float:

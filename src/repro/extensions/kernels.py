@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import flops as _flops
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
 from ..hostblas import geqr2, getf2, jacobi_sweep, larft, trsm as host_trsm
 from ..kernels.gemm import VbatchedGemmKernel
 from ..types import Precision, precision_info
@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 _WARP = 32
+
+
+def _nrhs(rhs) -> int:
+    """Right-hand sides in one matrix's RHS view (0 when absent)."""
+    return 0 if rhs is None else (rhs.shape[1] if rhs.ndim == 2 else 1)
 
 
 @dataclass
@@ -81,6 +86,18 @@ class _PanelKernelBase(Kernel):
             ilp=2.0,
         )
 
+    def _panel_key(self, positions) -> tuple:
+        """Cost key of a panel launch: offset plus the panel widths and
+        matrix orders at ``positions``, in issue order."""
+        sizes = self.batch.sizes_host
+        return (self.offset, array_key(self.jbs[positions]), array_key(sizes[positions]))
+
+    def _solve_key(self, rhs_views) -> tuple:
+        """Cost key of a fused solve: matrix orders and RHS counts."""
+        count = self.batch.batch_count
+        nrhs = np.fromiter((_nrhs(r) for r in rhs_views), dtype=np.int64, count=count)
+        return (array_key(self.batch.sizes_host[:count]), nrhs.tobytes())
+
     def _grouped(self, per_matrix) -> list[BlockWork]:
         groups: dict[tuple, int] = {}
         for desc in per_matrix:
@@ -113,6 +130,9 @@ class PanelGetf2Kernel(_PanelKernelBase):
         self.jbs = np.asarray(jbs, dtype=np.int64)
         self.ipivs = ipivs  # host-mirrored (k, max_n) pivot table
         self.name = f"vbatched_getf2:{self._info.name}"
+
+    def cost_key(self) -> tuple:
+        return self._panel_key(self.indices)
 
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
@@ -164,6 +184,9 @@ class RowSwapKernel(_PanelKernelBase):
         self.ipivs = ipivs
         self.name = f"vbatched_laswp:{self._info.name}"
 
+    def cost_key(self) -> tuple:
+        return self._panel_key(slice(0, len(self.jbs)))
+
     def block_works(self) -> list[BlockWork]:
         elem = self._info.bytes_per_element
         per = []
@@ -213,6 +236,9 @@ class LeftTrsmKernel(_PanelKernelBase):
         self.diag = diag
         self.name = f"vbatched_trsm_left:{self._info.name}"
 
+    def cost_key(self) -> tuple:
+        return self._panel_key(slice(0, len(self.jbs)))
+
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
@@ -260,6 +286,9 @@ class PanelGeqr2Kernel(_PanelKernelBase):
         self.taus = taus
         self.t_store = t_store
         self.name = f"vbatched_geqr2:{self._info.name}"
+
+    def cost_key(self) -> tuple:
+        return self._panel_key(self.indices)
 
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
@@ -343,6 +372,9 @@ class JacobiSweepKernel(_PanelKernelBase):
         self.state = state
         self.name = f"vbatched_jacobi_sweep:{self._info.name}"
 
+    def cost_key(self) -> tuple:
+        return (self.max_rows, array_key(self.batch.sizes_host[self.indices]))
+
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
@@ -406,6 +438,9 @@ class SvdConvergenceKernel(Kernel):
     def launch_config(self) -> LaunchConfig:
         return LaunchConfig(threads_per_block=min(256, max(_WARP, self.count)))
 
+    def cost_key(self) -> tuple:
+        return (self.count,)
+
     def block_works(self) -> list[BlockWork]:
         count = max(1, self.count)
         return [
@@ -430,6 +465,9 @@ class SvdFinalizeKernel(_PanelKernelBase):
         super().__init__(batch, max_rows)
         self.state = state
         self.name = f"vbatched_svd_finalize:{self._info.name}"
+
+    def cost_key(self) -> tuple:
+        return (self.max_rows, array_key(self.batch.sizes_host[: self.batch.batch_count]))
 
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
@@ -480,14 +518,16 @@ class FusedGetrsKernel(_PanelKernelBase):
         self.ipivs = ipivs
         self.name = f"fused_getrs:{self._info.name}"
 
+    def cost_key(self) -> tuple:
+        return self._solve_key(self.rhs_views)
+
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
         for i in range(self.batch.batch_count):
             n = int(self.batch.sizes_host[i])
-            rhs = self.rhs_views[i]
-            nrhs = 0 if rhs is None else (rhs.shape[1] if rhs.ndim == 2 else 1)
+            nrhs = _nrhs(self.rhs_views[i])
             if n == 0 or nrhs == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue
@@ -526,14 +566,16 @@ class FusedPotrsKernel(_PanelKernelBase):
         self.rhs_views = rhs_views
         self.name = f"fused_potrs:{self._info.name}"
 
+    def cost_key(self) -> tuple:
+        return self._solve_key(self.rhs_views)
+
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
         for i in range(self.batch.batch_count):
             n = int(self.batch.sizes_host[i])
-            rhs = self.rhs_views[i]
-            nrhs = 0 if rhs is None else (rhs.shape[1] if rhs.ndim == 2 else 1)
+            nrhs = _nrhs(self.rhs_views[i])
             if n == 0 or nrhs == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue

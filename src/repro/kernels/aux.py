@@ -11,6 +11,8 @@ negligible, which is the paper's argument for the simpler interface.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..types import Precision
@@ -38,6 +40,9 @@ class IMaxReduceKernel(Kernel):
 
     def launch_config(self) -> LaunchConfig:
         return LaunchConfig(threads_per_block=_THREADS, shared_mem_per_block=_THREADS * 8)
+
+    def cost_key(self) -> tuple:
+        return (math.prod(self.values_dev.shape),)
 
     def block_works(self) -> list[BlockWork]:
         n = int(np.prod(self.values_dev.shape))
@@ -88,6 +93,9 @@ class StepSizesKernel(Kernel):
 
     def launch_config(self) -> LaunchConfig:
         return LaunchConfig(threads_per_block=_THREADS)
+
+    def cost_key(self) -> tuple:
+        return (math.prod(self.sizes_dev.shape),)
 
     def block_works(self) -> list[BlockWork]:
         n = int(np.prod(self.sizes_dev.shape))

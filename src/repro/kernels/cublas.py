@@ -52,6 +52,9 @@ class SingleGemmKernel(Kernel):
         t = self.tiling
         return LaunchConfig(t.threads, t.shared_mem(self._info.bytes_per_element), t.regs_per_thread, ilp=4.0)
 
+    def cost_key(self) -> tuple:
+        return (self.tiling.key(), self.m, self.n, self.k)
+
     def block_works(self) -> list[BlockWork]:
         t = self.tiling
         tiles = max(1, -(-self.m // t.blk_m)) * max(1, -(-self.n // t.blk_n))
@@ -103,6 +106,9 @@ class SinglePotf2Kernel(Kernel):
         threads = min(1024, -(-self.n // 32) * 32)
         smem = self.n * min(self.n, 64) * self._info.bytes_per_element
         return LaunchConfig(threads, min(smem, 48 * 1024))
+
+    def cost_key(self) -> tuple:
+        return (self.n,)
 
     def block_works(self) -> list[BlockWork]:
         return [

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import LaunchError
 from ..hostblas import potf2 as host_potf2, trsm as host_trsm
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
 from . import grouping
 
 __all__ = ["FusedPotrfStepKernel", "fused_step_numerics", "fused_shared_mem_bytes"]
@@ -133,6 +133,14 @@ class FusedPotrfStepKernel(Kernel):
 
     def launch_config(self) -> LaunchConfig:
         return self._config
+
+    def cost_key(self) -> tuple:
+        if self.groups is not None:
+            ms, counts = self.groups
+            return (self.step, self.nb, array_key(ms), array_key(counts))
+        k = self.step * self.nb
+        remaining = np.maximum(0, self.batch.sizes_host[self.indices] - k)
+        return (self.step, self.nb, array_key(remaining))
 
     # ------------------------------------------------------------------
     def _remaining(self, i: int) -> int:

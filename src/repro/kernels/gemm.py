@@ -42,6 +42,10 @@ class GemmTiling:
         """Double-buffered A and B tile staging."""
         return 2 * (self.blk_m + self.blk_n) * self.blk_k * bytes_per_element
 
+    def key(self) -> tuple:
+        """The tile shape as plain values, for kernels' cost keys."""
+        return (self.blk_m, self.blk_n, self.blk_k, self.threads, self.regs_per_thread)
+
     @classmethod
     def for_precision(cls, bytes_per_element: int) -> GemmTiling:
         """Default tile shape per element size.
@@ -148,6 +152,13 @@ class VbatchedGemmKernel(Kernel):
             regs_per_thread=t.regs_per_thread,
             ilp=4.0,
         )
+
+    def cost_key(self) -> tuple:
+        dims = np.fromiter(
+            (d for t in self.tasks for d in (t.m, t.n, t.k)),
+            dtype=np.int64, count=3 * len(self.tasks),
+        )
+        return (self.tiling.key(), dims.tobytes())
 
     def _grid_tiles(self) -> int:
         """Per-matrix grid size: sized for the max dims (paper §III-A)."""

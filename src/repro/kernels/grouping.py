@@ -129,6 +129,10 @@ def grouped_first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values)
     if values.size == 0:
         return values, np.zeros(0, dtype=np.int64)
+    if values.size == 1:
+        # One element is its own group; skips unique/sort/argsort (the
+        # per-request serving path makes thousands of these calls).
+        return values.reshape(1).copy(), np.ones(1, dtype=np.intp)
     uniq, first, counts = np.unique(values, return_index=True, return_counts=True)
     order = np.argsort(first, kind="stable")
     return uniq[order], counts[order]

@@ -16,7 +16,7 @@ import numpy as np
 from .. import flops as _flops
 from ..hostblas import potf2 as host_potf2
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
 from . import grouping
 
 __all__ = ["NaivePotf2Kernel"]
@@ -56,6 +56,9 @@ class NaivePotf2Kernel(Kernel):
     def launch_config(self) -> LaunchConfig:
         threads = min(1024, -(-self.max_jb // _WARP) * _WARP)
         return LaunchConfig(threads_per_block=threads, shared_mem_per_block=0)
+
+    def cost_key(self) -> tuple:
+        return (array_key(self.jbs),)
 
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
 from . import grouping
 from .fused_potrf import fused_shared_mem_bytes, fused_step_numerics
 
@@ -70,6 +70,12 @@ class PanelPotf2StepKernel(Kernel):
 
     def launch_config(self) -> LaunchConfig:
         return self._config
+
+    def cost_key(self) -> tuple:
+        if self.groups is not None:
+            ms, counts = self.groups
+            return (self.inner_step, self.nb, array_key(ms), array_key(counts))
+        return (self.inner_step, self.nb, array_key(self.jbs))
 
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight

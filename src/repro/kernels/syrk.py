@@ -82,6 +82,12 @@ class VbatchedSyrkKernel(Kernel):
             ilp=4.0,
         )
 
+    def cost_key(self) -> tuple:
+        dims = np.fromiter(
+            (d for t in self.tasks for d in (t.n, t.k)), dtype=np.int64, count=2 * len(self.tasks)
+        )
+        return (self.tiling.key(), dims.tobytes())
+
     def block_works(self) -> list[BlockWork]:
         t = self.tiling
         w = self._info.flop_weight

@@ -66,6 +66,10 @@ class VbatchedTrtriDiagKernel(Kernel):
             shared_mem_per_block=self.ib * self.ib * self._info.bytes_per_element,
         )
 
+    def cost_key(self) -> tuple:
+        jbs = np.fromiter((t.jb for t in self.tasks), dtype=np.int64, count=len(self.tasks))
+        return (self.ib, jbs.tobytes())
+
     def block_works(self) -> list[BlockWork]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element

@@ -14,6 +14,9 @@ quantities the paper's performance story turns on:
   dispatched batch, aggregated per group; matches the serving metrics'
   ``batching`` block (the ``BENCH_pr3.json`` headline numbers) because
   both read the same per-batch accounting;
+* **cache hit rates** — plan-cache hits/misses per group, and the
+  device cost memo's hit ratio from the per-dispatch counts on each
+  dispatch span;
 * **top-N bottlenecks** — kernel/wait/barrier names ranked by total
   simulated time;
 * **per-operation breakdown** — mixed-op traces (PR 8) attribute
@@ -84,6 +87,8 @@ class GroupReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
 
     @property
     def efficiency(self) -> float:
@@ -93,6 +98,12 @@ class GroupReport:
     def waste_pct(self) -> float:
         """Padded-flops waste percentage — the BENCH_pr3 headline."""
         return 100.0 * (1.0 - self.efficiency) if self.padded_flops else 0.0
+
+    @property
+    def memo_hit_ratio(self) -> float:
+        """Share of launch-cost lookups the device cost memo served."""
+        total = self.memo_hits + self.memo_misses
+        return self.memo_hits / total if total else 0.0
 
     @property
     def critical_path(self) -> dict:
@@ -251,6 +262,8 @@ def analyze_trace(events, top: int = 10) -> TraceAnalysis:
             rep.padded_flops += float(ev.args.get("padded_flops", 0.0))
             rep.queue_wait_sim += float(ev.args.get("queue_wait_sim", 0.0))
             rep.execute_sim += float(ev.args.get("sim_elapsed", 0.0))
+            rep.memo_hits += int(ev.args.get("cost_memo_hits", 0))
+            rep.memo_misses += int(ev.args.get("cost_memo_misses", 0))
             op = ev.args.get("op")
             if op:
                 orep = op_report(str(op))
@@ -341,14 +354,15 @@ def format_trace_report(analysis: TraceAnalysis, top: int = 10) -> str:
             [
                 g.group or "-", g.useful_flops / 1e9, g.padded_flops / 1e9,
                 g.waste_pct, g.cache_hits, g.cache_misses, g.cache_evictions,
+                g.memo_hit_ratio * 100,
             ]
             for g in groups
         ]
         blocks.append(
-            "== padded flops + plan cache (per group) ==\n"
+            "== padded flops + plan cache + cost memo (per group) ==\n"
             + format_table(
                 ["group", "useful_Gflop", "padded_Gflop", "waste_%",
-                 "cache_hits", "cache_misses", "evictions"],
+                 "cache_hits", "cache_misses", "evictions", "memo_hit_%"],
                 rows,
             )
         )

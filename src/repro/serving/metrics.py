@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.driver import LaunchStats
+from ..device.device import cost_memo_stats, publish_cost_memo
 from ..observability.registry import MetricsRegistry, latency_summary, percentile
 from .. import flops as _flops
 
@@ -126,6 +127,9 @@ class ServerMetrics:
         self.member_stats: dict[str, object] = {}
         self.wall_started: float | None = None
         self.wall_stopped: float | None = None
+        #: Devices whose cost memos the snapshot and exposition report
+        #: (the owning server sets them).
+        self.devices: tuple = ()
 
     # -- counter views (back-compat attribute API) ----------------------
     def _outcome(self, outcome: str) -> int:
@@ -247,6 +251,7 @@ class ServerMetrics:
         """Prometheus text exposition of the whole serving tier."""
         with self._lock:
             self.launch_stats.publish(self.registry, prefix="serving_driver")
+        publish_cost_memo(self.registry, self.devices)
         return self.registry.expose()
 
     def snapshot(self) -> dict:
@@ -323,6 +328,7 @@ class ServerMetrics:
                 "hits": launch.plan_cache_hits,
                 "misses": launch.plan_cache_misses,
             },
+            "cost_memo": cost_memo_stats(self.devices),
             "launches": {
                 "executed": launch.executed_launches,
                 "plan_nodes": launch.plan_nodes,

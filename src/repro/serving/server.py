@@ -38,7 +38,7 @@ import numpy as np
 from ..core.batch import VBatch
 from ..core.driver import PotrfOptions, run_potrf_vbatched
 from ..core.plan import PlanCache
-from ..device.device import Device
+from ..device.device import Device, cost_memo_stats
 from ..device.hetero import HeteroGroup
 from ..device.topology import DeviceGroup
 from ..errors import AdmissionError, ArgumentError, RequestCancelled, ServingError
@@ -171,6 +171,8 @@ class BatchServer:
         self.admission = admission
         self.clock = clock
         self.metrics = ServerMetrics()
+        launch_devices = [self.device] + (list(self.group.devices) if self.group is not None else [])
+        self.metrics.devices = tuple({id(d): d for d in launch_devices}.values())
         self._batcher = Batcher(
             policy, max_batch=max_batch, max_wait=max_wait, deadline_margin=deadline_margin
         )
@@ -548,6 +550,7 @@ class BatchServer:
         ) as span_args:
             dispatched_wall = self.clock()
             dispatched_sim = self._sim_now() if tracer else 0.0
+            memo_before = cost_memo_stats(self.metrics.devices) if tracer else None
             batch_id = self._next_batch_id
             self._next_batch_id += 1
             # Largest-first within the launch — the paper's implicit-sorting
@@ -658,7 +661,10 @@ class BatchServer:
             if self.tuner is not None:
                 self.tuner.on_batch([r.n for r in reqs], op_key)
             if tracer:
+                memo = cost_memo_stats(self.metrics.devices)
                 span_args.update(
+                    cost_memo_hits=memo["hits"] - memo_before["hits"],
+                    cost_memo_misses=memo["misses"] - memo_before["misses"],
                     batch_id=batch_id,
                     op=op_key,
                     size=len(reqs),

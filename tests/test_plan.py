@@ -336,6 +336,125 @@ class TestPlanCacheThreadSafety:
         assert not errors
         assert cache.hits + cache.misses == 40
 
+    def test_distinct_keys_build_concurrently(self):
+        import threading
+
+        dev = Device(execute_numerics=False)
+        cache = PlanCache()
+        # Each build waits for the other: a lock held across build()
+        # would serialize them and break the barrier.
+        inside = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def worker(seed):
+            try:
+                sizes = dist.generate_sizes("uniform", 10, 48, seed=seed)
+                batch = VBatch.allocate(dev, sizes, "d")
+                key = cache.key_for(dev, batch, int(sizes.max()), "fused", None)
+
+                def build():
+                    inside.wait()
+                    return FusedDriver(dev).plan(batch, int(sizes.max()))
+
+                cache.get_or_build(key, batch, build)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert (cache.planner_calls, cache.misses, cache.hits, len(cache)) == (2, 2, 0, 2)
+
+    def test_stress_mixed_keys_build_each_key_once(self):
+        import sys
+        import threading
+
+        dev = Device(execute_numerics=False)
+        cache = PlanCache(max_plans=64)
+        batches = [
+            VBatch.allocate(dev, dist.generate_sizes("uniform", 6, 24, seed=s), "d")
+            for s in range(3)
+        ]
+        keys = [cache.key_for(dev, b, int(b.sizes_host.max()), "fused", None) for b in batches]
+        errors = []
+        calls_per_thread = 30
+
+        def worker(tid):
+            try:
+                for i in range(calls_per_thread):
+                    j = (tid + i) % len(batches)
+                    b = batches[j]
+                    cache.get_or_build(
+                        keys[j], b, lambda b=b: FusedDriver(dev).plan(b, int(b.sizes_host.max()))
+                    )
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        # Each key is built exactly once; every call is counted once.
+        assert cache.planner_calls == cache.misses == len(keys)
+        assert cache.hits + cache.misses == 8 * calls_per_thread
+
+    def test_same_key_waits_for_the_one_build(self):
+        import threading
+
+        dev, batch, sizes = _timing_batch()
+        cache = PlanCache()
+        key = cache.key_for(dev, batch, int(sizes.max()), "fused", None)
+        started, release = threading.Event(), threading.Event()
+
+        def slow_build():
+            started.set()
+            release.wait(10)
+            return FusedDriver(dev).plan(batch, int(sizes.max()))
+
+        def never_called():  # pragma: no cover - failure path
+            raise AssertionError("a second build ran for an in-flight key")
+
+        plans = []
+        owner = threading.Thread(target=lambda: plans.append(cache.get_or_build(key, batch, slow_build)))
+        owner.start()
+        assert started.wait(10)
+        waiter = threading.Thread(target=lambda: plans.append(cache.get_or_build(key, batch, never_called)))
+        waiter.start()
+        waiter.join(0.2)
+        assert waiter.is_alive()  # parked on the in-flight build
+        release.set()
+        owner.join(10)
+        waiter.join(10)
+        assert not owner.is_alive() and not waiter.is_alive()
+        assert len(plans) == 2 and plans[0] is plans[1]
+        assert (cache.planner_calls, cache.misses, cache.hits) == (1, 1, 1)
+
+    def test_failed_build_lets_the_next_caller_build(self):
+        dev, batch, sizes = _timing_batch()
+        cache = PlanCache()
+        key = cache.key_for(dev, batch, int(sizes.max()), "fused", None)
+
+        def broken():
+            raise RuntimeError("planner failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_build(key, batch, broken)
+        plan = cache.get_or_build(key, batch, lambda: FusedDriver(dev).plan(batch, int(sizes.max())))
+        assert plan is cache.get(key, batch)
+        assert cache.planner_calls == 2
+
 
 class TestPlanCacheEvict:
     def _cached_plan(self, cache, dev, seed):

@@ -147,6 +147,18 @@ class TestBucketHelpers:
         uniq, counts = grouping.grouped_first_seen(np.array([], dtype=np.int64))
         assert uniq.size == 0 and counts.size == 0
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), ()])
+    def test_grouped_first_seen_single_element_matches_unique(self, dtype, shape):
+        values = np.full(shape, 7, dtype=dtype)
+        uniq, counts = grouping.grouped_first_seen(values)
+        ref_uniq, first, ref_counts = np.unique(values, return_index=True, return_counts=True)
+        order = np.argsort(first, kind="stable")
+        for got, want in ((uniq, ref_uniq[order]), (counts, ref_counts[order])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(uniq, values)
+
 
 class TestMeasuredPercoreBaseline:
     SIZES = np.array([24, 40, 16, 32, 8, 48, 12, 20])
