@@ -17,7 +17,13 @@ from .kernel import BlockWork, Kernel, LaunchConfig
 from .scheduler import BlockScheduler
 from .stream import Stream
 from .device import Device
-from .executor import ExecutionStats, MemberStats, PlanExecutor, execute_concurrently
+from .executor import (
+    ExecutionStats,
+    LaunchProgram,
+    MemberStats,
+    PlanExecutor,
+    execute_concurrently,
+)
 from .topology import DeviceGroup, partition_sizes
 from .member import ChunkRun, ComputeMember, CpuMember, GpuMember, MemberCapabilities
 from .hetero import HeteroGroup, parse_members, run_potrf_hetero
@@ -43,6 +49,7 @@ __all__ = [
     "Device",
     "PlanExecutor",
     "ExecutionStats",
+    "LaunchProgram",
     "execute_concurrently",
     "DeviceGroup",
     "partition_sizes",

@@ -26,12 +26,18 @@ falsy check per plan plus one per node.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import PlanError, PlanExecutionError
 from ..observability.trace import Track, current_tracer, propagating
 
-__all__ = ["ExecutionStats", "MemberStats", "PlanExecutor", "execute_concurrently"]
+__all__ = [
+    "ExecutionStats",
+    "LaunchProgram",
+    "MemberStats",
+    "PlanExecutor",
+    "execute_concurrently",
+]
 
 
 @dataclass
@@ -169,6 +175,63 @@ class MemberStats:
         ).set(self.busy_s, member=self.name)
 
 
+@dataclass(frozen=True)
+class LaunchProgram:
+    """A barrier-free plan lowered to a flat launch sequence.
+
+    ``steps`` holds one ``(index, kernel, stream, waits, record)`` per
+    launch: the earlier launches on other streams it waits on, and
+    whether a later launch waits on it.  ``stats`` is what a replay
+    reports, the same counts the node-by-node walk would produce.  The
+    plan optimizer lowers every plan it finalizes, so a cached plan's
+    warm re-run skips the executor's per-node dispatch.
+    """
+
+    steps: tuple
+    stats: ExecutionStats
+
+    @classmethod
+    def lower(cls, plan) -> LaunchProgram | None:
+        """Lower ``plan``, or ``None`` when it has barrier nodes."""
+        from ..core.plan import AuxLaunch, KernelLaunch
+
+        nodes = plan.nodes
+        if not all(isinstance(n, KernelLaunch) for n in nodes):
+            return None
+        waits = [tuple(d for d in n.deps if nodes[d].stream != n.stream) for n in nodes]
+        recorded = {d for w in waits for d in w}
+        stats = ExecutionStats(
+            launches=len(nodes),
+            aux_launches=sum(isinstance(n, AuxLaunch) for n in nodes),
+            streams_used=len({n.stream for n in nodes}),
+            event_waits=sum(map(len, waits)),
+            events_recorded=len(recorded),
+        )
+        for n in nodes:
+            stats.by_tag[n.tag] = stats.by_tag.get(n.tag, 0) + 1
+        steps = tuple(
+            (n.index, n.kernel, n.stream, w, n.index in recorded)
+            for n, w in zip(nodes, waits)
+        )
+        return cls(steps, stats)
+
+    def replay(self, device) -> ExecutionStats:
+        """Launch every step on ``device``; logical streams other than 0
+        get fresh streams, as in :meth:`PlanExecutor.execute`."""
+        streams = {0: device.default_stream}
+        events = {}
+        for index, kernel, sid, waits, record in self.steps:
+            stream = streams.get(sid)
+            if stream is None:
+                stream = streams[sid] = device.create_stream()
+            for dep in waits:
+                stream.wait_event(events[dep])
+            device.launch(kernel, stream=stream)
+            if record:
+                events[index] = stream.record_event()
+        return replace(self.stats, by_tag=dict(self.stats.by_tag))
+
+
 class PlanExecutor:
     """Executes :class:`~repro.core.plan.LaunchPlan` DAGs on one device.
 
@@ -185,6 +248,10 @@ class PlanExecutor:
     dependent node.  Group members touch disjoint matrices by
     construction, so the results are bit-identical to serial execution;
     the simulated clock always advances serially in node order.
+
+    A plan the optimizer lowered (``plan.program``, a
+    :class:`LaunchProgram`) is replayed instead of walked, unless a
+    tracer is active or parallel groups apply: both need the walk.
     """
 
     def __init__(self, device, max_workers: int | None = None):
@@ -219,6 +286,8 @@ class PlanExecutor:
                     for index in members:
                         group_of[index] = gid
                     group_last[gid] = max(members)
+        if plan.program is not None and not tracer and not group_of:
+            return plan.program.replay(device)
         pool = None
         pending: list = []
 

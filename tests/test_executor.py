@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import PlanBuilder
-from repro.device import Device, PlanExecutor, execute_concurrently
+from repro.device import Device, LaunchProgram, PlanExecutor, execute_concurrently
 from repro.device.kernel import BlockWork, Kernel, LaunchConfig
 from repro.errors import PlanError
 from repro.types import Precision
@@ -147,6 +147,39 @@ class TestPlanExecutor:
         # Far from 4x scaling: streams only overlap wave tails and
         # launch overhead, never the SM-area itself.
         assert fan.synchronize() >= 0.8 * serial.synchronize()
+
+
+class TestLaunchProgram:
+    @staticmethod
+    def _plan(dev):
+        pb = PlanBuilder(dev)
+        a = pb.launch(_ToyKernel(flops=1e9), stream=1)
+        pb.aux(_ToyKernel(nblocks=1, flops=1e3), stream=2)
+        pb.launch(_ToyKernel(nblocks=1, flops=1e3), stream=2, after=(a,))
+        pb.launch(_ToyKernel(nblocks=2, flops=1e4))
+        return pb.build()
+
+    def test_replay_matches_walk(self):
+        runs = []
+        for lowered in (True, False):
+            dev = Device(execute_numerics=False)
+            plan = self._plan(dev)
+            if lowered:
+                plan.program = LaunchProgram.lower(plan)
+            stats = PlanExecutor(dev).execute(plan)
+            runs.append((stats, [(r.start, r.end) for r in dev.launches]))
+        (replayed, trace), (walked, walk_trace) = runs
+        assert replayed == walked
+        assert replayed.event_waits == replayed.events_recorded == 1
+        assert trace == walk_trace
+        assert trace[2][0] >= trace[0][1]  # the wait held the dependent launch
+
+    def test_barrier_plan_is_not_lowered(self):
+        dev = Device(execute_numerics=False)
+        pb = PlanBuilder(dev)
+        pb.launch(_ToyKernel())
+        pb.barrier()
+        assert LaunchProgram.lower(pb.build()) is None
 
 
 class TestExecuteConcurrently:

@@ -7,6 +7,8 @@ registry counters are truthful, and the PlanCache key separates
 optimized from unoptimized plans.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,14 @@ from repro.core.optimizer import (
     node_access,
     optimize_plan,
     resolve_passes,
+    with_level,
 )
 from repro.core.partial import plan_partial_potrf
 from repro.core.plan import Barrier, PlanCache
 from repro.core.separated import SeparatedDriver
 from repro.device import Device, PlanExecutor
 from repro.errors import ArgumentError, PlanError
-from repro.observability import MetricsRegistry
+from repro.observability import MetricsRegistry, Tracer, activate
 
 LEVELS = ("none", "elide", "prune", "coalesce", "lpt", "elide+prune", "all")
 
@@ -190,6 +193,67 @@ class TestPassEffects:
             opt = dev2.synchronize() - t0
             plan2.close()
             assert opt <= base * (1 + 1e-9), f"{planner}: {opt} > {base}"
+
+
+def _launch_trace(dev):
+    return [(r.kernel_name, r.start, r.end, r.blocks) for r in dev.launches]
+
+
+class TestLaunchProgram:
+    """An optimized plan's lowered program replays exactly what the
+    node-by-node walk does: same launches, clocks and counts."""
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    @pytest.mark.parametrize("level", LEVELS[1:])
+    def test_replay_matches_walk(self, planner, level):
+        dev, plan = _timing_plan(planner)
+        optimize_plan(plan, level)
+        if any(isinstance(n, Barrier) for n in plan.nodes):
+            assert plan.program is None
+            plan.close()
+            return
+        assert plan.program is not None
+        walk_dev, walk_plan = _timing_plan(planner)
+        optimize_plan(walk_plan, level)
+        walk_plan.program = None
+        for _ in range(2):  # the second run replays a warm memo
+            replayed = PlanExecutor(dev).execute(plan)
+            walked = PlanExecutor(walk_dev).execute(walk_plan)
+            assert asdict(replayed) == asdict(walked)
+            assert dev.synchronize() == walk_dev.synchronize()
+        assert _launch_trace(dev) == _launch_trace(walk_dev)
+        plan.close()
+        walk_plan.close()
+
+    def test_unoptimized_plan_has_no_program(self):
+        dev, plan = _timing_plan("fused")
+        assert optimize_plan(plan, "none").program is None
+        plan.close()
+
+    def test_tracer_walks_nodes(self):
+        dev, plan = _timing_plan("fused")
+        optimize_plan(plan, "all")
+        assert plan.program is not None
+        tracer = Tracer()
+        with activate(tracer):
+            PlanExecutor(dev).execute(plan)
+        assert len(tracer.spans("fused") + tracer.spans("aux")) == len(plan.nodes)
+        plan.close()
+
+    def test_replay_stats_are_fresh_copies(self):
+        dev, plan = _timing_plan("separated")
+        optimize_plan(plan, "all")
+        first = PlanExecutor(dev).execute(plan)
+        first.merge(first)  # must not leak into the program's counts
+        again = PlanExecutor(dev).execute(plan)
+        assert first.count("aux") == 2 * again.count("aux") > 0
+        assert again.launches == len(plan.nodes)
+        plan.close()
+
+    def test_with_level_reuses_options(self):
+        opts = PotrfOptions()
+        assert with_level(opts, "all") is with_level(PotrfOptions(), "all")
+        assert with_level(opts, "all").optimize == "all"
 
 
 def _numerics_result(planner, level, seed=11):
