@@ -21,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import LaunchError
-from ..hostblas import potf2 as host_potf2, trsm as host_trsm
 from ..types import Precision, precision_info
 from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
 from . import grouping
+from .grouping import fused_step_numerics
 
 __all__ = ["FusedPotrfStepKernel", "fused_step_numerics", "fused_shared_mem_bytes"]
 
@@ -34,30 +34,6 @@ _WARP = 32
 def fused_shared_mem_bytes(max_m: int, nb: int, bytes_per_element: int) -> int:
     """Shared memory the fused kernel needs: the ``m x nb`` panel."""
     return max(1, max_m) * nb * bytes_per_element
-
-
-def fused_step_numerics(a: np.ndarray, j0: int, nb: int) -> int:
-    """Functional plane of one fused step on one matrix (lower Cholesky).
-
-    Performs panel-update + tile-factorize + panel-solve for the panel
-    starting at column ``j0``.  Returns the LAPACK info (0, or the
-    1-based global index of the failing pivot).
-    """
-    n = a.shape[0]
-    j1 = min(j0 + nb, n)
-    if j0 > 0:
-        b = a[j0:j1, :j0]
-        upd = b @ b.conj().T
-        rows, cols = np.tril_indices(j1 - j0)
-        a[j0:j1, j0:j1][rows, cols] -= upd[rows, cols]
-        if j1 < n:
-            a[j1:, j0:j1] -= a[j1:, :j0] @ b.conj().T
-    info = host_potf2(a[j0:j1, j0:j1], "l")
-    if info != 0:
-        return j0 + info
-    if j1 < n:
-        host_trsm("r", "l", "c", "n", 1.0, a[j0:j1, j0:j1], a[j1:, j0:j1])
-    return 0
 
 
 class FusedPotrfStepKernel(Kernel):
@@ -205,20 +181,8 @@ class FusedPotrfStepKernel(Kernel):
                 if info != 0:
                     infos[i] = info
             return
-        ldas = self.batch.ldas_host
-        buckets = grouping.partition_buckets(
-            [(int(sizes[i]), int(ldas[i])) for i in live]
-        )
-        for bucket in buckets:
-            ids = live[bucket.positions]
-            if len(ids) == 1:
-                i = int(ids[0])
-                info = fused_step_numerics(self.batch.matrix_view(i), j0, self.nb)
-                if info != 0:
-                    infos[i] = info
-                continue
-            views = [self.batch.matrix_view(int(i)) for i in ids]
-            ret = grouping.bucket_fused_step(views, j0, self.nb)
-            bad = ret > 0
-            if bad.any():
-                infos[ids[bad]] = ret[bad]
+        views = [self.batch.matrix_view(int(i)) for i in live]
+        ret = grouping.stacked_potrf_step(views, j0, self.nb)
+        bad = ret > 0
+        if bad.any():
+            infos[live[bad]] = ret[bad]

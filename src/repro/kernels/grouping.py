@@ -1,26 +1,33 @@
-"""Size-bucketed vectorized execution for the simulated kernel numerics.
+"""Grouped, stacked execution for the simulated kernel numerics.
 
 The paper's central performance lever is grouping nearly-equal sizes so
 one launch does dense, coherent work (implicit sorting + ETM, §III-D).
-The simulated kernels used to execute their functional plane one matrix
-at a time in Python loops — paying interpreter overhead per matrix,
-which is exactly the overhead the paper's batching eliminates on real
-hardware.  This module is the software analogue of that fix, following
-the batched-GEMM grouping strategy of Jhurani & Mullowney
-(arXiv:1304.7053) and the bucketing of Boukaram et al.
-(arXiv:1707.05141):
+The simulated kernels would otherwise execute their functional plane
+one matrix at a time in Python, paying interpreter overhead per matrix
+-- exactly the overhead the paper's batching eliminates on real
+hardware.  This module is the software analogue of that fix.  Following
+the batched-GEMM grouping of Jhurani & Mullowney (arXiv:1304.7053), work
+is grouped by the shape of the operands a kernel actually touches, not
+by the shape of the matrices they come from:
 
-* partition a launch's work items into buckets of identical ``(n, lda)``
-  (items in one bucket are shape-compatible),
-* materialize each bucket as a 3-D ndarray stack,
-* run the whole bucket through *batched* NumPy primitives
-  (``matmul``/``einsum`` over the leading batch axis, vectorized
-  substitution sweeps),
-* scatter the results back into the per-matrix device views.
+* :func:`stacked_potrf_step` advances a POTRF step (history update, tile
+  factorization, panel solve) for every live matrix.  Within one step
+  every matrix with ``n - j0 >= nb`` has the same ``nb x nb`` tile and
+  ``nb x j0`` history, whatever its order, so one group per tile order
+  ``jb`` goes through stacked LAPACK (``matmul``, ``cholesky``, ``inv``)
+  and only the ragged panels below the tiles are solved per matrix.
+* :func:`partition_buckets` splits a launch into identical-key buckets
+  for the gemm/syrk/trtri kernels, whose operands are whole-shape
+  compatible; :func:`bucket_gemm`, :func:`bucket_syrk` and
+  :func:`batched_lower_trtri` run one bucket as a 3-D stack.
 
-Every kernel keeps its original per-matrix loop as a *reference* path
-(:func:`reference_numerics` / ``set_reference_numerics``) so the
-vectorized path can be differentially tested against it.
+Every operation of a POTRF step depends only on the matrix it works
+on, never on what else shares its group, so a Cholesky factor is
+bitwise identical alone, in any batch, or on any shard.  Every kernel
+keeps its original per-matrix loop as a *reference* path
+(:func:`reference_numerics` / ``set_reference_numerics``,
+``REPRO_REFERENCE_KERNELS=1``) so the grouped path can be
+differentially tested against it.
 """
 
 from __future__ import annotations
@@ -28,8 +35,11 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from ..hostblas import potf2 as host_potf2, trsm as host_trsm
 
 __all__ = [
     "SizeBucket",
@@ -38,10 +48,9 @@ __all__ = [
     "reference_numerics",
     "set_reference_numerics",
     "reference_enabled",
-    "batched_potf2",
-    "batched_panel_trsm",
+    "fused_step_numerics",
+    "stacked_potrf_step",
     "batched_lower_trtri",
-    "bucket_fused_step",
     "bucket_gemm",
     "bucket_syrk",
 ]
@@ -142,60 +151,122 @@ def grouped_first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # batched numeric primitives
 # ----------------------------------------------------------------------
 def _conj_t(stack: np.ndarray) -> np.ndarray:
-    """Batched conjugate transpose of a 3-D stack."""
-    return np.conj(np.swapaxes(stack, -1, -2))
+    """Batched conjugate transpose of a 3-D stack.
 
-
-def batched_potf2(t: np.ndarray) -> np.ndarray:
-    """In-place batched unblocked lower Cholesky of a ``(B, n, n)`` stack.
-
-    Mirrors :func:`repro.hostblas.potf2` semantics per matrix: returns
-    an int64 info array (0 on success, 1-based failing pivot otherwise);
-    a failed matrix's columns from the failing one onward are left
-    untouched, and already-failed matrices stop receiving writes.
+    A real stack gets a plain transposed view, as :func:`repro.hostblas.syrk`
+    does, so ``a @ _conj_t(a)`` takes the same BLAS path per slice.
     """
-    bsz, n = t.shape[0], t.shape[1]
-    infos = np.zeros(bsz, dtype=np.int64)
-    active = np.ones(bsz, dtype=bool)
-    for j in range(n):
-        row = t[:, j, :j]
-        if j > 0:
-            d = t[:, j, j].real - np.einsum("bk,bk->b", row, row.conj()).real
-        else:
-            d = t[:, j, j].real.copy()
-        bad = active & ((d <= 0) | np.isnan(d))
-        if bad.any():
-            infos[bad] = j + 1
-            active = active & ~bad
-            if not active.any():
-                break
-        dj = np.sqrt(np.where(active, d, 1.0))
-        t[active, j, j] = dj[active]
-        if j + 1 < n:
-            below = t[:, j + 1 :, :j]
-            col = t[:, j + 1 :, j] - np.einsum("bmk,bk->bm", below, row.conj())
-            t[active, j + 1 :, j] = (col / dj[:, None])[active]
+    return np.swapaxes(stack, -1, -2).conj()
+
+
+def fused_step_numerics(a: np.ndarray, j0: int, nb: int) -> int:
+    """Functional plane of one fused step on one matrix (lower Cholesky).
+
+    Performs panel-update + tile-factorize + panel-solve for the panel
+    starting at column ``j0``.  Returns the LAPACK info (0, or the
+    1-based global index of the failing pivot).  This is the reference
+    the POTRF step kernels loop over, and the fallback that
+    :func:`stacked_potrf_step` hands failed matrices to.
+    """
+    n = a.shape[0]
+    j1 = min(j0 + nb, n)
+    if j0 > 0:
+        b = a[j0:j1, :j0]
+        upd = b @ b.conj().T
+        rows, cols = np.tril_indices(j1 - j0)
+        a[j0:j1, j0:j1][rows, cols] -= upd[rows, cols]
+        if j1 < n:
+            a[j1:, j0:j1] -= a[j1:, :j0] @ b.conj().T
+    info = host_potf2(a[j0:j1, j0:j1], "l")
+    if info != 0:
+        return j0 + info
+    if j1 < n:
+        host_trsm("r", "l", "c", "n", 1.0, a[j0:j1, j0:j1], a[j1:, j0:j1])
+    return 0
+
+
+def _stacked_cholesky(tiles: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a tile stack; a failed tile comes back NaN.
+
+    Stacked ``np.linalg.cholesky`` raises for the whole stack when one
+    tile is not positive definite, so that rare case re-factors tile by
+    tile to find the culprits.
+    """
+    try:
+        return np.linalg.cholesky(tiles)
+    except np.linalg.LinAlgError:
+        out = np.full_like(tiles, np.nan)
+        for g, tile in enumerate(tiles):
+            try:
+                out[g] = np.linalg.cholesky(tile)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+@lru_cache(maxsize=128)
+def _lower_mask(n: int) -> np.ndarray:
+    """Boolean mask of the lower triangle (with diagonal) of an n x n tile."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def stacked_potrf_step(views, j0: int, nb: int) -> np.ndarray:
+    """One fused POTRF step over many matrices, grouped by tile order.
+
+    ``views`` are square matrix views of any orders ``n > j0``.  Each
+    gets the step :func:`fused_step_numerics` performs (equal up to
+    rounding), with the matrices sharing a tile order
+    ``jb = min(nb, n - j0)`` run as one group:
+
+    1. the history update ``tile -= hist @ hist^H`` as one stacked
+       matmul, on a gather of just the ``jb x (j0 + jb)`` row block;
+    2. one stacked ``np.linalg.cholesky`` of the group's tiles;
+    3. per matrix, ``panel -= below_hist @ hist^H`` and then
+       ``panel @ inv(L)^H`` with the stacked ``np.linalg.inv`` of the
+       group's factors.
+
+    Only the lower triangle of a tile is written back.  A matrix whose
+    factor or solved panel is not finite (a failed pivot; NaN or Inf in
+    the input) is left untouched and re-run through
+    :func:`fused_step_numerics`, which yields the reference info code
+    and partial state.  Returns the per-view info array (0, or the
+    1-based global failing pivot).
+    """
+    infos = np.zeros(len(views), dtype=np.int64)
+    groups: dict[int, list[int]] = {}
+    for pos, v in enumerate(views):
+        groups.setdefault(min(nb, v.shape[0] - j0), []).append(pos)
+    for jb, members in groups.items():
+        j1 = j0 + jb
+        rows = np.stack([views[p][j0:j1, :j1] for p in members])
+        hist_h = _conj_t(rows[:, :, :j0])
+        tiles = rows[:, :, j0:]
+        if j0 > 0:
+            tiles -= rows[:, :, :j0] @ hist_h
+        factors = _stacked_cholesky(tiles)
+        ok = np.isfinite(factors).all(axis=(1, 2))
+        with_panel = [g for g, p in enumerate(members) if ok[g] and views[p].shape[0] > j1]
+        if with_panel:
+            inv_h = _conj_t(np.linalg.inv(factors[with_panel]))
+            for g, inv_hg in zip(with_panel, inv_h):
+                below = views[members[g]][j1:, :j1]
+                panel = below[:, j0:]
+                if j0 > 0:
+                    panel = panel - below[:, :j0] @ hist_h[g]
+                panel = panel @ inv_hg
+                if np.isfinite(panel).all():
+                    below[:, j0:] = panel
+                else:
+                    ok[g] = False
+        lower = _lower_mask(jb)
+        for g, p in enumerate(members):
+            if ok[g]:
+                np.copyto(views[p][j0:j1, j0:j1], factors[g], where=lower)
+            else:
+                infos[p] = fused_step_numerics(views[p], j0, nb)
     return infos
-
-
-def batched_panel_trsm(l11: np.ndarray, b: np.ndarray, ok: np.ndarray | None = None) -> None:
-    """Batched in-place solve ``X @ L^H = B`` (right/lower/conj-trans).
-
-    ``l11`` is a ``(B, jb, jb)`` stack of lower-triangular factors and
-    ``b`` the ``(B, m, jb)`` right-hand-side panels, overwritten with the
-    solution — the batched analogue of
-    ``trsm('r', 'l', 'c', 'n', 1.0, L, B)``.  Entries where ``ok`` is
-    False (failed factorizations) are left untouched.
-    """
-    bsz, jb = l11.shape[0], l11.shape[1]
-    if ok is None:
-        ok = np.ones(bsz, dtype=bool)
-    for j in range(jb):
-        denom = np.where(ok, l11[:, j, j], 1.0).conj()
-        rhs = b[:, :, j]
-        if j > 0:
-            rhs = rhs - np.einsum("bmi,bi->bm", b[:, :, :j], l11[:, j, :j].conj())
-        b[ok, :, j] = (rhs / denom[:, None])[ok]
 
 
 def batched_lower_trtri(l: np.ndarray) -> np.ndarray:
@@ -220,38 +291,6 @@ def batched_lower_trtri(l: np.ndarray) -> np.ndarray:
         rhs = eye[i] - np.einsum("bk,bkj->bj", l[:, i, :i], inv[:, :i, :])
         inv[:, i, :] = rhs / l[:, i, i, None]
     return np.tril(inv)
-
-
-def bucket_fused_step(views: list[np.ndarray], j0: int, nb: int) -> np.ndarray:
-    """Vectorized fused Algorithm-1 step over one same-size bucket.
-
-    ``views`` are equal-order ``n x n`` matrix views; performs the
-    panel-update + tile-factorize + panel-solve of
-    :func:`repro.kernels.fused_potrf.fused_step_numerics` on the whole
-    bucket at once and scatters the panel columns back.  Returns the
-    per-matrix info array (0, or the 1-based global failing pivot).
-    """
-    n = views[0].shape[0]
-    j1 = min(j0 + nb, n)
-    jb = j1 - j0
-    k = j0
-    # One gather covers everything the step touches: rows j0:, cols :j1.
-    s = np.stack([v[j0:, :j1] for v in views])
-    tile = s[:, :jb, k:j1]
-    if k > 0:
-        hist = s[:, :jb, :k]
-        upd = hist @ _conj_t(hist)
-        rows, cols = np.tril_indices(jb)
-        tile[:, rows, cols] -= upd[:, rows, cols]
-        if j1 < n:
-            s[:, jb:, k:j1] -= s[:, jb:, :k] @ _conj_t(hist)
-    infos = batched_potf2(tile)
-    ok = infos == 0
-    if j1 < n and ok.any():
-        batched_panel_trsm(tile, s[:, jb:, k:j1], ok=ok)
-    for b, v in enumerate(views):
-        v[j0:, j0:j1] = s[b, :, k:j1]
-    return np.where(infos > 0, infos + j0, 0)
 
 
 def _apply_op_stack(stack: np.ndarray, trans: str) -> np.ndarray:

@@ -101,24 +101,9 @@ class NaivePotf2Kernel(Kernel):
                 if info != 0:
                     infos[i] = self.offset + info
             return
-        ldas = self.batch.ldas_host
-        buckets = grouping.partition_buckets(
-            [(int(self.jbs[i]), int(ldas[i])) for i in live]
-        )
-        for bucket in buckets:
-            ids = live[bucket.positions]
-            jb = int(self.jbs[ids[0]])
-            if len(ids) == 1:
-                i = int(ids[0])
-                info = host_potf2(self._tile(i, jb), "l")
-                if info != 0:
-                    infos[i] = self.offset + info
-                continue
-            tiles = [self._tile(int(i), jb) for i in ids]
-            stack = np.stack(tiles)
-            ret = grouping.batched_potf2(stack)
-            for b, tile in enumerate(tiles):
-                tile[...] = stack[b]
-            bad = ret > 0
-            if bad.any():
-                infos[ids[bad]] = self.offset + ret[bad]
+        # One step as wide as the widest tile is a whole unblocked potf2.
+        tiles = [self._tile(int(i), int(self.jbs[i])) for i in live]
+        ret = grouping.stacked_potrf_step(tiles, 0, int(self.jbs[live].max()))
+        bad = ret > 0
+        if bad.any():
+            infos[live[bad]] = self.offset + ret[bad]

@@ -15,7 +15,8 @@ import numpy as np
 from ..types import Precision, precision_info
 from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
 from . import grouping
-from .fused_potrf import fused_shared_mem_bytes, fused_step_numerics
+from .fused_potrf import fused_shared_mem_bytes
+from .grouping import fused_step_numerics
 
 __all__ = ["PanelPotf2StepKernel"]
 
@@ -126,21 +127,8 @@ class PanelPotf2StepKernel(Kernel):
                 if info != 0:
                     infos[i] = self.offset + info
             return
-        ldas = self.batch.ldas_host
-        buckets = grouping.partition_buckets(
-            [(int(self.jbs[i]), int(ldas[i])) for i in live]
-        )
-        for bucket in buckets:
-            ids = live[bucket.positions]
-            jb = int(self.jbs[ids[0]])
-            if len(ids) == 1:
-                i = int(ids[0])
-                info = fused_step_numerics(self._tile(i, jb), local, self.nb)
-                if info != 0:
-                    infos[i] = self.offset + info
-                continue
-            tiles = [self._tile(int(i), jb) for i in ids]
-            ret = grouping.bucket_fused_step(tiles, local, self.nb)
-            bad = ret > 0
-            if bad.any():
-                infos[ids[bad]] = self.offset + ret[bad]
+        tiles = [self._tile(int(i), int(self.jbs[i])) for i in live]
+        ret = grouping.stacked_potrf_step(tiles, local, self.nb)
+        bad = ret > 0
+        if bad.any():
+            infos[live[bad]] = self.offset + ret[bad]

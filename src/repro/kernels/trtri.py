@@ -94,7 +94,7 @@ class VbatchedTrtriDiagKernel(Kernel):
         live = [t for t in self.tasks if t.jb and t.tri is not None]
         if not live:
             return
-        if grouping.reference_enabled() or len(live) == 1:
+        if grouping.reference_enabled():
             for task in live:
                 inv = task.inv_out
                 for j0 in range(0, task.jb, self.ib):
@@ -108,6 +108,8 @@ class VbatchedTrtriDiagKernel(Kernel):
             return
         # Bucket by jb: every task's sequence of ib-wide diagonal blocks
         # then lines up, so each block position inverts as one stack.
+        # A lone task takes the same stacked path, so its bits do not
+        # depend on what else shares the launch.
         for bucket in grouping.partition_buckets([t.jb for t in live]):
             tasks = [live[p] for p in bucket.positions]
             jb = tasks[0].jb

@@ -38,7 +38,7 @@ def factorize(sizes, mats, approach, reference, ldas=None, precision="d", **opts
 
 
 def tol(precision):
-    return 1e-4 if precision == "s" else 1e-12
+    return 1e-4 if precision in ("s", "c") else 1e-12
 
 
 class TestReferenceSwitch:
@@ -117,6 +117,28 @@ class TestDifferentialFactorization:
         for r, v in zip(ref, vec):
             np.testing.assert_allclose(v, r, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("approach", ["fused", "separated"])
+    def test_poison_past_first_panel_matches_reference(self, approach):
+        """A late pivot failure, a NaN matrix and an Inf matrix among
+        healthy matrices of equal and different orders: same infos and
+        partial factors as the reference; healthy factors bit-identical
+        to the same batch without the poison."""
+        sizes = [48, 48, 48, 48, 32, 70]
+        opts = dict(nb=8, panel_nb=24, on_error="info")
+        clean = make_spd_batch(sizes, "d", seed=2)
+        mats = [m.copy() for m in clean]
+        mats[1][40, 40] = -5.0  # leading minor 41 fails: step j0=40
+        mats[2][30, 5] = mats[2][5, 30] = np.nan  # below the first tile
+        mats[4][20, 3] = mats[4][3, 20] = np.inf
+        ref, ref_infos = factorize(sizes, [m.copy() for m in mats], approach, True, **opts)
+        vec, vec_infos = factorize(sizes, [m.copy() for m in mats], approach, False, **opts)
+        assert ref_infos.tolist() == vec_infos.tolist() == [0, 41, 31, 0, 21, 0]
+        for r, v in zip(ref, vec):
+            np.testing.assert_allclose(v, r, rtol=1e-12, atol=1e-12)
+        healthy, _ = factorize(sizes, [m.copy() for m in clean], approach, False, **opts)
+        for i in (0, 3, 5):
+            assert np.array_equal(vec[i], healthy[i]), f"matrix {i}"
+
     def test_env_var_selects_reference(self, monkeypatch):
         import importlib
 
@@ -128,6 +150,69 @@ class TestDifferentialFactorization:
             monkeypatch.delenv("REPRO_REFERENCE_KERNELS")
             importlib.reload(grouping)
         assert not grouping.reference_enabled()
+
+
+SMALL_BLOCKS = dict(nb=8, panel_nb=24)  # separated: trsm/syrk at small n
+
+
+class TestBatchCompositionInvariance:
+    """A factor depends only on its own matrix: bit-identical alone, in
+    a mixed-size batch and in a same-size batch (what keeps sharded ==
+    single-device exact)."""
+
+    @pytest.mark.parametrize("n", [25, 37])  # 25: one trailing row
+    @pytest.mark.parametrize("precision", ["d", "z"])
+    @pytest.mark.parametrize("approach", ["fused", "separated"])
+    def test_factor_is_independent_of_batch(self, approach, precision, n):
+        target = make_spd_batch([n], precision, seed=9)[0]
+        others = make_spd_batch([n, 64, 9, n, 50], precision, seed=4)
+
+        def factor_of_target(batch_mats, pos):
+            mats = [m.copy() for m in batch_mats]
+            mats.insert(pos, target.copy())
+            sizes = [m.shape[0] for m in mats]
+            outs, infos = factorize(
+                sizes, mats, approach, False, precision=precision, **SMALL_BLOCKS
+            )
+            assert not infos.any()
+            return outs[pos]
+
+        alone = factor_of_target([], 0)
+        mixed = factor_of_target(others, 2)
+        same = factor_of_target([others[0], others[3]], 1)
+        assert np.array_equal(alone, mixed)
+        assert np.array_equal(alone, same)
+        assert cholesky_residual(target, alone) < 1e-13
+
+
+class TestEdgeShapes:
+    """Tile-order grouping edge cases against the reference path."""
+
+    # n < nb, n == nb, n == nb + 1, and the same around panel_nb.
+    SIZES = [1, 3, 8, 9, 16, 23, 24, 25, 33]
+
+    @pytest.mark.parametrize("precision", ["d", "z", "c"])
+    @pytest.mark.parametrize("approach", ["fused", "separated"])
+    def test_short_tiles_and_padding_match_reference(self, approach, precision):
+        sizes = self.SIZES
+        ldas = [n + pad for n, pad in zip(sizes, [0, 2, 1, 7, 0, 3, 8, 1, 5])]
+        mats = make_spd_batch(sizes, precision, seed=13)
+        ref, ref_infos = factorize(
+            sizes, mats, approach, True, ldas=ldas, precision=precision, **SMALL_BLOCKS
+        )
+        vec, vec_infos = factorize(
+            sizes, mats, approach, False, ldas=ldas, precision=precision, **SMALL_BLOCKS
+        )
+        assert not ref_infos.any() and not vec_infos.any()
+        for n, r, v in zip(sizes, ref, vec):
+            np.testing.assert_allclose(v[:n, :n], r[:n, :n], rtol=tol(precision), atol=tol(precision))
+            assert np.all(v[n:, :] == -777.0)
+            # The strict upper triangle is never written.
+            upper = np.triu_indices(n, 1)
+            assert np.array_equal(v[:n, :n][upper], r[:n, :n][upper])
+        if precision in ("d", "z"):
+            worst = max(cholesky_residual(a, v[:n, :n]) for a, v, n in zip(mats, vec, sizes))
+            assert worst < 1e-13
 
 
 class TestBucketHelpers:

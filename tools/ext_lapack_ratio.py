@@ -1,0 +1,124 @@
+"""Kernel numerics vs per-matrix LAPACK on small square tiles.
+
+Usage:  PYTHONPATH=src python tools/ext_lapack_ratio.py [--batch 40]
+        [--orders 8 16] [--repeat 7] [--seed 0] [--ops potrf geqrf ...]
+
+Factors one batch of random square matrices (orders uniform in
+``--orders``; the default 8..16 is the cluster size of the e2e
+``hmatrix`` workload) with ``potrf``/``geqrf``/``getrf``/``gesvj_vbatched``
+and times only the functional plane: the summed ``run_numerics`` of
+every launched kernel.  The floor is a per-matrix numpy/scipy loop on
+the same matrices: ``np.linalg.cholesky`` (potrf),
+``scipy.linalg.qr(mode="raw")`` (geqrf), ``scipy.linalg.lu_factor``
+(getrf) and ``np.linalg.svd`` (gesvj; LAPACK gesdd).  Prints the best
+of ``--repeat`` runs of each and their ratio.  BLAS is pinned to one
+thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import time
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402
+
+from repro import Device, VBatch, potrf_vbatched  # noqa: E402
+from repro.device.kernel import Kernel  # noqa: E402
+from repro.extensions import geqrf_vbatched, gesvj_vbatched, getrf_vbatched  # noqa: E402
+from repro.hostblas import make_spd  # noqa: E402
+
+class NumericsClock:
+    """Sums the wall time of every kernel's ``run_numerics``."""
+
+    def __init__(self):
+        self.total_s = 0.0
+        self._depth = 0
+
+    def instrument(self, cls=Kernel) -> None:
+        for sub in cls.__subclasses__():
+            if "run_numerics" in vars(sub):
+                sub.run_numerics = self._timed(vars(sub)["run_numerics"])
+            self.instrument(sub)
+
+    def _timed(self, run_numerics):
+        def wrapper(kernel):
+            self._depth += 1
+            start = time.perf_counter()
+            try:
+                run_numerics(kernel)
+            finally:
+                self._depth -= 1
+                if self._depth == 0:  # a subclass calling super() counts once
+                    self.total_s += time.perf_counter() - start
+
+        return wrapper
+
+
+OPS = {
+    "potrf": (potrf_vbatched, np.linalg.cholesky),
+    "geqrf": (geqrf_vbatched, lambda a: scipy.linalg.qr(a, mode="raw")),
+    "getrf": (getrf_vbatched, scipy.linalg.lu_factor),
+    "gesvj": (gesvj_vbatched, np.linalg.svd),
+}
+
+
+def best_numerics_s(clock: NumericsClock, driver, mats, repeat: int) -> float:
+    device = Device()
+    best = float("inf")
+    for _ in range(repeat):
+        batch = VBatch.from_host(device, [m.copy() for m in mats])
+        clock.total_s = 0.0
+        driver(device, batch)
+        best = min(best, clock.total_s)
+        batch.free()
+    return best
+
+
+def best_lapack_s(routine, mats, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for m in mats:
+            routine(m)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--batch", type=int, default=40)
+    parser.add_argument("--orders", type=int, nargs=2, default=(8, 16), metavar=("LO", "HI"))
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--ops", nargs="+", choices=list(OPS), default=list(OPS))
+    args = parser.parse_args(argv)
+    clock = NumericsClock()
+    clock.instrument()
+    rng = np.random.default_rng(args.seed)
+    orders = rng.integers(args.orders[0], args.orders[1] + 1, size=args.batch)
+    general = [rng.standard_normal((n, n)) for n in orders]
+    inputs = {
+        "potrf": [make_spd(int(n), "d", seed=args.seed + i) for i, n in enumerate(orders)],
+        "geqrf": general,
+        "getrf": general,
+        # The hmatrix workload feeds gesvj the R factor of each tile.
+        "gesvj": [np.triu(scipy.linalg.qr(a, mode="r")[0]) for a in general],
+    }
+    print(f"batch {args.batch}, orders {args.orders[0]}..{args.orders[1]}, "
+          f"best of {args.repeat}")
+    print(f"{'op':6} {'numerics_ms':>12} {'lapack_ms':>10} {'ratio':>7}")
+    for op in args.ops:
+        driver, routine = OPS[op]
+        ours = best_numerics_s(clock, driver, inputs[op], args.repeat)
+        floor = best_lapack_s(routine, inputs[op], args.repeat)
+        print(f"{op:6} {ours * 1e3:12.2f} {floor * 1e3:10.2f} {ours / floor:7.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
