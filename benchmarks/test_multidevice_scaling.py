@@ -10,7 +10,7 @@ speedup, plus the plan-cache hit rate of a repeated sweep.
 import numpy as np
 
 from repro.core import PlanCache, PotrfOptions, VBatch
-from repro.core.driver import run_potrf_vbatched
+from repro.core.interface import potrf_vbatched_max
 from repro.device import Device, DeviceGroup
 from repro.distributions import uniform_sizes
 
@@ -22,7 +22,7 @@ def _sweep(sizes, counts=DEVICE_COUNTS, partition="flops"):
     for n_dev in counts:
         group = DeviceGroup.simulated(n_dev, execute_numerics=False, partition=partition)
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
-        res = run_potrf_vbatched(
+        res = potrf_vbatched_max(
             batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group
         )
         rows.append((n_dev, res.elapsed, res.gflops))
@@ -89,7 +89,7 @@ def test_plan_cache_hit_rate_on_repeated_sweep(benchmark):
         group = DeviceGroup.simulated(4, execute_numerics=False)
         for _ in range(5):
             batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
-            run_potrf_vbatched(
+            potrf_vbatched_max(
                 batch.device, batch, int(sizes.max()), PotrfOptions(),
                 devices=group, plan_cache=cache,
             )

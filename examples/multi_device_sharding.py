@@ -11,7 +11,7 @@ plan cache eliminating planning work on repeated sweeps.
 """
 
 from repro import Device, DeviceGroup, PlanCache, PotrfOptions, VBatch
-from repro.core.driver import run_potrf_vbatched
+from repro.core.interface import potrf_vbatched_max
 from repro.distributions import uniform_sizes
 
 
@@ -25,7 +25,7 @@ def main():
     for n_dev in (1, 2, 4, 8):
         group = DeviceGroup.simulated(n_dev, execute_numerics=False, partition="flops")
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
-        res = run_potrf_vbatched(
+        res = potrf_vbatched_max(
             batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group
         )
         base = base or res.elapsed
@@ -37,7 +37,7 @@ def main():
     group = DeviceGroup.simulated(4, execute_numerics=False)
     for _ in range(5):
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
-        run_potrf_vbatched(
+        potrf_vbatched_max(
             batch.device, batch, int(sizes.max()), PotrfOptions(),
             devices=group, plan_cache=cache,
         )

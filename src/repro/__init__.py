@@ -41,7 +41,6 @@ from .core import (
     LaunchStats,
     PlanCache,
     PotrfOptions,
-    PotrfResult,
     VBatch,
     potrf_batched_fixed,
     potrf_vbatched,
@@ -84,7 +83,6 @@ __all__ = [
     "SANDY_BRIDGE_2X8",
     "VBatch",
     "PotrfOptions",
-    "PotrfResult",
     "CrossoverPolicy",
     "potrf_vbatched",
     "potrf_vbatched_max",

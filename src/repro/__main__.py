@@ -23,7 +23,7 @@ Subcommands:
   demo driving mixed QR/SVD/POTRF batches through one cross-op batch
   server, plus the shared-group vs op-segregated serving comparison
   (writes ``BENCH_pr8.json``-style output; the ``mixedop-smoke`` CI
-  job runs it with ``--smoke``);
+  job runs it with ``--smoke`` and checks it against that file);
 * ``trace-report`` — occupancy / critical-path / padded-waste /
   bottleneck tables from a ``--trace`` file (including the
   per-operation breakdown for mixed-op traces).

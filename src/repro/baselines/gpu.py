@@ -6,7 +6,8 @@ import numpy as np
 
 from .. import flops as _flops
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions, run_potrf_vbatched
+from ..core.driver import PotrfOptions
+from ..core.interface import potrf_vbatched_max
 from ..core.fixed import potrf_batched_fixed_run
 from ..core.fused import fused_max_feasible_size
 from ..core.padding import pad_to_fixed
@@ -23,7 +24,7 @@ def run_vbatched(
     options: PotrfOptions | None = None,
 ) -> BaselineResult:
     """The proposed routine, as a baseline-shaped runner."""
-    res = run_potrf_vbatched(device, batch, max_n, options or PotrfOptions())
+    res = potrf_vbatched_max(device, batch, max_n, options or PotrfOptions())
     return BaselineResult(
         label=f"magma-vbatched[{res.approach}]",
         elapsed=res.elapsed,

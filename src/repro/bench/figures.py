@@ -17,7 +17,8 @@ from ..baselines import BASELINES, run_baseline
 from ..core.batch import VBatch
 from ..core.blas_steps import BlasStepDriver
 from ..core.crossover import CrossoverPolicy
-from ..core.driver import PotrfOptions, run_potrf_vbatched
+from ..core.driver import PotrfOptions
+from ..core.interface import potrf_vbatched_max
 from ..core.fused import FusedDriver, fused_max_feasible_size
 from ..core.separated import SeparatedDriver
 from ..device import Device
@@ -57,7 +58,7 @@ def _fresh_batch(sizes, precision) -> tuple[Device, VBatch]:
 
 def _run_gflops(sizes, precision, max_n, options: PotrfOptions) -> float:
     device, batch = _fresh_batch(sizes, precision)
-    res = run_potrf_vbatched(device, batch, max_n, options)
+    res = potrf_vbatched_max(device, batch, max_n, options)
     return res.gflops
 
 
@@ -358,7 +359,7 @@ def aux_interface_overhead(
     t0 = device.synchronize()
     max_n = compute_max_size(device, batch)
     overhead = device.synchronize() - t0
-    res = run_potrf_vbatched(device, batch, max_n, PotrfOptions())
+    res = potrf_vbatched_max(device, batch, max_n, PotrfOptions())
     total = overhead + res.elapsed
 
     fig = FigureResult(

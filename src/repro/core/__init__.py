@@ -1,9 +1,10 @@
 """The paper's contribution: variable-size batched (vbatched) routines.
 
-Public entry points live in :mod:`repro.core.interface`; the drivers
-implementing Approach 1 (fused kernels, §III-D), Approach 2 (separated
-vbatched BLAS, §III-E) and the crossover policy (§IV-E) are composed in
-:mod:`repro.core.driver`.
+Public entry points live in :mod:`repro.core.interface`; the planners
+implementing Approach 1 (fused kernels, §III-D) and Approach 2
+(separated vbatched BLAS, §III-E) are picked in :mod:`repro.core.driver`
+and run, with the crossover policy (§IV-E), by the op driver
+:mod:`repro.ops.driver`.
 """
 
 from .batch import VBatch
@@ -12,7 +13,6 @@ from .interface import (
     potrf_vbatched_max,
     potrf_batched_fixed,
     PotrfOptions,
-    PotrfResult,
 )
 from .crossover import CrossoverPolicy
 from .driver import LaunchStats
@@ -32,7 +32,6 @@ __all__ = [
     "potrf_vbatched_max",
     "potrf_batched_fixed",
     "PotrfOptions",
-    "PotrfResult",
     "CrossoverPolicy",
     "LaunchStats",
     "LaunchPlan",

@@ -1,44 +1,36 @@
-"""Top-level factorization driver (paper §III-F), plan/execute split.
+"""POTRF planning knobs and the launch accounting every driver shares.
 
-Chooses the approach (crossover policy), asks the matching *planner*
-(:class:`~repro.core.fused.FusedDriver` /
-:class:`~repro.core.separated.SeparatedDriver`) for a
-:class:`~repro.core.plan.LaunchPlan`, hands the DAG to the
-:class:`~repro.device.executor.PlanExecutor`, gathers timing and
-per-matrix info codes, and packages the result.  This is the layer the
-public interface in :mod:`repro.core.interface` calls into.
+The factorization itself runs through the one op driver,
+:func:`repro.ops.driver.run_op_vbatched` (the public interface in
+:mod:`repro.core.interface` calls it with the ``"potrf"`` tag).  This
+module keeps what is POTRF's own and what the driver folds results
+into:
 
-Two scaling hooks ride on the split:
-
-* ``plan_cache`` — a :class:`~repro.core.plan.PlanCache`; repeated
-  batches with equal size vectors (the figure sweeps' hot path) re-use
-  the cached DAG and skip planning and host-side grouping entirely.
-* ``devices`` — a :class:`~repro.device.topology.DeviceGroup` (or a
-  device list); the batch is partitioned across the group, per-shard
-  plans execute concurrently, and the shard results are merged.
+* :class:`PotrfOptions` and :func:`make_planner` — the approach
+  (paper §III-F) picks the *planner*
+  (:class:`~repro.core.fused.FusedDriver` /
+  :class:`~repro.core.separated.SeparatedDriver`) the op registry's
+  POTRF entry hands the batch to;
+* :class:`LaunchStats` and :func:`stats_from_execution` — the typed
+  launch counters of one run, merged across shards, chunks and
+  retries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .. import flops as _flops
-from ..errors import ArgumentError, BatchNumericalError
-from .batch import VBatch
-from .crossover import CrossoverPolicy
+from ..errors import ArgumentError
 from .fused import FusedDriver
-from .optimizer import optimize_plan, resolve_passes, with_level
-from .plan import PlanCache
+from .optimizer import resolve_passes
 from .separated import SeparatedDriver
 
-__all__ = ["LaunchStats", "PotrfOptions", "PotrfResult", "run_potrf_vbatched"]
+__all__ = ["LaunchStats", "PotrfOptions", "make_planner", "stats_from_execution"]
 
 
 @dataclass(frozen=True)
 class PotrfOptions:
-    """Knobs of the vbatched POTRF driver.
+    """Knobs of the vbatched POTRF planners.
 
     ``approach`` is ``"auto"`` (crossover policy), ``"fused"`` or
     ``"separated"``.  ``on_error`` selects LAPACK-style reporting:
@@ -205,31 +197,6 @@ class LaunchStats:
             )
 
 
-@dataclass
-class PotrfResult:
-    """Outcome of one vbatched factorization."""
-
-    approach: str
-    elapsed: float
-    total_flops: float
-    infos: np.ndarray
-    launch_stats: LaunchStats = field(default_factory=LaunchStats)
-    max_n: int = 0
-    #: Heterogeneous runs only: the chunk->member decision table (dicts
-    #: with member/approach/estimates) and per-member
-    #: :class:`~repro.device.executor.MemberStats`; ``None`` otherwise.
-    placement: list | None = None
-    member_stats: list | None = None
-
-    @property
-    def gflops(self) -> float:
-        return _flops.gflops(self.total_flops, self.elapsed)
-
-    @property
-    def failed_count(self) -> int:
-        return int(np.count_nonzero(self.infos))
-
-
 def make_planner(device, approach: str, options: PotrfOptions):
     """The planner object for a resolved (non-auto) approach."""
     if approach == "fused":
@@ -240,44 +207,6 @@ def make_planner(device, approach: str, options: PotrfOptions):
         inner_nb=options.nb,
         syrk_mode=options.syrk_mode,
     )
-
-
-def resolve_approach(batch: VBatch, max_n: int, options: PotrfOptions) -> str:
-    approach = options.approach
-    if approach == "auto":
-        approach = CrossoverPolicy(batch.precision, options.crossover_size).choose(max_n)
-    return approach
-
-
-def plan_potrf(
-    device,
-    batch: VBatch,
-    max_n: int,
-    options: PotrfOptions,
-    approach: str | None = None,
-    plan_cache: PlanCache | None = None,
-):
-    """Produce (or fetch from cache) the launch plan for one batch."""
-    approach = approach or resolve_approach(batch, max_n, options)
-    built = []  # set by this call's own build: other threads may build too
-
-    def build():
-        built.append(True)
-        plan = make_planner(device, approach, options).plan(batch, max_n)
-        # Every plan carries its operation tag; the executor stamps it
-        # on kernel spans so mixed-op traces attribute time per op.
-        plan.meta.setdefault("op", "potrf")
-        # Counted once per plan: a cached plan's warm re-run would
-        # otherwise spend more host time here than on its launches.
-        plan.meta["useful_flops"] = _flops.batch_flops(batch.sizes_host, "potrf", batch.precision)
-        return optimize_plan(plan, options.optimize)
-
-    if plan_cache is None:
-        return build(), None
-    key = plan_cache.key_for(device, batch, max_n, approach, options,
-                             optimize=options.optimize)
-    plan = plan_cache.get_or_build(key, batch, build)
-    return plan, not built
 
 
 def stats_from_execution(plan, exec_stats, cache_hit: bool | None) -> LaunchStats:
@@ -314,80 +243,3 @@ def stats_from_execution(plan, exec_stats, cache_hit: bool | None) -> LaunchStat
         opt_launches_merged=int(opt.get("launches_merged", 0)),
         opt_launches_pruned=int(opt.get("launches_pruned", 0)),
     )
-
-
-def run_potrf_vbatched(
-    device,
-    batch: VBatch,
-    max_n: int,
-    options: PotrfOptions,
-    *,
-    devices=None,
-    plan_cache: PlanCache | None = None,
-    optimize: str | None = None,
-) -> PotrfResult:
-    """Execute the factorization and collect the result record.
-
-    ``devices`` (a :class:`~repro.device.topology.DeviceGroup`, a
-    :class:`~repro.device.hetero.HeteroGroup` or a sequence of devices)
-    shards the batch across the group and runs the per-shard plans
-    concurrently — a heterogeneous group additionally places each size
-    stratum on the member its calibrated cost model prefers and
-    rebalances by work-stealing; ``plan_cache`` re-serves previously
-    built plans for batches with identical size vectors; ``optimize``
-    overrides ``options.optimize`` (a plan-optimizer level, see
-    :mod:`repro.core.optimizer`).
-    """
-    from ..device.executor import PlanExecutor
-
-    if optimize is not None and optimize != options.optimize:
-        options = with_level(options, optimize)
-    if max_n < batch.max_size_host:
-        raise ArgumentError(3, f"max_n={max_n} smaller than largest matrix in batch")
-    approach = resolve_approach(batch, max_n, options)
-
-    if devices is not None:
-        from ..device.hetero import HeteroGroup, run_potrf_hetero
-        from ..device.topology import DeviceGroup, run_potrf_sharded
-
-        if isinstance(devices, HeteroGroup):
-            result = run_potrf_hetero(devices, batch, max_n, options, plan_cache)
-            if options.on_error == "raise" and result.failed_count:
-                failing = {int(i): int(v) for i, v in enumerate(result.infos) if v != 0}
-                raise BatchNumericalError(failing, f"potrf_vbatched[{batch.precision.value}]")
-            return result
-        group = devices if isinstance(devices, DeviceGroup) else DeviceGroup(devices)
-        if len(group) > 1:
-            result = run_potrf_sharded(group, batch, max_n, options, approach, plan_cache)
-            if options.on_error == "raise" and result.failed_count:
-                failing = {int(i): int(v) for i, v in enumerate(result.infos) if v != 0}
-                raise BatchNumericalError(failing, f"potrf_vbatched[{batch.precision.value}]")
-            return result
-        device = group.devices[0]
-
-    plan, cache_hit = plan_potrf(device, batch, max_n, options, approach, plan_cache)
-    try:
-        t0 = device.synchronize()
-        exec_stats = PlanExecutor(device).execute(plan)
-        elapsed = device.synchronize() - t0
-        launch_stats = stats_from_execution(plan, exec_stats, cache_hit)
-    finally:
-        if plan_cache is None:
-            plan.close()
-
-    if device.execute_numerics:
-        infos = batch.download_infos()
-    else:
-        infos = np.zeros(batch.batch_count, dtype=np.int64)
-    result = PotrfResult(
-        approach=approach,
-        elapsed=elapsed,
-        total_flops=plan.meta["useful_flops"],
-        infos=infos,
-        launch_stats=launch_stats,
-        max_n=max_n,
-    )
-    if options.on_error == "raise" and result.failed_count:
-        failing = {int(i): int(v) for i, v in enumerate(infos) if v != 0}
-        raise BatchNumericalError(failing, f"potrf_vbatched[{batch.precision.value}]")
-    return result

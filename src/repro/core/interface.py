@@ -10,14 +10,19 @@ Two interfaces, exactly as proposed:
   is negligible" (measured by ``benchmarks/test_aux_overhead.py``).
 
 Plus :func:`potrf_batched_fixed` for the classic fixed-size case.
+
+Both vbatched entry points run through the one op driver,
+:func:`repro.ops.driver.run_op_vbatched`, under the ``"potrf"`` tag and
+return its :class:`~repro.ops.driver.OpResult`.
 """
 
 from __future__ import annotations
 
 from ..errors import ArgumentError
 from ..kernels.aux import compute_max_size
+from ..ops.driver import OpResult, run_op_vbatched
 from .batch import VBatch
-from .driver import PotrfOptions, PotrfResult, run_potrf_vbatched
+from .driver import PotrfOptions
 from .fixed import potrf_batched_fixed_run
 
 __all__ = [
@@ -25,7 +30,6 @@ __all__ = [
     "potrf_vbatched_max",
     "potrf_batched_fixed",
     "PotrfOptions",
-    "PotrfResult",
 ]
 
 
@@ -38,7 +42,7 @@ def potrf_vbatched_max(
     devices=None,
     plan_cache=None,
     optimize: str | None = None,
-) -> PotrfResult:
+) -> OpResult:
     """Cholesky-factorize a variable-size batch, trusting ``max_n``.
 
     Every matrix in ``batch`` is overwritten with its lower Cholesky
@@ -46,7 +50,8 @@ def potrf_vbatched_max(
     ``info`` codes are collected in the result.
 
     ``devices`` shards the batch across a
-    :class:`~repro.device.topology.DeviceGroup` (or device sequence);
+    :class:`~repro.device.topology.DeviceGroup` (or device sequence) or
+    places it on a :class:`~repro.device.hetero.HeteroGroup`;
     ``plan_cache`` (a :class:`~repro.core.plan.PlanCache`) re-serves
     launch plans across calls with identical size vectors; ``optimize``
     selects the :mod:`~repro.core.optimizer` pass level (overriding
@@ -54,10 +59,11 @@ def potrf_vbatched_max(
     """
     if max_n <= 0:
         raise ArgumentError(3, f"max_n must be positive, got {max_n}")
-    return run_potrf_vbatched(
+    return run_op_vbatched(
         device,
         batch,
         max_n,
+        "potrf",
         options or PotrfOptions(),
         devices=devices,
         plan_cache=plan_cache,
@@ -73,7 +79,7 @@ def potrf_vbatched(
     devices=None,
     plan_cache=None,
     optimize: str | None = None,
-) -> PotrfResult:
+) -> OpResult:
     """LAPACK-like interface: the max size is reduced on the device.
 
     Wraps :func:`potrf_vbatched_max` after a GPU max-reduction kernel

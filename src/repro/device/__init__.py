@@ -26,7 +26,7 @@ from .executor import (
 )
 from .topology import DeviceGroup, partition_sizes
 from .member import ChunkRun, ComputeMember, CpuMember, GpuMember, MemberCapabilities
-from .hetero import HeteroGroup, parse_members, run_potrf_hetero
+from .hetero import HeteroGroup, parse_members
 
 __all__ = [
     "DeviceSpec",
@@ -61,5 +61,4 @@ __all__ = [
     "MemberCapabilities",
     "HeteroGroup",
     "parse_members",
-    "run_potrf_hetero",
 ]

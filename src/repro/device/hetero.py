@@ -21,12 +21,15 @@ the global step count.  :class:`HeteroGroup` replaces both assumptions:
   member's queue whenever that finishes the work earlier than the
   victim would.
 
-Every decision is recorded: a ``hetero-place`` trace span carries the
-chunk->member assignment with cost estimates, each executed chunk gets
-a ``hetero-chunk`` span on the member's track, steals emit instants,
-and :func:`run_potrf_hetero` returns per-member
-:class:`~repro.device.executor.MemberStats` plus the placement table on
-the :class:`~repro.core.driver.PotrfResult`.
+The group owns the chunking and the placement decision
+(:meth:`HeteroGroup.assign`); the op driver's
+:func:`~repro.ops.driver.run_op_hetero` runs the placed chunks, for
+every op, in one virtual-time loop.  Every decision is recorded: a
+``hetero-place`` trace span carries the chunk->member assignment with
+cost estimates, each executed chunk gets a ``hetero-chunk`` span on the
+member's track, steals emit instants, and the
+:class:`~repro.ops.driver.OpResult` carries per-member
+:class:`~repro.device.executor.MemberStats` plus the placement table.
 """
 
 from __future__ import annotations
@@ -35,19 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import flops as _flops
 from ..errors import ArgumentError
-from ..observability.trace import Track, current_tracer
 from .calibration import K40C_CALIBRATION
 from .device import Device
 from .member import ComputeMember, CpuMember, GpuMember
 from .spec import DeviceSpec, K20X, K40C, TITAN_BLACK
 
-__all__ = [
-    "HeteroGroup",
-    "parse_members",
-    "run_potrf_hetero",
-]
+__all__ = ["HeteroGroup", "parse_members"]
 
 #: Chunking policies a :class:`HeteroGroup` accepts — the same
 #: sorted-order stratifiers as :func:`repro.device.topology.partition_sizes`.
@@ -196,27 +193,28 @@ class HeteroGroup:
         parts = partition_sizes(sizes, precision, n_chunks, self.placement)
         return [p for p in parts if p.size]
 
-    def assign(self, sizes, precision, options) -> dict[str, list[_Chunk]]:
-        """Greedy earliest-finish placement of every chunk.
+    def assign(self, sizes, precision, options, op: str = "potrf") -> dict[str, list[_Chunk]]:
+        """Greedy earliest-finish placement of every chunk of ``op``.
 
         Chunks come largest-stratum-first; each lands on the member
-        whose projected clock plus *its own* calibrated estimate for
-        the chunk is smallest.  Member approach choice happens here
-        too, so the decision record shows both where and how each
-        bucket runs.
+        (among those that run ``op``) whose projected clock plus *its
+        own* calibrated estimate for the chunk is smallest.  Member
+        approach choice happens here too, so the decision record shows
+        both where and how each bucket runs.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
-        queues: dict[str, list[_Chunk]] = {m.name: [] for m in self.members}
-        projected = {m.name: 0.0 for m in self.members}
+        members = [m for m in self.members if m.supports(op)]
+        queues: dict[str, list[_Chunk]] = {m.name: [] for m in members}
+        projected = {m.name: 0.0 for m in members}
         for ordinal, idx in enumerate(self.chunk_indices(sizes, precision)):
             chunk_sizes = sizes[idx]
             bids = {}
-            for m in self.members:
-                approach = m.choose_approach(chunk_sizes, precision, options)
-                est = m.estimate_cost(chunk_sizes, precision, approach)
+            for m in members:
+                approach = m.choose_approach(chunk_sizes, precision, options, op)
+                est = m.estimate_cost(chunk_sizes, precision, approach, op)
                 bids[m.name] = (approach, est)
             winner = min(
-                self.members,
+                members,
                 key=lambda m: (projected[m.name] + bids[m.name][1], m.name),
             )
             approach, est = bids[winner.name]
@@ -297,178 +295,3 @@ def parse_members(
     if not members:
         raise ArgumentError(4, f"member spec {spec!r} names no members")
     return members
-
-
-def run_potrf_hetero(
-    group: HeteroGroup,
-    batch,
-    max_n: int,
-    options,
-    plan_cache=None,
-):
-    """Factorize ``batch`` across a heterogeneous group.
-
-    Deterministic virtual-time loop: the member with the earliest clock
-    runs (or steals) the next chunk; chunks execute one at a time per
-    member with a synchronize at each boundary, so member clocks are
-    real simulated finish times, not estimates.  Results gather back
-    into the source batch exactly as the homogeneous sharded path does;
-    ``elapsed`` is the slowest member's busy span (the group makespan).
-    """
-    from ..core.driver import LaunchStats, PotrfResult
-    from .executor import MemberStats
-
-    tracer = current_tracer()
-    sizes = batch.sizes_host
-    precision = batch.precision
-    members = {m.name: m for m in group.members}
-    base = {m.name: m.synchronize() for m in group.members}
-
-    with tracer.span(
-        "hetero-place",
-        Track("hetero", "placer"),
-        cat="hetero",
-        args={"members": list(members), "batch": int(batch.batch_count),
-              "placement": group.placement},
-    ) as place_args:
-        queues = group.assign(sizes, precision, options)
-        placement = [
-            {
-                "chunk": c.ordinal,
-                "member": c.member,
-                "kind": members[c.member].kind,
-                "approach": c.approach,
-                "count": int(c.idx.size),
-                "max_n": int(sizes[c.idx].max()),
-                "est_s": float(c.est),
-                "alternatives_s": {k: float(v) for k, v in c.alternatives.items()},
-            }
-            for q in queues.values()
-            for c in q
-        ]
-        placement.sort(key=lambda d: d["chunk"])
-        if tracer:
-            place_args["chunks"] = len(placement)
-            place_args["decisions"] = [
-                {k: d[k] for k in ("chunk", "member", "approach", "count", "max_n", "est_s")}
-                for d in placement
-            ]
-
-    def rel(name: str) -> float:
-        return members[name].now() - base[name]
-
-    def backlog(name: str) -> float:
-        return sum(c.est for c in queues[name])
-
-    merged = LaunchStats(devices_used=0)
-    stats = {
-        m.name: MemberStats(name=m.name, kind=m.kind) for m in group.members
-    }
-    infos = np.zeros(batch.batch_count, dtype=np.int64)
-    steals = 0
-    active = set(members)
-    try:
-        while active:
-            name = min(active, key=lambda n: (rel(n), n))
-            m = members[name]
-            stolen = False
-            if queues[name]:
-                chunk = queues[name].pop(0)
-            elif group.steal:
-                victims = [v for v in members if v != name and queues[v]]
-                if not victims:
-                    active.discard(name)
-                    continue
-                victim = max(victims, key=lambda v: (backlog(v), v))
-                cand = queues[victim][-1]
-                cand_sizes = sizes[cand.idx]
-                approach = m.choose_approach(cand_sizes, precision, options)
-                est_here = m.estimate_cost(cand_sizes, precision, approach)
-                # Steal only when the thief finishes the chunk before
-                # the victim's whole backlog would have.
-                if rel(name) + est_here >= rel(victim) + backlog(victim):
-                    active.discard(name)
-                    continue
-                chunk = queues[victim].pop()
-                chunk = _Chunk(
-                    ordinal=chunk.ordinal,
-                    idx=chunk.idx,
-                    member=name,
-                    approach=approach,
-                    est=est_here,
-                    alternatives=chunk.alternatives,
-                )
-                stolen = True
-                steals += 1
-                tracer.instant(
-                    "hetero-steal",
-                    Track("hetero", name),
-                    cat="hetero",
-                    args={"chunk": chunk.ordinal, "victim": victim,
-                          "count": int(chunk.idx.size)},
-                )
-                # The returned table reflects what actually ran; the
-                # hetero-place span keeps the pre-execution decisions.
-                for d in placement:
-                    if d["chunk"] == chunk.ordinal:
-                        d["member"] = name
-                        d["kind"] = m.kind
-                        d["approach"] = approach
-                        d["est_s"] = float(est_here)
-                        d["stolen_from"] = victim
-            else:
-                active.discard(name)
-                continue
-            with tracer.span(
-                "hetero-chunk",
-                Track("hetero", name),
-                cat="hetero",
-                args={
-                    "chunk": chunk.ordinal,
-                    "count": int(chunk.idx.size),
-                    "max_n": int(sizes[chunk.idx].max()),
-                    "approach": chunk.approach,
-                    "stolen": stolen,
-                },
-            ):
-                run = m.run_chunk(
-                    batch,
-                    chunk.idx,
-                    options,
-                    plan_cache=plan_cache,
-                    approach=chunk.approach,
-                    stolen=stolen,
-                )
-            infos[chunk.idx] = run.infos
-            stats[name].record(run)
-            if run.launch_stats is not None:
-                merged.merge(run.launch_stats)
-            merged.chunks += 1
-            merged.work_steals += int(stolen)
-    except BaseException as exc:
-        # Leave what completed on the error so a retrying caller (the
-        # serving fleet) can account attempt-1 work exactly once.
-        merged.devices_used = sum(1 for s in stats.values() if s.chunks)
-        exc.partial_launch_stats = merged
-        raise
-
-    elapsed = 0.0
-    for name, m in members.items():
-        busy = m.synchronize() - base[name]
-        stats[name].busy_s = busy
-        if stats[name].chunks:
-            elapsed = max(elapsed, busy)
-    merged.devices_used = sum(1 for s in stats.values() if s.chunks)
-
-    member_stats = [stats[m.name] for m in group.members]
-    approaches = sorted({d["approach"] for d in placement})
-    return PotrfResult(
-        approach="hetero[" + "+".join(approaches) + "]",
-        elapsed=elapsed,
-        total_flops=_flops.batch_flops(sizes, "potrf", precision),
-        infos=infos,
-        launch_stats=merged,
-        max_n=max_n,
-        placement=placement,
-        member_stats=member_stats,
-    )

@@ -24,6 +24,11 @@ A member owns three things:
   index bucket of a source :class:`~repro.core.batch.VBatch`, gather
   factors/infos back, and report a :class:`ChunkRun`.
 
+Estimates and chunk runs take an op tag.  :meth:`ComputeMember.supports`
+says which ops a member's model covers (the CPU runs POTRF only), and
+since the GPU fits are POTRF probes, a GPU estimate for another op is
+the POTRF fit rescaled by the bucket's op/potrf flop ratio.
+
 Cost-model-driven approach selection rides on the same estimates:
 :meth:`ComputeMember.choose_approach` replaces the single static
 fused/separated crossover with a per-bucket argmin, which is what
@@ -83,6 +88,9 @@ class ChunkRun:
     stolen: bool = False
     infos: np.ndarray | None = None
     launch_stats: object | None = None  # LaunchStats for GPU chunks
+    #: The chunk plan's output containers (``taus``, ``ipivs`` ...),
+    #: chunk-local; the driver scatters them to batch positions.
+    outputs: dict | None = None
 
 
 class ComputeMember(abc.ABC):
@@ -103,11 +111,15 @@ class ComputeMember(abc.ABC):
     def capabilities(self) -> MemberCapabilities:
         """Static description used in placement reports."""
 
+    def supports(self, op: str) -> bool:
+        """Whether this member's numerics and cost model cover ``op``."""
+        return True
+
     @abc.abstractmethod
     def estimate_cost(
-        self, sizes, precision, approach: str = "auto"
+        self, sizes, precision, approach: str = "auto", op: str = "potrf"
     ) -> float:
-        """Predicted makespan (simulated seconds) of one size bucket.
+        """Predicted makespan (simulated seconds) of one ``op`` bucket.
 
         ``approach="auto"`` returns the member's best choice (the
         minimum over the approaches it supports); a member with no
@@ -123,8 +135,9 @@ class ComputeMember(abc.ABC):
         plan_cache=None,
         approach: str | None = None,
         stolen: bool = False,
+        op: str = "potrf",
     ) -> ChunkRun:
-        """Execute ``batch[idx]`` on this member and gather results."""
+        """Run ``op`` on ``batch[idx]`` on this member and gather results."""
 
     @abc.abstractmethod
     def synchronize(self) -> float:
@@ -138,13 +151,18 @@ class ComputeMember(abc.ABC):
         """Current simulated clock (drained)."""
         return self.synchronize()
 
-    def choose_approach(self, sizes, precision, options) -> str:
+    def choose_approach(self, sizes, precision, options, op: str = "potrf") -> str:
         """Per-bucket planner choice via the calibrated cost model.
 
         An explicit ``options.approach`` is always honoured; ``"auto"``
         becomes the estimate argmin — the paper's fused-vs-separated
-        crossover, decided per bucket instead of per batch.
+        crossover, decided per bucket instead of per batch.  The fits
+        are POTRF probes, so any other op keeps its own crossover.
         """
+        if op != "potrf":
+            from ..ops.registry import get_op
+
+            return get_op(op).choose_approach(precision, int(np.max(sizes)), options)
         approach = getattr(options, "approach", "auto")
         if approach != "auto":
             return approach
@@ -207,7 +225,8 @@ def _probe_gpu_coefficients(
     group each get their own coefficients.
     """
     from ..core.batch import VBatch
-    from ..core.driver import PotrfOptions, run_potrf_vbatched
+    from ..core.driver import PotrfOptions
+    from ..core.interface import potrf_vbatched_max
 
     prec = Precision(precision)
     key = (spec, calibration, prec, approach)
@@ -221,7 +240,7 @@ def _probe_gpu_coefficients(
         dev = Device(spec=spec, calibration=calibration, execute_numerics=False)
         sizes = np.asarray(sizes, dtype=np.int64)
         batch = VBatch.allocate(dev, sizes, prec)
-        result = run_potrf_vbatched(dev, batch, int(sizes.max()), options)
+        result = potrf_vbatched_max(dev, batch, int(sizes.max()), options)
         rows.append(_gpu_cost_features(sizes, prec))
         times.append(result.elapsed)
     rows = np.asarray(rows)
@@ -274,21 +293,32 @@ class GpuMember(ComputeMember):
         )
 
     # -- cost model -----------------------------------------------------
-    def estimate_cost(self, sizes, precision, approach: str = "auto") -> float:
+    def estimate_cost(
+        self, sizes, precision, approach: str = "auto", op: str = "potrf"
+    ) -> float:
         sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.size == 0:
             return 0.0
         prec = Precision(precision)
         if approach == "auto":
             return min(
-                self.estimate_cost(sizes, prec, a) for a in _APPROACHES
+                self.estimate_cost(sizes, prec, a, op) for a in _APPROACHES
             )
+        if op != "potrf" and approach not in _APPROACHES:
+            approach = "separated"  # a single-path op (the Jacobi SVD)
         if approach not in _APPROACHES:
             raise ArgumentError(5, f"unknown approach {approach!r} (use one of {_APPROACHES})")
         coef = _probe_gpu_coefficients(
             self.device.spec, self.device.calibration, prec, approach
         )
-        return float(max(_gpu_cost_features(sizes, prec) @ coef, 1e-9))
+        cost = float(max(_gpu_cost_features(sizes, prec) @ coef, 1e-9))
+        if op != "potrf":
+            # The fit is POTRF-calibrated; both are panel-sweep
+            # factorizations on the same size vector, so the op/potrf
+            # flop ratio transfers it to first order.
+            potrf = _flops.batch_flops(sizes, "potrf", prec)
+            cost *= _flops.batch_flops(sizes, op, prec) / potrf if potrf > 0.0 else 1.0
+        return cost
 
     # -- execution ------------------------------------------------------
     def run_chunk(
@@ -299,33 +329,30 @@ class GpuMember(ComputeMember):
         plan_cache=None,
         approach: str | None = None,
         stolen: bool = False,
+        op: str = "potrf",
     ) -> ChunkRun:
-        from ..core.batch import VBatch
-        from ..core.driver import plan_potrf, stats_from_execution
+        from ..core.driver import stats_from_execution
+        from ..ops.driver import plan_op, release_sub_batch, sub_batch
+        from ..ops.registry import get_op
         from .executor import PlanExecutor
 
+        op_desc = get_op(op)
         idx = np.asarray(idx, dtype=np.int64)
         sizes = batch.sizes_host[idx]
         prec = batch.precision
-        approach = approach or self.choose_approach(sizes, prec, options)
+        approach = approach or self.choose_approach(sizes, prec, options, op)
         dev = self.device
-        if batch.device.execute_numerics and dev.execute_numerics:
-            chunk_batch = VBatch.from_host(
-                dev, [np.ascontiguousarray(batch.matrix_view(int(j))) for j in idx]
-            )
-        else:
-            chunk_batch = VBatch.allocate(
-                dev, sizes, prec, ldas=np.maximum(batch.ldas_host[idx], 1)
-            )
+        chunk_batch = sub_batch(batch, idx, dev)
         chunk_max = int(sizes.max())
-        plan, cache_hit = plan_potrf(
-            dev, chunk_batch, chunk_max, options, approach, plan_cache
+        plan, cache_hit = plan_op(
+            dev, chunk_batch, chunk_max, op_desc, options, approach, plan_cache
         )
         start = dev.synchronize()
         try:
             exec_stats = PlanExecutor(dev).execute(plan)
             elapsed = dev.synchronize() - start
             stats = stats_from_execution(plan, exec_stats, cache_hit)
+            outputs = dict(plan.meta.get("outputs", {}))
             if dev.execute_numerics:
                 infos = chunk_batch.download_infos()
                 for local, j in enumerate(idx):
@@ -333,28 +360,20 @@ class GpuMember(ComputeMember):
             else:
                 infos = np.zeros(idx.size, dtype=np.int64)
         finally:
-            # Ownership mirrors run_potrf_sharded: an uncached plan and
-            # its chunk batch die here; a cached plan bound to this
-            # chunk batch adopts it so eviction frees the memory.
-            if plan_cache is None:
-                plan.close()
-                chunk_batch.free()
-            elif plan.batch_ref is not chunk_batch:
-                chunk_batch.free()
-            else:
-                plan.owns_batch = True
+            release_sub_batch(plan, chunk_batch, plan_cache)
         return ChunkRun(
             member=self.name,
             kind="gpu",
             approach=approach,
             count=int(idx.size),
             max_n=chunk_max,
-            flops=_flops.batch_flops(sizes, "potrf", prec),
+            flops=plan.meta["useful_flops"],
             start=start,
             elapsed=elapsed,
             stolen=stolen,
             infos=infos,
             launch_stats=stats,
+            outputs=outputs,
         )
 
     # -- clock ----------------------------------------------------------
@@ -455,13 +474,19 @@ class CpuMember(ComputeMember):
             self.task_times(sizes, precision), self.scheduling, cores=self.cores
         )
 
-    def estimate_cost(self, sizes, precision, approach: str = "auto") -> float:
+    def supports(self, op: str) -> bool:
+        """Only POTRF: the functional plane is :func:`repro.hostblas.potrf`."""
+        return op == "potrf"
+
+    def estimate_cost(
+        self, sizes, precision, approach: str = "auto", op: str = "potrf"
+    ) -> float:
         sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.size == 0:
             return 0.0
         return float(self.schedule(sizes, precision).makespan)
 
-    def choose_approach(self, sizes, precision, options) -> str:
+    def choose_approach(self, sizes, precision, options, op: str = "potrf") -> str:
         """The CPU has one execution strategy; placement records it."""
         return "cpu-percore"
 
@@ -486,6 +511,7 @@ class CpuMember(ComputeMember):
         plan_cache=None,
         approach: str | None = None,
         stolen: bool = False,
+        op: str = "potrf",
     ) -> ChunkRun:
         from ..hostblas import potrf as host_potrf
 

@@ -5,10 +5,11 @@ batched work onto a task layer is what unlocks multi-GPU scaling.  With
 the plan/execute split in place this layer is small: a
 :class:`DeviceGroup` holds N simulated devices, a partitioner splits a
 :class:`~repro.core.batch.VBatch`'s index space into per-device shards,
-each shard gets its own launch plan, the plans execute *concurrently*
-(every simulated device advances its own clock, so the group's elapsed
-time is the slowest shard), and the shard results are merged back into
-one :class:`~repro.core.driver.PotrfResult`.
+and the op driver's :func:`~repro.ops.driver.run_op_sharded` gives each
+shard its own launch plan, executes the plans *concurrently* (every
+simulated device advances its own clock, so the group's elapsed time is
+the slowest shard) and merges the shard results back into one
+:class:`~repro.ops.driver.OpResult`.
 
 Partition policies:
 
@@ -39,12 +40,11 @@ import numpy as np
 
 from .. import flops as _flops
 from ..errors import ArgumentError
-from ..observability.trace import Track, current_tracer
 from .calibration import Calibration, K40C_CALIBRATION
 from .device import Device
 from .spec import DeviceSpec, K40C
 
-__all__ = ["DeviceGroup", "partition_sizes", "run_potrf_sharded"]
+__all__ = ["DeviceGroup", "partition_sizes"]
 
 _POLICIES = ("flops", "round-robin", "contiguous", "size-stratified", "step-aware")
 
@@ -301,121 +301,3 @@ class DeviceGroup:
     def synchronize(self) -> float:
         """Drain every device; returns the slowest device's clock."""
         return max(d.synchronize() for d in self.devices)
-
-
-def run_potrf_sharded(
-    group: DeviceGroup,
-    batch,
-    max_n: int,
-    options,
-    approach: str,
-    plan_cache=None,
-):
-    """Factorize ``batch`` across a device group and merge the results.
-
-    The source batch stays authoritative: each shard is materialized on
-    its device (values copied over when numerics are live), the shards
-    run concurrently, and factors/info codes are gathered back into the
-    source batch's arrays.  ``elapsed`` is the slowest shard — the
-    multi-GPU makespan — while flops cover the whole batch, so
-    ``result.gflops`` reports the group's aggregate rate.
-    """
-    from ..core.batch import VBatch
-    from ..core.driver import LaunchStats, PotrfResult, plan_potrf, stats_from_execution
-    from .executor import execute_concurrently
-
-    tracer = current_tracer()
-    sizes = batch.sizes_host
-    shards = []
-    with tracer.span(
-        "shard-plan", Track("topology", "sharder"), cat="shard",
-        args={"devices": len(group), "batch": int(batch.batch_count)},
-    ) as shard_args:
-        for dev, idx in zip(group.devices, group.partition_indices(sizes, batch.precision)):
-            if idx.size == 0:
-                continue
-            if batch.device.execute_numerics and dev.execute_numerics:
-                shard_batch = VBatch.from_host(
-                    dev, [np.ascontiguousarray(batch.matrix_view(int(j))) for j in idx]
-                )
-            else:
-                shard_batch = VBatch.allocate(
-                    dev, sizes[idx], batch.precision, ldas=np.maximum(batch.ldas_host[idx], 1)
-                )
-            shard_max = int(sizes[idx].max())
-            plan, cache_hit = plan_potrf(
-                dev, shard_batch, shard_max, options, approach, plan_cache
-            )
-            shards.append((dev, idx, shard_batch, plan, cache_hit))
-        if tracer:
-            shard_args["shard_sizes"] = [int(idx.size) for _, idx, _, _, _ in shards]
-
-    for dev, _, _, _, _ in shards:
-        dev.synchronize()
-    starts = {id(dev): dev.host_time for dev, _, _, _, _ in shards}
-    try:
-        exec_stats = execute_concurrently([plan for _, _, _, plan, _ in shards])
-    except BaseException as exc:
-        # A failing shard would otherwise leak every shard's plan and
-        # device memory; release what this call materialized before
-        # re-raising the (plan-indexed) failure.
-        partial = getattr(exc, "partial", None)
-        if partial:
-            # Fold the shards that *did* finish into one LaunchStats and
-            # leave it on the error: a retrying caller (the serving
-            # fleet) accounts attempt-1 work once, then merges the
-            # retry under the same key without double-counting.
-            salvaged = LaunchStats(devices_used=0)
-            for (dev, _, _, plan, cache_hit), es in zip(shards, partial):
-                if es is None:
-                    continue
-                salvaged.merge(stats_from_execution(plan, es, cache_hit))
-                salvaged.devices_used += 1
-            exc.partial_launch_stats = salvaged
-        for _, _, shard_batch, plan, _ in shards:
-            if plan_cache is None:
-                plan.close()
-                shard_batch.free()
-            elif plan.batch_ref is not shard_batch:
-                shard_batch.free()
-            else:
-                plan.owns_batch = True
-        raise
-
-    elapsed = 0.0
-    infos = np.zeros(batch.batch_count, dtype=np.int64)
-    merged = LaunchStats(devices_used=len(shards))
-    with tracer.span("shard-gather", Track("topology", "sharder"), cat="shard"):
-        for (dev, idx, shard_batch, plan, cache_hit), es in zip(shards, exec_stats):
-            elapsed = max(elapsed, dev.synchronize() - starts[id(dev)])
-            merged.merge(stats_from_execution(plan, es, cache_hit))
-            if dev.execute_numerics:
-                infos[idx] = shard_batch.download_infos()
-                # Gather the factors back into the source batch's arrays
-                # (host-side result assembly; the simulated PCIe cost of the
-                # shard download is charged to the shard device above).
-                for local, j in enumerate(idx):
-                    batch.matrix_view(int(j))[...] = shard_batch.matrix_view(local)
-            if plan_cache is None:
-                plan.close()
-                shard_batch.free()
-            elif plan.batch_ref is not shard_batch:
-                # Cached plan is bound elsewhere (or unbound): this shard
-                # batch served planning/gather only — release it now so a
-                # long-running caller (the serving loop) cannot leak device
-                # memory one shard batch per dispatch.
-                shard_batch.free()
-            else:
-                # The cached plan holds live views into this shard batch;
-                # hand it over so cache eviction/replacement frees it.
-                plan.owns_batch = True
-
-    total = _flops.batch_flops(sizes, "potrf", batch.precision)
-    return PotrfResult(
-        approach=approach,
-        elapsed=elapsed,
-        total_flops=total,
-        infos=infos,
-        launch_stats=merged,
-        max_n=max_n,
-    )

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions, run_potrf_vbatched
+from ..core.driver import PotrfOptions
+from ..core.interface import potrf_vbatched_max
 from ..errors import ArgumentError, BatchNumericalError
 from ..kernels.aux import compute_max_size
 from .getrf import getrf_vbatched
@@ -67,7 +68,7 @@ def posv_vbatched(
     _check_rhs(batch, rhs)
     opts = options or PotrfOptions()
     max_n = compute_max_size(device, batch)
-    fact = run_potrf_vbatched(
+    fact = potrf_vbatched_max(
         device,
         batch,
         max_n,

@@ -208,7 +208,8 @@ def gesvj_vbatched(
 
     ``U`` replaces each matrix in place; the result carries the
     descending singular values, per-matrix ``V^T`` and the sweep
-    budget.  Scaling hooks match the POTRF driver.
+    budget.  Scaling hooks are the op driver's
+    (:func:`~repro.ops.driver.run_op_vbatched`).
     """
     from ..ops.driver import run_op_vbatched
     from ..ops.options import OpOptions

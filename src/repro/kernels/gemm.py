@@ -209,9 +209,8 @@ class VbatchedGemmKernel(Kernel):
         for bucket in buckets:
             tasks = [live[p] for p in bucket.positions]
             t0 = tasks[0]
-            if len(tasks) == 1:
-                host_gemm(t0.transa, t0.transb, t0.alpha, t0.a, t0.b, t0.beta, t0.c)
-                continue
+            # A lone task takes the stacked path too: its result must not
+            # depend on whether the rest of the batch shares its shape.
             c = np.stack([t.c for t in tasks])
             grouping.bucket_gemm(
                 np.stack([t.a for t in tasks]),

@@ -25,7 +25,7 @@ Quickstart::
 
     tracer = Tracer()
     with activate(tracer):
-        run_potrf_vbatched(device, batch, max_n, options)
+        potrf_vbatched_max(device, batch, max_n, options)
     write_chrome_trace(tracer, "out.json")   # open in ui.perfetto.dev
 
 See DESIGN.md §5d for the request → batch → plan → stream-track

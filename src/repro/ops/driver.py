@@ -1,23 +1,27 @@
-"""Generic vbatched-operation driver: plan, execute, shard, place.
+"""The vbatched driver of every op: plan, execute, shard, place.
 
-:func:`run_op_vbatched` is the registry-dispatched twin of
-:func:`repro.core.driver.run_potrf_vbatched`: resolve the op tag, pick
-an approach (per-op crossover), plan (or re-serve from a
+:func:`run_op_vbatched` is the one driver behind every registered op,
+POTRF included: resolve the op tag, pick an approach (per-op
+crossover), plan (or re-serve from a
 :class:`~repro.core.plan.PlanCache` — the op tag is a structural key
-component), execute, and collect a uniform :class:`OpResult`.  POTRF
-itself delegates to the original driver so its tuned defaults, hetero
-placement and work-stealing behaviour stay byte-identical.
+component), execute, and collect a uniform :class:`OpResult`.  The
+public POTRF interface (:mod:`repro.core.interface`) is a thin call
+into it; POTRF's tuned planner knobs ride in
+:class:`~repro.core.driver.PotrfOptions`, which its registry entry
+plans from.
 
-Scaling hooks mirror the POTRF driver:
+Placement is a parameter, not a separate driver:
 
 * a :class:`~repro.device.topology.DeviceGroup` shards the batch with
   the *op's own* flop model weighing the partition and runs per-shard
   plans concurrently (:func:`run_op_sharded`);
-* a :class:`~repro.device.hetero.HeteroGroup` places size strata on its
-  GPU members by earliest predicted finish
-  (:func:`run_op_hetero`) — the members' potrf-calibrated cost models
-  are rescaled by the op/potrf flop ratio, and the CPU member (a
-  potrf-only core model) sits placement out.
+* a :class:`~repro.device.hetero.HeteroGroup` places size strata on
+  its members by earliest predicted finish and runs them in one
+  virtual-time loop (:func:`run_op_hetero`).  What each member's model
+  knows sets the rules: the GPU cost fits are POTRF probes, so only
+  POTRF picks its approach by cost-model argmin and work-steals
+  (other ops take their crossover and a flop-ratio-rescaled bid), and
+  the CPU member, whose numerics are host POTRF, bids on POTRF only.
 
 Per-shard planner outputs (``taus``, ``ipivs``, singular values ...)
 are scattered back into batch-global containers, so results are
@@ -27,7 +31,7 @@ themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,6 +97,12 @@ def plan_op(
     def build():
         built.append(True)
         plan = op_desc.planner(device, batch, max_n, options, approach)
+        # Every plan carries its operation tag; the executor stamps it
+        # on kernel spans so mixed-op traces attribute time per op.
+        plan.meta.setdefault("op", op_desc.name)
+        # Counted once per plan: a cached plan's warm re-run would
+        # otherwise spend more host time here than on its launches.
+        plan.meta["useful_flops"] = op_desc.batch_flops(batch.sizes_host, batch.precision)
         return optimize_plan(plan, options.optimize)
 
     if plan_cache is None:
@@ -147,21 +157,6 @@ def _scatter_outputs(acc: dict, shard_outputs: dict, idx: np.ndarray, k: int, ma
             dest[idx] = val
 
 
-def _wrap_potrf(result) -> OpResult:
-    return OpResult(
-        op="potrf",
-        approach=result.approach,
-        elapsed=result.elapsed,
-        total_flops=result.total_flops,
-        infos=result.infos,
-        launch_stats=result.launch_stats,
-        max_n=result.max_n,
-        meta={"op": "potrf"},
-        placement=result.placement,
-        member_stats=result.member_stats,
-    )
-
-
 def run_op_vbatched(
     device,
     batch: VBatch,
@@ -179,8 +174,14 @@ def run_op_vbatched(
     :mod:`repro.ops.registry`); serving aliases (``posv``/``gesv``)
     factor via their base op at the serving layer, not here.  ``max_n``
     defaults to a device-side reduction (the LAPACK-like interface
-    path).  ``devices``/``plan_cache``/``optimize`` match the POTRF
-    driver.
+    path).  ``devices`` (a :class:`~repro.device.topology.DeviceGroup`,
+    a :class:`~repro.device.hetero.HeteroGroup` or a sequence of
+    devices) shards or places the batch; ``plan_cache`` re-serves
+    previously built plans for batches with identical size vectors;
+    ``optimize`` overrides ``options.optimize`` (a plan-optimizer
+    level, see :mod:`repro.core.optimizer`).  ``options`` is an
+    :class:`~repro.ops.options.OpOptions`, or for ``"potrf"`` also a
+    :class:`~repro.core.driver.PotrfOptions`.
     """
     op_desc = get_op(op)
     if op_desc.planner is None:
@@ -196,50 +197,37 @@ def run_op_vbatched(
     if max_n is None:
         max_n = compute_max_size(device, batch)
 
-    if op_desc.name == "potrf":
-        # The original driver keeps its tuned defaults (ETM, sorting,
-        # NB=128 panels, CPU members, work-stealing); only the knobs
-        # OpOptions actually carries are forwarded.
-        from ..core.driver import PotrfOptions, run_potrf_vbatched
-
-        potrf_options = PotrfOptions(
-            approach=options.approach,
-            crossover_size=options.crossover_size,
-            on_error=options.on_error,
-            optimize=options.optimize,
-        )
-        return _wrap_potrf(
-            run_potrf_vbatched(
-                device, batch, max_n, potrf_options,
-                devices=devices, plan_cache=plan_cache,
-            )
-        )
-
-    from ..device.executor import PlanExecutor
-
     _check_precision(op_desc, batch)
     if max_n < batch.max_size_host:
         raise ArgumentError(3, f"max_n={max_n} smaller than largest matrix in batch")
     approach = op_desc.choose_approach(batch.precision, max_n, options)
 
-    if devices is not None:
+    if devices is None:
+        result = _run_single(device, batch, max_n, op_desc, options, approach, plan_cache)
+    else:
         from ..device.hetero import HeteroGroup
         from ..device.topology import DeviceGroup
 
         if isinstance(devices, HeteroGroup):
             result = run_op_hetero(devices, batch, max_n, op_desc, options, plan_cache)
-            if options.on_error == "raise":
-                _raise_failures(op_desc, batch, result.infos)
-            return result
-        group = devices if isinstance(devices, DeviceGroup) else DeviceGroup(devices)
-        if len(group) > 1:
-            result = run_op_sharded(
-                group, batch, max_n, op_desc, options, approach, plan_cache
-            )
-            if options.on_error == "raise":
-                _raise_failures(op_desc, batch, result.infos)
-            return result
-        device = group.devices[0]
+        else:
+            group = devices if isinstance(devices, DeviceGroup) else DeviceGroup(devices)
+            if len(group) > 1:
+                result = run_op_sharded(
+                    group, batch, max_n, op_desc, options, approach, plan_cache
+                )
+            else:
+                result = _run_single(
+                    group.devices[0], batch, max_n, op_desc, options, approach, plan_cache
+                )
+    if options.on_error == "raise":
+        _raise_failures(op_desc, batch, result.infos)
+    return result
+
+
+def _run_single(device, batch, max_n, op_desc, options, approach, plan_cache) -> OpResult:
+    """Plan (or re-serve) and execute ``batch`` on one device."""
+    from ..device.executor import PlanExecutor
 
     plan, cache_hit = plan_op(device, batch, max_n, op_desc, options, approach, plan_cache)
     try:
@@ -257,20 +245,51 @@ def run_op_vbatched(
         infos = batch.download_infos()
     else:
         infos = np.zeros(batch.batch_count, dtype=np.int64)
-    result = OpResult(
+    return OpResult(
         op=op_desc.name,
         approach=approach,
         elapsed=elapsed,
-        total_flops=op_desc.batch_flops(batch.sizes_host, batch.precision),
+        total_flops=meta["useful_flops"],
         infos=infos,
         launch_stats=launch_stats,
         max_n=max_n,
         outputs=outputs,
         meta=meta,
     )
-    if options.on_error == "raise":
-        _raise_failures(op_desc, batch, infos)
-    return result
+
+
+def sub_batch(batch: VBatch, idx: np.ndarray, dev) -> VBatch:
+    """``batch[idx]`` materialized on ``dev`` for one shard or chunk.
+
+    Values are copied over only when both sides execute numerics; a
+    timing-only shard just needs the sizes and leading dimensions.
+    """
+    if batch.device.execute_numerics and dev.execute_numerics:
+        return VBatch.from_host(
+            dev, [np.ascontiguousarray(batch.matrix_view(int(j))) for j in idx]
+        )
+    return VBatch.allocate(
+        dev, batch.sizes_host[idx], batch.precision,
+        ldas=np.maximum(batch.ldas_host[idx], 1),
+    )
+
+
+def release_sub_batch(plan, sub, plan_cache) -> None:
+    """Settle who frees a shard/chunk batch once its plan has run.
+
+    An uncached plan and its batch die here.  A cached plan bound
+    elsewhere (or unbound) used the batch for planning and gather only:
+    free it now, so a long-running caller (the serving loop) cannot leak
+    device memory one batch per dispatch.  A cached plan holding live
+    views into the batch adopts it, so cache eviction frees the memory.
+    """
+    if plan_cache is None:
+        plan.close()
+        sub.free()
+    elif plan.batch_ref is not sub:
+        sub.free()
+    else:
+        plan.owns_batch = True
 
 
 def run_op_sharded(
@@ -284,11 +303,14 @@ def run_op_sharded(
 ) -> OpResult:
     """Run one op across a device group and merge the results.
 
-    Mirrors :func:`repro.device.topology.run_potrf_sharded` — the
-    source batch stays authoritative, ``elapsed`` is the slowest shard,
-    plan/batch ownership follows the same cache-aware triage — but the
-    partition is weighed by the op's own flop model and planner outputs
-    are scattered back into batch-global containers.
+    The source batch stays authoritative: each shard is materialized
+    on its device (values copied over when numerics are live), the
+    shards run concurrently, and factors, info codes and planner
+    outputs are gathered back into batch-global containers.  The
+    partition is weighed by the op's own flop model; ``elapsed`` is the
+    slowest shard — the multi-GPU makespan — while flops cover the
+    whole batch, so ``result.gflops`` reports the group's aggregate
+    rate.
     """
     from ..device.executor import execute_concurrently
 
@@ -304,15 +326,7 @@ def run_op_sharded(
         for dev, idx in zip(group.devices, parts):
             if idx.size == 0:
                 continue
-            if batch.device.execute_numerics and dev.execute_numerics:
-                shard_batch = VBatch.from_host(
-                    dev, [np.ascontiguousarray(batch.matrix_view(int(j))) for j in idx]
-                )
-            else:
-                shard_batch = VBatch.allocate(
-                    dev, sizes[idx], batch.precision,
-                    ldas=np.maximum(batch.ldas_host[idx], 1),
-                )
+            shard_batch = sub_batch(batch, idx, dev)
             shard_max = int(sizes[idx].max())
             plan, cache_hit = plan_op(
                 dev, shard_batch, shard_max, op_desc, options, approach, plan_cache
@@ -329,6 +343,9 @@ def run_op_sharded(
     except BaseException as exc:
         partial = getattr(exc, "partial", None)
         if partial:
+            # Leave the finished shards' counters on the error: a
+            # retrying caller (the serving fleet) accounts attempt-1
+            # work once, then merges the retry under the same key.
             salvaged = LaunchStats(devices_used=0)
             for (dev, _, _, plan, cache_hit), es in zip(shards, partial):
                 if es is None:
@@ -336,14 +353,9 @@ def run_op_sharded(
                 salvaged.merge(stats_from_execution(plan, es, cache_hit))
                 salvaged.devices_used += 1
             exc.partial_launch_stats = salvaged
+        # A failing shard must not leak every shard's plan and memory.
         for _, _, shard_batch, plan, _ in shards:
-            if plan_cache is None:
-                plan.close()
-                shard_batch.free()
-            elif plan.batch_ref is not shard_batch:
-                shard_batch.free()
-            else:
-                plan.owns_batch = True
+            release_sub_batch(plan, shard_batch, plan_cache)
         raise
 
     elapsed = 0.0
@@ -359,13 +371,7 @@ def run_op_sharded(
                 infos[idx] = shard_batch.download_infos()
                 for local, j in enumerate(idx):
                     batch.matrix_view(int(j))[...] = shard_batch.matrix_view(local)
-            if plan_cache is None:
-                plan.close()
-                shard_batch.free()
-            elif plan.batch_ref is not shard_batch:
-                shard_batch.free()
-            else:
-                plan.owns_batch = True
+            release_sub_batch(plan, shard_batch, plan_cache)
 
     return OpResult(
         op=op_desc.name,
@@ -380,85 +386,63 @@ def run_op_sharded(
     )
 
 
-def _member_cost(member, op_desc: Operation, chunk_sizes, precision, approach: str) -> float:
-    """A GPU member's predicted seconds for one chunk of this op.
-
-    The member cost models are potrf-calibrated; the op estimate scales
-    the potrf prediction by the op/potrf flop ratio of the chunk (both
-    are panel-sweep factorizations on the same size vector, so the
-    ratio transfers the fit to first order).
-    """
-    cost_approach = approach if approach in ("fused", "separated") else "separated"
-    base = member.estimate_cost(chunk_sizes, precision, cost_approach)
-    potrf = _flops.batch_flops(chunk_sizes, "potrf", precision)
-    ours = op_desc.batch_flops(chunk_sizes, precision)
-    return base * (ours / potrf if potrf > 0.0 else 1.0)
-
-
 def run_op_hetero(
     group,
     batch: VBatch,
     max_n: int,
     op_desc: Operation,
-    options: OpOptions,
+    options,
     plan_cache: PlanCache | None = None,
 ) -> OpResult:
-    """Run one op across a heterogeneous group's GPU members.
+    """Run one op across a heterogeneous group.
 
-    Size strata place by greedy earliest predicted finish, exactly like
-    the POTRF hetero path, with two deliberate restrictions: CPU
-    members sit out (their core model only knows POTRF) and the
-    placement is static — no work-stealing loop, since the flop-ratio
-    cost rescaling is too coarse to arbitrate steals profitably.
+    Deterministic virtual-time loop: the member with the earliest clock
+    runs (or steals) the next chunk; chunks execute one at a time per
+    member with a synchronize at each boundary, so member clocks are
+    real simulated finish times, not estimates.  Results gather back
+    into the source batch exactly as the homogeneous sharded path does;
+    ``elapsed`` is the slowest member's busy span (the group makespan).
+
+    Only members whose model covers the op take part (the CPU member
+    runs POTRF only), and only POTRF steals: the GPU cost fits are
+    POTRF probes, too coarse for other ops to arbitrate a steal.
     """
-    from ..device.executor import MemberStats, PlanExecutor
-    from ..device.member import ChunkRun
+    from ..device.executor import MemberStats
 
-    gpus = group.gpu_members
-    if not gpus:
-        raise ArgumentError(
-            6, f"op {op_desc.name!r} needs at least one GPU member in the group"
-        )
+    op = op_desc.name
+    eligible = [m for m in group.members if m.supports(op)]
+    if not eligible:
+        raise ArgumentError(6, f"op {op!r} needs at least one GPU member in the group")
     tracer = current_tracer()
     sizes = batch.sizes_host
     precision = batch.precision
     k = batch.batch_count
-    base = {m.name: m.synchronize() for m in gpus}
-    members = {m.name: m for m in gpus}
+    members = {m.name: m for m in eligible}
+    base = {m.name: m.synchronize() for m in eligible}
 
     with tracer.span(
         "hetero-place",
         Track("hetero", "placer"),
         cat="hetero",
         args={"members": list(members), "batch": int(k),
-              "placement": group.placement, "op": op_desc.name},
+              "placement": group.placement, "op": op},
     ) as place_args:
-        queues: dict[str, list] = {m.name: [] for m in gpus}
-        projected = {m.name: 0.0 for m in gpus}
-        placement = []
-        for ordinal, idx in enumerate(group.chunk_indices(sizes, precision)):
-            chunk_sizes = sizes[idx]
-            chunk_max = int(chunk_sizes.max())
-            approach = op_desc.choose_approach(precision, chunk_max, options)
-            bids = {
-                m.name: _member_cost(m, op_desc, chunk_sizes, precision, approach)
-                for m in gpus
+        queues = group.assign(sizes, precision, options, op)
+        placement = [
+            {
+                "chunk": c.ordinal,
+                "member": c.member,
+                "kind": members[c.member].kind,
+                "approach": c.approach,
+                "count": int(c.idx.size),
+                "max_n": int(sizes[c.idx].max()),
+                "est_s": float(c.est),
+                "alternatives_s": {n: float(v) for n, v in c.alternatives.items()},
             }
-            winner = min(gpus, key=lambda m: (projected[m.name] + bids[m.name], m.name))
-            projected[winner.name] += bids[winner.name]
-            queues[winner.name].append((ordinal, idx, approach))
-            placement.append(
-                {
-                    "chunk": ordinal,
-                    "member": winner.name,
-                    "kind": "gpu",
-                    "approach": approach,
-                    "count": int(idx.size),
-                    "max_n": chunk_max,
-                    "est_s": float(bids[winner.name]),
-                    "alternatives_s": {n: float(v) for n, v in bids.items()},
-                }
-            )
+            for q in queues.values()
+            for c in q
+        ]
+        placement.sort(key=lambda d: d["chunk"])
         if tracer:
             place_args["chunks"] = len(placement)
             place_args["decisions"] = [
@@ -466,74 +450,96 @@ def run_op_hetero(
                 for d in placement
             ]
 
+    def rel(name: str) -> float:
+        return members[name].now() - base[name]
+
+    def backlog(name: str) -> float:
+        return sum(c.est for c in queues[name])
+
     merged = LaunchStats(devices_used=0)
-    stats = {m.name: MemberStats(name=m.name, kind="gpu") for m in gpus}
+    stats = {m.name: MemberStats(name=m.name, kind=m.kind) for m in eligible}
     infos = np.zeros(k, dtype=np.int64)
     outputs: dict = {}
+    steal = group.steal and op == "potrf"
+    active = set(members)
     try:
-        for name, queue in queues.items():
+        while active:
+            name = min(active, key=lambda n: (rel(n), n))
             m = members[name]
-            dev = m.device
-            for ordinal, idx, approach in queue:
-                chunk_sizes = sizes[idx]
-                chunk_max = int(chunk_sizes.max())
-                with tracer.span(
-                    "hetero-chunk",
+            stolen = False
+            if queues[name]:
+                chunk = queues[name].pop(0)
+            elif steal:
+                victims = [v for v in members if v != name and queues[v]]
+                if not victims:
+                    active.discard(name)
+                    continue
+                victim = max(victims, key=lambda v: (backlog(v), v))
+                cand = queues[victim][-1]
+                cand_sizes = sizes[cand.idx]
+                approach = m.choose_approach(cand_sizes, precision, options)
+                est_here = m.estimate_cost(cand_sizes, precision, approach)
+                # Steal only when the thief finishes the chunk before
+                # the victim's whole backlog would have.
+                if rel(name) + est_here >= rel(victim) + backlog(victim):
+                    active.discard(name)
+                    continue
+                chunk = replace(
+                    queues[victim].pop(), member=name, approach=approach, est=est_here
+                )
+                stolen = True
+                tracer.instant(
+                    "hetero-steal",
                     Track("hetero", name),
                     cat="hetero",
-                    args={"chunk": ordinal, "count": int(idx.size),
-                          "max_n": chunk_max, "approach": approach,
-                          "op": op_desc.name, "stolen": False},
-                ):
-                    if batch.device.execute_numerics and dev.execute_numerics:
-                        chunk_batch = VBatch.from_host(
-                            dev,
-                            [np.ascontiguousarray(batch.matrix_view(int(j))) for j in idx],
-                        )
-                    else:
-                        chunk_batch = VBatch.allocate(
-                            dev, chunk_sizes, precision,
-                            ldas=np.maximum(batch.ldas_host[idx], 1),
-                        )
-                    plan, cache_hit = plan_op(
-                        dev, chunk_batch, chunk_max, op_desc, options, approach, plan_cache
-                    )
-                    start = dev.synchronize()
-                    try:
-                        exec_stats = PlanExecutor(dev).execute(plan)
-                        chunk_elapsed = dev.synchronize() - start
-                        chunk_stats = stats_from_execution(plan, exec_stats, cache_hit)
-                        _scatter_outputs(
-                            outputs, plan.meta.get("outputs", {}), idx, k, max_n
-                        )
-                        if dev.execute_numerics:
-                            infos[idx] = chunk_batch.download_infos()
-                            for local, j in enumerate(idx):
-                                batch.matrix_view(int(j))[...] = chunk_batch.matrix_view(local)
-                    finally:
-                        if plan_cache is None:
-                            plan.close()
-                            chunk_batch.free()
-                        elif plan.batch_ref is not chunk_batch:
-                            chunk_batch.free()
-                        else:
-                            plan.owns_batch = True
-                stats[name].record(
-                    ChunkRun(
-                        member=name,
-                        kind="gpu",
-                        approach=approach,
-                        count=int(idx.size),
-                        max_n=chunk_max,
-                        flops=op_desc.batch_flops(chunk_sizes, precision),
-                        start=start,
-                        elapsed=chunk_elapsed,
-                        launch_stats=chunk_stats,
-                    )
+                    args={"chunk": chunk.ordinal, "victim": victim,
+                          "count": int(chunk.idx.size)},
                 )
-                merged.merge(chunk_stats)
-                merged.chunks += 1
+                # The returned table reflects what actually ran; the
+                # hetero-place span keeps the pre-execution decisions.
+                for d in placement:
+                    if d["chunk"] == chunk.ordinal:
+                        d["member"] = name
+                        d["kind"] = m.kind
+                        d["approach"] = approach
+                        d["est_s"] = float(est_here)
+                        d["stolen_from"] = victim
+            else:
+                active.discard(name)
+                continue
+            with tracer.span(
+                "hetero-chunk",
+                Track("hetero", name),
+                cat="hetero",
+                args={
+                    "chunk": chunk.ordinal,
+                    "count": int(chunk.idx.size),
+                    "max_n": int(sizes[chunk.idx].max()),
+                    "approach": chunk.approach,
+                    "op": op,
+                    "stolen": stolen,
+                },
+            ):
+                run = m.run_chunk(
+                    batch,
+                    chunk.idx,
+                    options,
+                    plan_cache=plan_cache,
+                    approach=chunk.approach,
+                    stolen=stolen,
+                    op=op,
+                )
+            infos[chunk.idx] = run.infos
+            if run.outputs:
+                _scatter_outputs(outputs, run.outputs, chunk.idx, k, max_n)
+            stats[name].record(run)
+            if run.launch_stats is not None:
+                merged.merge(run.launch_stats)
+            merged.chunks += 1
+            merged.work_steals += int(stolen)
     except BaseException as exc:
+        # Leave what completed on the error so a retrying caller (the
+        # serving fleet) can account attempt-1 work exactly once.
         merged.devices_used = sum(1 for s in stats.values() if s.chunks)
         exc.partial_launch_stats = merged
         raise
@@ -547,7 +553,7 @@ def run_op_hetero(
     merged.devices_used = sum(1 for s in stats.values() if s.chunks)
     approaches = sorted({d["approach"] for d in placement})
     return OpResult(
-        op=op_desc.name,
+        op=op,
         approach="hetero[" + "+".join(approaches) + "]",
         elapsed=elapsed,
         total_flops=op_desc.batch_flops(sizes, precision),
@@ -555,7 +561,7 @@ def run_op_hetero(
         launch_stats=merged,
         max_n=max_n,
         outputs=outputs,
-        meta={"op": op_desc.name, "planner": "hetero", "chunks": len(placement)},
+        meta={"op": op, "planner": "hetero", "chunks": len(placement)},
         placement=placement,
-        member_stats=[stats[m.name] for m in gpus],
+        member_stats=[stats[m.name] for m in eligible],
     )

@@ -108,24 +108,22 @@ def list_ops(*, plannable: bool | None = None) -> tuple:
 # repro.ops stays importable before the extensions package.
 
 
-def _plan_potrf_adapter(device, batch, max_n, options, approach):
-    from ..core.driver import PotrfOptions, plan_potrf
+def _plan_potrf(device, batch, max_n, options, approach):
+    from ..core.driver import PotrfOptions, make_planner
 
-    return plan_potrf(
-        device,
-        batch,
-        max_n,
-        PotrfOptions(
-            approach=approach,
-            panel_nb=options.panel_nb,
-            sorting=options.sorting,
+    if not isinstance(options, PotrfOptions):
+        # POTRF keeps its tuned planner defaults (ETM, sorting, NB=128
+        # panels); an OpOptions forwards only the knobs it shares.
+        options = PotrfOptions(
+            approach=options.approach,
             crossover_size=options.crossover_size,
             on_error=options.on_error,
-        ),
-    )
+            optimize=options.optimize,
+        )
+    return make_planner(device, approach, options).plan(batch, max_n)
 
 
-def _plan_geqrf_adapter(device, batch, max_n, options, approach):
+def _plan_geqrf(device, batch, max_n, options, approach):
     from ..extensions.geqrf import plan_geqrf
 
     return plan_geqrf(
@@ -134,7 +132,7 @@ def _plan_geqrf_adapter(device, batch, max_n, options, approach):
     )
 
 
-def _plan_getrf_adapter(device, batch, max_n, options, approach):
+def _plan_getrf(device, batch, max_n, options, approach):
     from ..extensions.getrf import plan_getrf
 
     return plan_getrf(
@@ -143,7 +141,7 @@ def _plan_getrf_adapter(device, batch, max_n, options, approach):
     )
 
 
-def _plan_gesvj_adapter(device, batch, max_n, options, approach):
+def _plan_gesvj(device, batch, max_n, options, approach):
     from ..extensions.gesvj import plan_gesvj
 
     return plan_gesvj(
@@ -158,7 +156,7 @@ register(
         name="potrf",
         doc="Cholesky factorization of SPD matrices (paper §IV)",
         matrix_flops=_flops.potrf_flops,
-        planner=_plan_potrf_adapter,
+        planner=_plan_potrf,
         spd_input=True,
         # None -> the potrf-tuned DEFAULT_CROSSOVER table.
         default_crossover=None,
@@ -170,7 +168,7 @@ register(
         name="geqrf",
         doc="Householder QR factorization (paper §V)",
         matrix_flops=lambda n, p=None: _flops.geqrf_flops(n, n, p),
-        planner=_plan_geqrf_adapter,
+        planner=_plan_geqrf,
         # The whole-matrix geqr2 panel serializes ~3n column steps, so
         # fusion pays off only for small matrices; tuned on the
         # simulated K40c (benchmarks sweep, PR 8).
@@ -184,7 +182,7 @@ register(
         name="getrf",
         doc="LU factorization with partial pivoting (paper §V)",
         matrix_flops=lambda n, p=None: _flops.getrf_flops(n, n, p),
-        planner=_plan_getrf_adapter,
+        planner=_plan_getrf,
         default_crossover=96,
         output_keys=("ipivs",),
     )
@@ -195,7 +193,7 @@ register(
         name="gesvj",
         doc="One-sided Jacobi SVD (hierarchical-matrix compression)",
         matrix_flops=_flops.gesvj_flops,
-        planner=_plan_gesvj_adapter,
+        planner=_plan_gesvj,
         approaches=("jacobi",),
         real_only=True,
         output_keys=("singular_values", "vt", "sweeps_done"),

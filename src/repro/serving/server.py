@@ -36,7 +36,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions, run_potrf_vbatched
+from ..core.driver import PotrfOptions
 from ..core.plan import PlanCache
 from ..device.device import Device, cost_memo_stats
 from ..device.hetero import HeteroGroup
@@ -573,27 +573,16 @@ class BatchServer:
             # The batcher guarantees one factor op per batch; dispatch on it.
             op_key = reqs[0].factor_op
             batch = VBatch.from_host(self.device, [r.matrix for r in reqs])
-            extras: list[dict] = [{} for _ in reqs]
             try:
-                if op_key == "potrf":
-                    result = run_potrf_vbatched(
-                        self.device,
-                        batch,
-                        max_n,
-                        self.options,
-                        devices=self.group,
-                        plan_cache=self.plan_cache,
-                    )
-                else:
-                    result = run_op_vbatched(
-                        self.device,
-                        batch,
-                        max_n,
-                        op_key,
-                        self.op_options,
-                        devices=self.group,
-                        plan_cache=self.plan_cache,
-                    )
+                result = run_op_vbatched(
+                    self.device,
+                    batch,
+                    max_n,
+                    op_key,
+                    self.options if op_key == "potrf" else self.op_options,
+                    devices=self.group,
+                    plan_cache=self.plan_cache,
+                )
                 factors: list[np.ndarray | None] = [None] * len(reqs)
                 solutions: list[np.ndarray | None] = [None] * len(reqs)
                 solve = None
@@ -609,8 +598,7 @@ class BatchServer:
                         )
                     if self.device.execute_numerics:
                         solutions = rhs
-                if op_key != "potrf":
-                    extras = self._op_extras(op_key, reqs, result)
+                extras = self._op_extras(op_key, reqs, result)
             finally:
                 batch.free()
 

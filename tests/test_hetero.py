@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions, run_potrf_vbatched
+from repro.core.driver import PotrfOptions
+from repro.core.interface import potrf_vbatched_max
 from repro.device import Device
-from repro.device.hetero import HeteroGroup, parse_members, run_potrf_hetero
+from repro.device.hetero import HeteroGroup, parse_members
 from repro.device.member import CpuMember, GpuMember
 from repro.device.spec import K20X, K40C, TITAN_BLACK
 from repro.errors import ArgumentError
 from repro.hostblas import make_spd_batch, potrf
 from repro.kernels import grouping
+from repro.ops import get_op
+from repro.ops.driver import run_op_hetero
 from repro.observability.trace import Tracer, activate
 from repro.types import Precision
 from repro import distributions as dist
@@ -26,7 +29,7 @@ def _timing_batch(sizes):
 
 def _run(group, sizes, **kwargs):
     batch = _timing_batch(sizes)
-    return run_potrf_vbatched(
+    return potrf_vbatched_max(
         batch.device, batch, int(np.max(sizes)), PotrfOptions(), devices=group, **kwargs
     )
 
@@ -108,7 +111,7 @@ class TestScaling:
         sizes = dist.uniform_sizes(400, 256, seed=11)
         dev = Device(execute_numerics=False)
         b1 = VBatch.allocate(dev, sizes, D)
-        t1 = run_potrf_vbatched(
+        t1 = potrf_vbatched_max(
             dev, b1, int(sizes.max()), PotrfOptions(approach="fused")
         ).elapsed
         group = HeteroGroup.simulated(
@@ -178,10 +181,10 @@ class TestNumerics:
         opts = PotrfOptions(approach="fused", nb=16)
         with grouping.reference_numerics():
             single = VBatch.from_host(Device(), [m.copy() for m in mats])
-            run_potrf_vbatched(single.device, single, 64, opts)
+            potrf_vbatched_max(single.device, single, 64, opts)
             group = HeteroGroup.simulated("k40c*3", name_prefix="n:")
             batch = VBatch.from_host(Device(), [m.copy() for m in mats])
-            res = run_potrf_vbatched(batch.device, batch, 64, opts, devices=group)
+            res = potrf_vbatched_max(batch.device, batch, 64, opts, devices=group)
         assert res.failed_count == 0
         for i in range(len(mats)):
             assert np.array_equal(
@@ -192,7 +195,7 @@ class TestNumerics:
         mats = make_spd_batch([30, 18, 44, 25], D, seed=9)
         group = HeteroGroup([CpuMember(name="c")])
         batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
-        res = run_potrf_vbatched(batch.device, batch, 44, PotrfOptions(), devices=group)
+        res = potrf_vbatched_max(batch.device, batch, 44, PotrfOptions(), devices=group)
         assert res.failed_count == 0
         assert res.approach == "hetero[cpu-percore]"
         for i, a0 in enumerate(mats):
@@ -205,7 +208,7 @@ class TestNumerics:
         mats = make_spd_batch(sizes.tolist(), D, seed=8)
         group = HeteroGroup.simulated("k40c+k20x+cpu", name_prefix="m:")
         batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
-        res = run_potrf_vbatched(
+        res = potrf_vbatched_max(
             batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group
         )
         assert res.failed_count == 0
@@ -220,7 +223,7 @@ class TestNumerics:
         group = HeteroGroup.simulated("k40c*2+cpu", name_prefix="i:")
         batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
         opts = PotrfOptions(on_error="info")
-        res = run_potrf_vbatched(batch.device, batch, 24, opts, devices=group)
+        res = potrf_vbatched_max(batch.device, batch, 24, opts, devices=group)
         assert res.infos[bad] != 0
         assert np.all(res.infos[np.arange(8) != bad] == 0)
 
@@ -232,7 +235,7 @@ class TestObservability:
         tracer = Tracer()
         with activate(tracer):
             batch = _timing_batch(sizes)
-            run_potrf_hetero(group, batch, int(sizes.max()), PotrfOptions())
+            run_op_hetero(group, batch, int(sizes.max()), get_op("potrf"), PotrfOptions())
         spans = tracer.spans(cat="hetero")
         names = {e.name for e in spans}
         assert "hetero-place" in names and "hetero-chunk" in names
@@ -261,3 +264,84 @@ class TestServing:
         assert sum(ms["matrices"] for ms in placement.values()) == len(matrices)
         exposition = server.metrics.expose()
         assert "hetero_chunks_total" in exposition
+
+
+class TestNonPotrfHetero:
+    """QR/LU/SVD on a mixed group: GPU-only static placement whose
+    chunks take the op's crossover choice and whose results match a
+    single-device run bit for bit."""
+
+    MEMBERS = "k40c+k20x+cpu"
+    #: Every chunk of a batch stays on one side of the op crossover (96),
+    #: so one single-device approach reproduces all of them.
+    REGIMES = {
+        "fused": [40, 7, 33, 64, 12, 33, 21, 56, 90, 3, 77, 48],
+        "separated": [129, 100, 257, 140, 97, 180, 129, 110, 200, 150],
+        # The Jacobi SVD has one path; small orders keep it quick.
+        "jacobi": [24, 7, 17, 32, 12, 17, 9, 28],
+    }
+
+    @staticmethod
+    def _mats(sizes, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((n, n)) for n in sizes]
+
+    @pytest.mark.parametrize(
+        "op,regime",
+        [(op, r) for op in ("geqrf", "getrf") for r in ("fused", "separated")]
+        + [("gesvj", "jacobi")],
+    )
+    def test_gpu_only_static_placement_matches_single_device(self, op, regime):
+        from repro.ops import OpOptions, get_op, run_op_vbatched
+
+        sizes = self.REGIMES[regime]
+        max_n = max(sizes)
+        mats = self._mats(sizes, seed=len(sizes))
+        # A fixed sweep budget: the default tracks each chunk's max_n.
+        opts = OpOptions(sweeps=4)
+        single = VBatch.from_host(Device(), [m.copy() for m in mats])
+        ref = run_op_vbatched(single.device, single, max_n, op, opts)
+        group = HeteroGroup.simulated(self.MEMBERS, name_prefix=f"{op}:")
+        batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
+        res = run_op_vbatched(batch.device, batch, max_n, op, opts, devices=group)
+
+        # The CPU member's core model only knows POTRF: it never runs a
+        # chunk, and without a steal loop nothing moves.
+        cpu = group.cpu_members[0].name
+        assert all(d["member"] != cpu for d in res.placement)
+        assert all(ms.chunks == 0 for ms in res.member_stats if ms.name == cpu)
+        assert res.launch_stats.work_steals == 0
+        assert all("stolen_from" not in d for d in res.placement)
+        desc = get_op(op)
+        for d in res.placement:
+            assert d["approach"] == desc.choose_approach(D, d["max_n"], opts)
+        assert res.elapsed == max(ms.busy_s for ms in res.member_stats)
+
+        assert res.failed_count == 0
+        assert np.array_equal(res.infos, ref.infos)
+        for i in range(len(mats)):
+            assert np.array_equal(batch.matrix_view(i), single.matrix_view(i)), f"matrix {i}"
+        for key in desc.output_keys:
+            want, got = ref.outputs[key], res.outputs[key]
+            if isinstance(want, dict):
+                assert sorted(got) == sorted(want)
+                for j in want:
+                    assert np.array_equal(got[j], want[j]), f"{key}[{j}]"
+            else:
+                assert np.array_equal(got, want), key
+
+    def test_no_steal_even_from_a_mispredicted_member(self):
+        """The POTRF stealing test's setup: a non-POTRF op keeps its
+        static placement."""
+        from repro.ops import OpOptions, run_op_vbatched
+
+        sizes = dist.uniform_sizes(120, 160, seed=3)
+        slow = _SlowGpu(execute_numerics=False, name="slow")
+        fast = GpuMember(execute_numerics=False, name="fast")
+        group = HeteroGroup([slow, fast], chunks_per_member=2)
+        batch = _timing_batch(sizes)
+        res = run_op_vbatched(
+            batch.device, batch, int(sizes.max()), "getrf", OpOptions(), devices=group
+        )
+        assert res.launch_stats.work_steals == 0
+        assert all("stolen_from" not in d for d in res.placement)

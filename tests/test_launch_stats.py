@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LaunchStats, PlanCache, PotrfOptions, VBatch
-from repro.core.driver import run_potrf_vbatched
+from repro.core.interface import potrf_vbatched_max
 from repro.device import Device
 from repro import distributions as dist
 
@@ -155,7 +155,7 @@ class TestDriverPopulatesCacheCounters:
         batch = VBatch.allocate(dev, sizes, "d")
         opts = PotrfOptions(approach="fused")
         return [
-            run_potrf_vbatched(dev, batch, int(sizes.max()), opts, plan_cache=cache)
+            potrf_vbatched_max(dev, batch, int(sizes.max()), opts, plan_cache=cache)
             for _ in range(3)
         ]
 

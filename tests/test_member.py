@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions, run_potrf_vbatched
+from repro.core.driver import PotrfOptions
+from repro.core.interface import potrf_vbatched_max
 from repro.device import Device
 from repro.device.member import (
     _GPU_COST_CACHE,
@@ -51,7 +52,7 @@ class TestGpuCostModel:
             est = m.estimate_cost(sizes, D, approach)
             dev = Device(execute_numerics=False)
             batch = VBatch.allocate(dev, sizes, D)
-            actual = run_potrf_vbatched(
+            actual = potrf_vbatched_max(
                 dev, batch, int(sizes.max()), PotrfOptions(approach=approach)
             ).elapsed
             assert abs(est - actual) / actual < 1.0, approach

@@ -136,6 +136,93 @@ class TestRunOpVbatched:
         assert result.launch_stats.executed_launches > 0
         batch.free()
 
+    @pytest.mark.parametrize("approach", ["auto", "fused", "separated"])
+    @pytest.mark.parametrize("placement", ["device", "group", "hetero"])
+    def test_potrf_is_the_same_from_every_entry_point(self, placement, approach):
+        """The op driver and the public POTRF interface are one path:
+        same clock, infos, factors, counters and placement."""
+        from repro.core.driver import PotrfOptions
+        from repro.core.interface import potrf_vbatched_max
+        from repro.device.hetero import HeteroGroup
+        from repro.hostblas import make_spd_batch
+
+        sizes = [64, 40, 8, 97, 33, 150, 21, 64]
+        mats = make_spd_batch(sizes, "d", seed=5)
+        mats[3] = -np.eye(97)  # one failing matrix: infos must agree too
+
+        def run(entry):
+            devices = None
+            if placement == "group":
+                devices = DeviceGroup.simulated(2)
+            elif placement == "hetero":
+                devices = HeteroGroup.simulated("k40c+cpu")
+            dev = Device() if devices is None else devices.staging_device
+            batch = VBatch.from_host(dev, [m.copy() for m in mats])
+            result = entry(dev, batch, devices)
+            return result, batch.download_matrices()
+
+        via_op, op_factors = run(
+            lambda dev, batch, devices: run_op_vbatched(
+                dev, batch, max(sizes), "potrf", OpOptions(approach=approach), devices=devices
+            )
+        )
+        via_api, api_factors = run(
+            lambda dev, batch, devices: potrf_vbatched_max(
+                dev, batch, max(sizes), PotrfOptions(approach=approach), devices=devices
+            )
+        )
+        assert via_op.failed_count == 1
+        assert via_op.approach == via_api.approach
+        assert via_op.elapsed == via_api.elapsed
+        assert via_op.total_flops == via_api.total_flops
+        assert np.array_equal(via_op.infos, via_api.infos)
+        assert via_op.launch_stats.as_dict() == via_api.launch_stats.as_dict()
+        assert via_op.placement == via_api.placement
+        for a, b in zip(op_factors, api_factors):
+            assert np.array_equal(a, b)
+
+    def test_plan_op_potrf_honours_planner_knobs(self):
+        """PotrfOptions' planner knobs reach the POTRF planner."""
+        from repro.core.driver import PotrfOptions, make_planner
+        from repro.ops import plan_op
+
+        def signature(plan):
+            out = []
+            for n in plan.nodes:
+                k = getattr(n, "kernel", None)
+                out.append((
+                    type(n).__name__, type(k).__name__, n.stream,
+                    getattr(k, "etm_mode", None), k.cost_key() if k is not None else None,
+                ))
+            return out
+
+        dev = Device(execute_numerics=False)
+        sizes = np.array([300, 200, 130, 64, 17], dtype=np.int64)
+        batch = VBatch.allocate(dev, sizes, "d")
+        potrf = get_op("potrf")
+        cases = [
+            ("fused", PotrfOptions()),
+            ("fused", PotrfOptions(etm="classic")),
+            ("fused", PotrfOptions(nb=16)),
+            ("separated", PotrfOptions()),
+            ("separated", PotrfOptions(nb=8)),
+            ("separated", PotrfOptions(syrk_mode="streamed")),
+        ]
+        seen = {}
+        for approach, opts in cases:
+            plan, _ = plan_op(dev, batch, 300, potrf, opts, approach)
+            want = make_planner(dev, approach, opts).plan(batch, 300)
+            assert signature(plan) == signature(want)
+            assert plan.meta["op"] == "potrf"
+            assert plan.meta["useful_flops"] == potrf.batch_flops(sizes, "d")
+            seen.setdefault(approach, []).append(signature(plan))
+            plan.close()
+            want.close()
+        # Each knob changes the plan, so none of them was dropped.
+        for approach, plans in seen.items():
+            assert all(p != plans[0] for p in plans[1:]), approach
+        batch.free()
+
     def test_gesvj_rejects_complex_precision(self):
         dev = Device(execute_numerics=False)
         batch = VBatch.allocate(dev, np.array([16], dtype=np.int64), "z")

@@ -15,7 +15,8 @@ import pytest
 from repro import distributions as dist
 from repro.core.batch import VBatch
 from repro.core.blas_steps import BlasStepDriver
-from repro.core.driver import PotrfOptions, run_potrf_vbatched
+from repro.core.driver import PotrfOptions
+from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.core.optimizer import (
     PASS_NAMES,
@@ -337,7 +338,7 @@ class TestDriverIntegration:
         def run(optimize):
             dev = Device(execute_numerics=True)
             batch = VBatch.from_host(dev, [m.copy() for m in mats])
-            res = run_potrf_vbatched(
+            res = potrf_vbatched_max(
                 dev, batch, int(sizes.max()), PotrfOptions(), optimize=optimize
             )
             out = batch.download_matrices()
@@ -354,7 +355,7 @@ class TestDriverIntegration:
         dev = Device(execute_numerics=False)
         sizes = dist.generate_sizes("uniform", 150, 300, seed=2)
         batch = VBatch.allocate(dev, sizes, "d")
-        res = run_potrf_vbatched(
+        res = potrf_vbatched_max(
             dev,
             batch,
             int(sizes.max()),
@@ -375,7 +376,7 @@ class TestDriverIntegration:
         dev = Device(execute_numerics=False)
         sizes = dist.generate_sizes("uniform", 40, 128, seed=2)
         batch = VBatch.allocate(dev, sizes, "d")
-        res = run_potrf_vbatched(dev, batch, int(sizes.max()), PotrfOptions())
+        res = potrf_vbatched_max(dev, batch, int(sizes.max()), PotrfOptions())
         assert res.launch_stats.opt_barriers_elided == 0
         assert res.launch_stats.opt_launches_merged == 0
         assert res.launch_stats.opt_launches_pruned == 0
@@ -424,13 +425,13 @@ class TestPlanCacheKey:
         batch, sizes = self._batch(dev)
         cache = PlanCache()
         max_n = int(sizes.max())
-        run_potrf_vbatched(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
+        potrf_vbatched_max(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
                            optimize="none")
         assert cache.misses == 1
-        run_potrf_vbatched(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
+        potrf_vbatched_max(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
                            optimize="all")
         assert cache.misses == 2  # different level: no false hit
-        res = run_potrf_vbatched(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
+        res = potrf_vbatched_max(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
                                  optimize="all")
         assert cache.hits == 1
         assert res.launch_stats.plan_cache_hit

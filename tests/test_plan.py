@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions, run_potrf_vbatched
+from repro.core.driver import PotrfOptions
+from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.core.plan import (
     AuxLaunch,
@@ -235,17 +236,17 @@ class TestCachedReexecutionAcceptance:
         max_n = int(sizes.max())
         cache = PlanCache()
         opts = PotrfOptions()
-        r1 = run_potrf_vbatched(dev, batch, max_n, opts, plan_cache=cache)
+        r1 = potrf_vbatched_max(dev, batch, max_n, opts, plan_cache=cache)
         assert cache.planner_calls == 1
         assert not r1.launch_stats.plan_cache_hit
         dev.reset_clock()
-        r2 = run_potrf_vbatched(dev, batch, max_n, opts, plan_cache=cache)
+        r2 = potrf_vbatched_max(dev, batch, max_n, opts, plan_cache=cache)
         assert cache.planner_calls == 1  # zero new planner calls
         assert r2.launch_stats.plan_cache_hit
         assert r2.elapsed == r1.elapsed  # bit-identical replay
         # A fresh equal-size batch also hits: timing-only plans are unbound.
         b3 = VBatch.allocate(dev, sizes.copy(), "d")
-        r3 = run_potrf_vbatched(dev, b3, max_n, opts, plan_cache=cache)
+        r3 = potrf_vbatched_max(dev, b3, max_n, opts, plan_cache=cache)
         assert cache.planner_calls == 1
         assert r3.elapsed == r1.elapsed
 
@@ -253,8 +254,8 @@ class TestCachedReexecutionAcceptance:
         dev, batch, sizes = _timing_batch()
         max_n = int(sizes.max())
         cache = PlanCache()
-        run_potrf_vbatched(dev, batch, max_n, PotrfOptions(approach="fused"), plan_cache=cache)
-        run_potrf_vbatched(
+        potrf_vbatched_max(dev, batch, max_n, PotrfOptions(approach="fused"), plan_cache=cache)
+        potrf_vbatched_max(
             dev, batch, max_n, PotrfOptions(approach="fused", etm="classic"), plan_cache=cache
         )
         assert cache.planner_calls == 2  # different options -> different plan
@@ -264,9 +265,9 @@ class TestCachedReexecutionAcceptance:
         max_n = int(sizes.max())
         cache = PlanCache()
         opts = PotrfOptions(approach="separated")
-        r1 = run_potrf_vbatched(dev, batch, max_n, opts, plan_cache=cache)
+        r1 = potrf_vbatched_max(dev, batch, max_n, opts, plan_cache=cache)
         dev.reset_clock()
-        r2 = run_potrf_vbatched(dev, batch, max_n, opts, plan_cache=cache)
+        r2 = potrf_vbatched_max(dev, batch, max_n, opts, plan_cache=cache)
         assert cache.planner_calls == 1
         assert r2.elapsed == r1.elapsed
 

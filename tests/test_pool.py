@@ -128,7 +128,8 @@ class TestDevicePresets:
 
 class TestDriverPoolHygiene:
     def test_drivers_release_workspaces_on_success(self):
-        from repro.core.driver import PotrfOptions, run_potrf_vbatched
+        from repro.core.driver import PotrfOptions
+        from repro.core.interface import potrf_vbatched_max
         from repro.core.batch import VBatch
         from repro.distributions import uniform_sizes
 
@@ -136,13 +137,13 @@ class TestDriverPoolHygiene:
         sizes = uniform_sizes(100, 128, seed=0)
         for approach in ("fused", "separated"):
             b = VBatch.allocate(dev, sizes, "d")
-            run_potrf_vbatched(dev, b, 128, PotrfOptions(approach=approach))
+            potrf_vbatched_max(dev, b, 128, PotrfOptions(approach=approach))
             # Everything the driver took from the pool went back.
             assert dev.pool.pooled_blocks == dev.pool.misses
         # Second run of the same shape is all pool hits for workspaces.
         hits_before = dev.pool.hits
         b = VBatch.allocate(dev, sizes, "d")
-        run_potrf_vbatched(dev, b, 128, PotrfOptions(approach="fused"))
+        potrf_vbatched_max(dev, b, 128, PotrfOptions(approach="fused"))
         assert dev.pool.hits > hits_before
 
     def test_workspaces_released_even_on_failure(self):

@@ -16,7 +16,7 @@ import pytest
 
 from repro import make_spd, make_spd_batch
 from repro.core import PlanCache, PotrfOptions, VBatch
-from repro.core.driver import run_potrf_vbatched
+from repro.core.interface import potrf_vbatched_max
 from repro.device import Device, DeviceGroup
 from repro.errors import AdmissionError, ArgumentError, ServingError
 from repro.serving import BatchServer, closed_loop
@@ -26,7 +26,7 @@ def _direct_factors(matrices, devices=None):
     """Factor ``matrices`` as ONE direct vbatched launch; return factors."""
     device = devices.devices[0] if devices is not None else Device()
     batch = VBatch.from_host(device, matrices)
-    run_potrf_vbatched(
+    potrf_vbatched_max(
         device, batch, max(m.shape[0] for m in matrices), PotrfOptions(), devices=devices
     )
     out = batch.download_matrices()

@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions, run_potrf_vbatched
+from repro.core.driver import PotrfOptions
+from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.device import Device
 from repro.device.kernel import BlockWork, Kernel, LaunchConfig
@@ -95,7 +96,7 @@ class TestDriverInvariants:
         dev = Device(execute_numerics=False)
         b = VBatch.allocate(dev, sizes, "d")
         dev.reset_clock()
-        run_potrf_vbatched(dev, b, int(max(sizes)), PotrfOptions(**opts))
+        potrf_vbatched_max(dev, b, int(max(sizes)), PotrfOptions(**opts))
         return dev.synchronize()
 
     @given(

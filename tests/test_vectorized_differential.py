@@ -184,6 +184,37 @@ class TestBatchCompositionInvariance:
         assert np.array_equal(alone, same)
         assert cholesky_residual(target, alone) < 1e-13
 
+    @pytest.mark.parametrize("n", [33, 129, 257])  # 129/257: one trailing column
+    @pytest.mark.parametrize("approach", ["fused", "separated"])
+    @pytest.mark.parametrize("op", ["getrf", "geqrf"])
+    def test_extension_factor_is_independent_of_batch(self, op, approach, n):
+        from repro.ops import OpOptions, get_op, run_op_vbatched
+
+        rng = np.random.default_rng(n)
+        target = rng.standard_normal((n, n))
+        others = [rng.standard_normal((m, m)) for m in (n, 70, 9, n, 130)]
+        (key,) = get_op(op).output_keys
+
+        def factor_of_target(batch_mats, pos):
+            mats = [m.copy() for m in batch_mats]
+            mats.insert(pos, target.copy())
+            device = Device()
+            batch = VBatch.from_host(device, mats)
+            result = run_op_vbatched(
+                device, batch, None, op, OpOptions(approach=approach)
+            )
+            assert not result.infos.any()
+            out = batch.download_matrices()[pos], result.outputs[key][pos, :n].copy()
+            batch.free()
+            return out
+
+        alone = factor_of_target([], 0)
+        mixed = factor_of_target(others, 2)
+        same = factor_of_target([others[0], others[3]], 1)
+        for got in (mixed, same):
+            assert np.array_equal(alone[0], got[0])
+            assert np.array_equal(alone[1], got[1])
+
 
 class TestEdgeShapes:
     """Tile-order grouping edge cases against the reference path."""

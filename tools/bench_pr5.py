@@ -34,7 +34,7 @@ from perf_smoke import FIG7_SIZES, warm_wall  # noqa: E402
 
 from repro import distributions as dist  # noqa: E402
 from repro.core import PotrfOptions, VBatch  # noqa: E402
-from repro.core.driver import run_potrf_vbatched  # noqa: E402
+from repro.core.interface import potrf_vbatched_max  # noqa: E402
 from repro.device import DeviceGroup  # noqa: E402
 from repro.observability import Tracer, activate, analyze_trace  # noqa: E402
 from repro.serving import run_serve_bench  # noqa: E402
@@ -100,7 +100,7 @@ def fig3_occupancy_section() -> dict:
             batch = VBatch.allocate(group.devices[0], sizes, "d")
             tracer = Tracer()
             with activate(tracer):
-                result = run_potrf_vbatched(
+                result = potrf_vbatched_max(
                     group.devices[0],
                     batch,
                     int(sizes.max()),
@@ -154,7 +154,7 @@ def main() -> int:
             f"CI container, Python {platform.python_version()}, NumPy {np.__version__}"
         ),
         "method": (
-            "fig7 warm wall clock = best of 5 cached-plan run_potrf_vbatched calls "
+            "fig7 warm wall clock = best of 5 cached-plan potrf_vbatched_max calls "
             "(uniform, 300 matrices, fp64, timing-only) per level. serve-bench on the "
             "reduced pr3 config (400 requests, max 256). fig3 occupancy from "
             "analyze_trace over a traced 4-device sharded run. Ablation tables from "

@@ -7,7 +7,7 @@ approximate value (read off the figures) next to the simulated one.
 
 
 from repro import Device, VBatch, potrf_batched_fixed, PotrfOptions
-from repro.core.driver import run_potrf_vbatched
+from repro.core.interface import potrf_vbatched_max
 from repro.distributions import uniform_sizes
 from repro.flops import batch_flops, gflops
 
@@ -25,7 +25,7 @@ def vbatched_gflops(nmax, prec, batch=800, seed=0, **opts):
     sizes = uniform_sizes(batch, nmax, seed=seed)
     b = VBatch.allocate(dev, sizes, prec)
     dev.reset_clock()
-    r = run_potrf_vbatched(dev, b, nmax, PotrfOptions(**opts))
+    r = potrf_vbatched_max(dev, b, nmax, PotrfOptions(**opts))
     return r.gflops
 
 
