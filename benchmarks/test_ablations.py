@@ -8,7 +8,7 @@ causes, not accidental constants.
 
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.device import Device, K40C_CALIBRATION
@@ -102,7 +102,7 @@ def test_ablate_crossover_policy(benchmark):
         sizes = uniform_sizes(800, nmax, seed=0)
         batch = VBatch.allocate(device, sizes, "d")
         device.reset_clock()
-        res = potrf_vbatched_max(device, batch, nmax, PotrfOptions(approach=approach))
+        res = potrf_vbatched_max(device, batch, nmax, OpOptions(approach=approach))
         return res.gflops
 
     def run():

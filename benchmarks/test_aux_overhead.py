@@ -7,7 +7,7 @@ is negligible."
 
 
 from repro.bench.figures import aux_interface_overhead
-from repro.core import PotrfOptions, VBatch, potrf_vbatched, potrf_vbatched_max
+from repro.core import OpOptions, VBatch, potrf_vbatched, potrf_vbatched_max
 from repro.device import Device
 from repro.distributions import uniform_sizes
 
@@ -28,12 +28,12 @@ def test_both_interfaces_agree(benchmark):
         dev_a = Device(execute_numerics=False)
         batch_a = VBatch.allocate(dev_a, sizes, "d")
         dev_a.reset_clock()
-        auto = potrf_vbatched(dev_a, batch_a, PotrfOptions())
+        auto = potrf_vbatched(dev_a, batch_a, OpOptions())
 
         dev_b = Device(execute_numerics=False)
         batch_b = VBatch.allocate(dev_b, sizes, "d")
         dev_b.reset_clock()
-        expert = potrf_vbatched_max(dev_b, batch_b, int(sizes.max()), PotrfOptions())
+        expert = potrf_vbatched_max(dev_b, batch_b, int(sizes.max()), OpOptions())
         return auto, expert
 
     auto, expert = benchmark.pedantic(run_pair, rounds=1, iterations=1, warmup_rounds=0)

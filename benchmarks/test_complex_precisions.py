@@ -10,7 +10,7 @@ on the same data volume, and z constrained hardest by shared memory.
 
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import fused_max_feasible_size
 from repro.device import Device
@@ -24,7 +24,7 @@ def run_prec(prec, approach="auto"):
     device = Device(execute_numerics=False)
     b = VBatch.allocate(device, uniform_sizes(BATCH, NMAX, seed=0), prec)
     device.reset_clock()
-    return potrf_vbatched_max(device, b, NMAX, PotrfOptions(approach=approach))
+    return potrf_vbatched_max(device, b, NMAX, OpOptions(approach=approach))
 
 
 def test_all_four_precisions_run(benchmark):
@@ -63,7 +63,7 @@ def test_complex_crossover_behaviour(benchmark):
         device = Device(execute_numerics=False)
         b = VBatch.allocate(device, uniform_sizes(300, 900, seed=0), "z")
         device.reset_clock()
-        big = potrf_vbatched_max(device, b, 900, PotrfOptions(approach="auto"))
+        big = potrf_vbatched_max(device, b, 900, OpOptions(approach="auto"))
         return small, big
 
     small, big = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)

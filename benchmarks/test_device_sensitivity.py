@@ -10,7 +10,7 @@ and the K20X's smaller 6 GB memory must move the padding-OOM threshold.
 
 from repro.baselines.gpu import run_padding, run_vbatched
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.device import Device, K20X, K40C, TITAN_BLACK
 from repro.distributions import uniform_sizes
 from repro.errors import DeviceOutOfMemory
@@ -22,7 +22,7 @@ def run_on(spec, nmax=512, batch=800, prec="d"):
     device = Device(spec=spec, execute_numerics=False)
     vb = VBatch.allocate(device, uniform_sizes(batch, nmax, seed=0), prec)
     device.reset_clock()
-    return run_vbatched(device, vb, nmax, PotrfOptions()).gflops
+    return run_vbatched(device, vb, nmax, OpOptions()).gflops
 
 
 def test_throughput_orders_by_hardware(benchmark):

@@ -9,7 +9,7 @@ serialization), which is why MAGMA's tuning picks between them.
 
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.separated import SeparatedDriver
 from repro.device import Device
@@ -35,7 +35,7 @@ def test_factorization_family_throughput(benchmark):
     def run():
         out = {}
         device, vb, sizes = _fresh()
-        out["potrf"] = potrf_vbatched_max(device, vb, NMAX, PotrfOptions()).gflops
+        out["potrf"] = potrf_vbatched_max(device, vb, NMAX, OpOptions()).gflops
         device, vb, sizes = _fresh()
         out["getrf"] = getrf_vbatched(device, vb, NMAX).gflops
         device, vb, sizes = _fresh()

@@ -9,7 +9,7 @@ speedup, plus the plan-cache hit rate of a repeated sweep.
 
 import numpy as np
 
-from repro.core import PlanCache, PotrfOptions, VBatch
+from repro.core import OpOptions, PlanCache, VBatch
 from repro.core.interface import potrf_vbatched_max
 from repro.device import Device, DeviceGroup
 from repro.distributions import uniform_sizes
@@ -23,7 +23,7 @@ def _sweep(sizes, counts=DEVICE_COUNTS, partition="flops"):
         group = DeviceGroup.simulated(n_dev, execute_numerics=False, partition=partition)
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
         res = potrf_vbatched_max(
-            batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group
+            batch.device, batch, int(sizes.max()), OpOptions(), devices=group
         )
         rows.append((n_dev, res.elapsed, res.gflops))
     return rows
@@ -90,7 +90,7 @@ def test_plan_cache_hit_rate_on_repeated_sweep(benchmark):
         for _ in range(5):
             batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
             potrf_vbatched_max(
-                batch.device, batch, int(sizes.max()), PotrfOptions(),
+                batch.device, batch, int(sizes.max()), OpOptions(),
                 devices=group, plan_cache=cache,
             )
             batch.free()

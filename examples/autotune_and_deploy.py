@@ -14,7 +14,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import Device, PotrfOptions, VBatch, potrf_vbatched
+from repro import Device, OpOptions, VBatch, potrf_vbatched
 from repro.autotune import Tuner, TuningCache
 from repro.distributions import gaussian_sizes
 
@@ -47,12 +47,12 @@ def main():
         # --- production runs -------------------------------------------
         tuned = run_workload(
             workload,
-            PotrfOptions(
+            OpOptions(
                 nb=nb.choice["nb"],
                 crossover_size=crossover.choice["crossover_size"],
             ),
         )
-        stock = run_workload(workload, PotrfOptions())
+        stock = run_workload(workload, OpOptions())
         print(f"stock defaults : {stock.gflops:7.1f} Gflop/s ({stock.approach})")
         print(f"site-tuned     : {tuned.gflops:7.1f} Gflop/s ({tuned.approach})")
 

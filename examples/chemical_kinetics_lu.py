@@ -54,7 +54,7 @@ def main():
     new_conc = []
     for i, (f, c) in enumerate(zip(factors, concentrations)):
         n = int(species_counts[i])
-        y = apply_pivots(c.copy()[:, None], res.ipivs[i, :n])
+        y = apply_pivots(c.copy()[:, None], res.outputs["ipivs"][i, :n])
         trsm("l", "l", "n", "u", 1.0, f, y)
         trsm("l", "u", "n", "n", 1.0, f, y)
         x = y[:, 0]

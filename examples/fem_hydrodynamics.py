@@ -14,7 +14,7 @@ applies the factors to invert the mass matrix action on a test field.
 
 import numpy as np
 
-from repro import Device, PotrfOptions, VBatch, potrf_vbatched
+from repro import Device, OpOptions, VBatch, potrf_vbatched
 from repro.hostblas import trsm
 
 
@@ -51,7 +51,7 @@ def main():
     device = Device()
     batch = VBatch.from_host(device, elements)
     device.reset_clock()
-    result = potrf_vbatched(device, batch, PotrfOptions(on_error="raise"))
+    result = potrf_vbatched(device, batch, OpOptions(on_error="raise"))
     print(f"vbatched dpotrf: {result.gflops:.1f} Gflop/s via {result.approach}, "
           f"{result.elapsed * 1e3:.3f} ms simulated")
 

@@ -10,7 +10,7 @@ uniform workload over 1/2/4/8 simulated K40c devices, then shows the
 plan cache eliminating planning work on repeated sweeps.
 """
 
-from repro import Device, DeviceGroup, PlanCache, PotrfOptions, VBatch
+from repro import Device, DeviceGroup, OpOptions, PlanCache, VBatch
 from repro.core.interface import potrf_vbatched_max
 from repro.distributions import uniform_sizes
 
@@ -26,7 +26,7 @@ def main():
         group = DeviceGroup.simulated(n_dev, execute_numerics=False, partition="flops")
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
         res = potrf_vbatched_max(
-            batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group
+            batch.device, batch, int(sizes.max()), OpOptions(), devices=group
         )
         base = base or res.elapsed
         print(f"  {n_dev:4d}   {res.elapsed * 1e3:8.4f} ms {res.gflops:9.1f} Gflop/s"
@@ -38,7 +38,7 @@ def main():
     for _ in range(5):
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
         potrf_vbatched_max(
-            batch.device, batch, int(sizes.max()), PotrfOptions(),
+            batch.device, batch, int(sizes.max()), OpOptions(),
             devices=group, plan_cache=cache,
         )
         batch.free()

@@ -9,7 +9,7 @@ vbatched interface, and check every factor against the originals.
 
 import numpy as np
 
-from repro import Device, PotrfOptions, VBatch, make_spd_batch, potrf_vbatched
+from repro import Device, OpOptions, VBatch, make_spd_batch, potrf_vbatched
 from repro.distributions import uniform_sizes
 from repro.flops import batch_flops
 from repro.hostblas import cholesky_residual
@@ -26,7 +26,7 @@ def main():
 
     # Time the factorization only, not the uploads.
     device.reset_clock()
-    result = potrf_vbatched(device, batch, PotrfOptions(on_error="raise"))
+    result = potrf_vbatched(device, batch, OpOptions(on_error="raise"))
 
     print(f"approach selected : {result.approach}")
     print(f"simulated time    : {result.elapsed * 1e3:.3f} ms")

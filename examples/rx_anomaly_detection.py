@@ -16,7 +16,7 @@ band counts: a vbatched POTRF + vbatched POTRS pipeline end to end.
 
 import numpy as np
 
-from repro import Device, PotrfOptions, VBatch, potrf_vbatched, potrs_vbatched
+from repro import Device, OpOptions, VBatch, potrf_vbatched, potrs_vbatched
 
 
 def synthetic_hyperspectral_cube(height, width, bands, seed=0):
@@ -64,7 +64,7 @@ def main():
     device = Device()
     batch = VBatch.from_host(device, covs)
     device.reset_clock()
-    fact = potrf_vbatched(device, batch, PotrfOptions(on_error="raise"))
+    fact = potrf_vbatched(device, batch, OpOptions(on_error="raise"))
     diffs = [r.copy() for r in rhs]
     solve = potrs_vbatched(device, batch, diffs)
     print(f"factorize: {fact.gflops:.1f} Gflop/s ({fact.approach}); "

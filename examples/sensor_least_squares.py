@@ -59,7 +59,7 @@ def main():
     worst_fit = 0.0
     for s, (m, cols) in enumerate(shapes):
         f = factors[s]
-        q = build_q(f, res.taus[s, :m])
+        q = build_q(f, res.outputs["taus"][s, :m])
         r = np.triu(f)[:cols, :cols]
         qty = (q.T @ targets[s])[:cols]
         beta_hat = trsm("l", "u", "n", "n", 1.0, r, qty[:, None].copy())[:, 0]

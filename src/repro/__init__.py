@@ -39,8 +39,9 @@ from .core import (
     CrossoverPolicy,
     LaunchPlan,
     LaunchStats,
+    OpOptions,
+    OpResult,
     PlanCache,
-    PotrfOptions,
     VBatch,
     potrf_batched_fixed,
     potrf_vbatched,
@@ -82,7 +83,8 @@ __all__ = [
     "MklModel",
     "SANDY_BRIDGE_2X8",
     "VBatch",
-    "PotrfOptions",
+    "OpOptions",
+    "OpResult",
     "CrossoverPolicy",
     "potrf_vbatched",
     "potrf_vbatched_max",

@@ -84,7 +84,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .bench import export_chrome_trace, format_profile
-    from .core import PlanCache, PotrfOptions, VBatch, potrf_vbatched
+    from .core import OpOptions, PlanCache, VBatch, potrf_vbatched
     from .core.optimizer import OPTIMIZER_COUNTERS
     from .device import Device
     from .device.device import publish_cost_memo
@@ -100,7 +100,7 @@ def _cmd_profile(args) -> int:
     stats = None
     for _ in range(max(1, args.repeat)):
         result = potrf_vbatched(
-            device, batch, PotrfOptions(optimize=args.optimize), plan_cache=cache
+            device, batch, OpOptions(optimize=args.optimize), plan_cache=cache
         )
         if stats is None:
             stats = result.launch_stats

@@ -6,11 +6,11 @@ import numpy as np
 
 from .. import flops as _flops
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions
 from ..core.interface import potrf_vbatched_max
 from ..core.fixed import potrf_batched_fixed_run
 from ..core.fused import fused_max_feasible_size
 from ..core.padding import pad_to_fixed
+from ..ops.options import OpOptions
 from ..types import Precision
 from .result import BaselineResult
 
@@ -21,10 +21,10 @@ def run_vbatched(
     device,
     batch: VBatch,
     max_n: int,
-    options: PotrfOptions | None = None,
+    options: OpOptions | None = None,
 ) -> BaselineResult:
     """The proposed routine, as a baseline-shaped runner."""
-    res = potrf_vbatched_max(device, batch, max_n, options or PotrfOptions())
+    res = potrf_vbatched_max(device, batch, max_n, options)
     return BaselineResult(
         label=f"magma-vbatched[{res.approach}]",
         elapsed=res.elapsed,

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions
 from ..device import Device
+from ..ops.options import OpOptions
 from ..types import Precision
 from .cpu_mkl import run_cpu_multithreaded
 from .cpu_percore import run_cpu_percore
@@ -26,7 +26,7 @@ def _vbatched(sizes, precision, max_n, **kwargs):
     device = Device(execute_numerics=False)
     batch = VBatch.allocate(device, sizes, precision)
     device.reset_clock()
-    return run_vbatched(device, batch, max_n, PotrfOptions(**kwargs))
+    return run_vbatched(device, batch, max_n, OpOptions(**kwargs))
 
 
 def _padding(sizes, precision, max_n, **kwargs):

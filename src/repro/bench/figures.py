@@ -17,7 +17,6 @@ from ..baselines import BASELINES, run_baseline
 from ..core.batch import VBatch
 from ..core.blas_steps import BlasStepDriver
 from ..core.crossover import CrossoverPolicy
-from ..core.driver import PotrfOptions
 from ..core.interface import potrf_vbatched_max
 from ..core.fused import FusedDriver, fused_max_feasible_size
 from ..core.separated import SeparatedDriver
@@ -26,6 +25,7 @@ from ..energy import run_energy_experiment
 from ..errors import DeviceOutOfMemory, LaunchError
 from ..flops import batch_flops, gflops
 from ..kernels.aux import compute_max_size
+from ..ops.options import OpOptions
 from ..types import Precision
 from .harness import FigureResult
 
@@ -56,7 +56,7 @@ def _fresh_batch(sizes, precision) -> tuple[Device, VBatch]:
     return device, batch
 
 
-def _run_gflops(sizes, precision, max_n, options: PotrfOptions) -> float:
+def _run_gflops(sizes, precision, max_n, options: OpOptions) -> float:
     device, batch = _fresh_batch(sizes, precision)
     res = potrf_vbatched_max(device, batch, max_n, options)
     return res.gflops
@@ -154,7 +154,7 @@ def _fused_variants(
         for label, etm, sorting in _VARIANTS:
             val = _run_gflops(
                 sizes, prec, nmax,
-                PotrfOptions(approach="fused", etm=etm, sorting=sorting),
+                OpOptions(approach="fused", etm=etm, sorting=sorting),
             )
             results[label].append(val)
     for label, _, _ in _VARIANTS:
@@ -220,13 +220,13 @@ def fig7_crossover(
                 rows[approach].append(
                     _run_gflops(
                         sizes, prec, nmax,
-                        PotrfOptions(approach=approach, optimize=optimize),
+                        OpOptions(approach=approach, optimize=optimize),
                     )
                 )
             except (LaunchError, DeviceOutOfMemory):
                 rows[approach].append(float("nan"))
         rows["switch"].append(
-            _run_gflops(sizes, prec, nmax, PotrfOptions(approach="auto", optimize=optimize))
+            _run_gflops(sizes, prec, nmax, OpOptions(approach="auto", optimize=optimize))
         )
     for label in ("fused", "separated", "switch"):
         fig.add(label, rows[label])
@@ -359,7 +359,7 @@ def aux_interface_overhead(
     t0 = device.synchronize()
     max_n = compute_max_size(device, batch)
     overhead = device.synchronize() - t0
-    res = potrf_vbatched_max(device, batch, max_n, PotrfOptions())
+    res = potrf_vbatched_max(device, batch, max_n, OpOptions())
     total = overhead + res.elapsed
 
     fig = FigureResult(

@@ -25,11 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions
 from ..core.interface import potrf_vbatched_max
 from ..device.device import Device
 from ..device.hetero import HeteroGroup
 from ..distributions import uniform_sizes
+from ..ops.options import OpOptions
 from ..types import Precision
 
 __all__ = ["check_hetero_acceptance", "run_hetero_bench"]
@@ -46,7 +46,7 @@ def _run_group(group: HeteroGroup, sizes: np.ndarray, prec: Precision):
     batch = VBatch.allocate(staging, sizes, prec)
     try:
         return potrf_vbatched_max(
-            staging, batch, int(sizes.max()), PotrfOptions(), devices=group
+            staging, batch, int(sizes.max()), OpOptions(), devices=group
         )
     finally:
         batch.free()
@@ -58,7 +58,7 @@ def _single_device_time(sizes: np.ndarray, prec: Precision, approach: str) -> fl
     batch = VBatch.allocate(dev, sizes, prec)
     try:
         result = potrf_vbatched_max(
-            dev, batch, int(sizes.max()), PotrfOptions(approach=approach)
+            dev, batch, int(sizes.max()), OpOptions(approach=approach)
         )
         return float(result.elapsed)
     finally:

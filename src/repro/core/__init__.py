@@ -12,7 +12,8 @@ from .interface import (
     potrf_vbatched,
     potrf_vbatched_max,
     potrf_batched_fixed,
-    PotrfOptions,
+    OpOptions,
+    OpResult,
 )
 from .crossover import CrossoverPolicy
 from .driver import LaunchStats
@@ -31,7 +32,8 @@ __all__ = [
     "potrf_vbatched",
     "potrf_vbatched_max",
     "potrf_batched_fixed",
-    "PotrfOptions",
+    "OpOptions",
+    "OpResult",
     "CrossoverPolicy",
     "LaunchStats",
     "LaunchPlan",

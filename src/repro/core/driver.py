@@ -1,14 +1,13 @@
-"""POTRF planning knobs and the launch accounting every driver shares.
+"""The POTRF planner choice and the launch accounting every driver shares.
 
 The factorization itself runs through the one op driver,
 :func:`repro.ops.driver.run_op_vbatched` (the public interface in
-:mod:`repro.core.interface` calls it with the ``"potrf"`` tag).  This
-module keeps what is POTRF's own and what the driver folds results
-into:
+:mod:`repro.core.interface` calls it with the ``"potrf"`` tag), with
+the one :class:`~repro.ops.options.OpOptions` type.  This module keeps
+what is POTRF's own and what the driver folds results into:
 
-* :class:`PotrfOptions` and :func:`make_planner` — the approach
-  (paper §III-F) picks the *planner*
-  (:class:`~repro.core.fused.FusedDriver` /
+* :func:`make_planner` — the approach (paper §III-F) picks the
+  *planner* (:class:`~repro.core.fused.FusedDriver` /
   :class:`~repro.core.separated.SeparatedDriver`) the op registry's
   POTRF entry hands the batch to;
 * :class:`LaunchStats` and :func:`stats_from_execution` — the typed
@@ -20,52 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from ..errors import ArgumentError
 from .fused import FusedDriver
-from .optimizer import resolve_passes
 from .separated import SeparatedDriver
 
-__all__ = ["LaunchStats", "PotrfOptions", "make_planner", "stats_from_execution"]
-
-
-@dataclass(frozen=True)
-class PotrfOptions:
-    """Knobs of the vbatched POTRF planners.
-
-    ``approach`` is ``"auto"`` (crossover policy), ``"fused"`` or
-    ``"separated"``.  ``on_error`` selects LAPACK-style reporting:
-    ``"info"`` returns per-matrix codes, ``"raise"`` additionally raises
-    :class:`BatchNumericalError` if any matrix failed (only meaningful
-    when the device executes numerics).
-    """
-
-    approach: str = "auto"
-    etm: str = "aggressive"
-    sorting: bool = True
-    nb: int | None = None
-    panel_nb: int = 128
-    syrk_mode: str = "vbatched"
-    crossover_size: int | None = None
-    on_error: str = "info"
-    #: Plan-optimizer level: "none", "all", a pass name, or a
-    #: "+"-joined combination (see :mod:`repro.core.optimizer`).
-    optimize: str = "none"
-
-    def __post_init__(self):
-        try:
-            resolve_passes(self.optimize)
-        except ValueError as exc:
-            raise ArgumentError(9, str(exc)) from None
-        if self.approach not in ("auto", "fused", "separated"):
-            raise ArgumentError(1, f"bad approach {self.approach!r}")
-        if self.etm not in ("classic", "aggressive"):
-            raise ArgumentError(2, f"bad etm {self.etm!r} (use 'classic' or 'aggressive')")
-        if self.syrk_mode not in ("vbatched", "streamed"):
-            raise ArgumentError(
-                6, f"bad syrk_mode {self.syrk_mode!r} (use 'vbatched' or 'streamed')"
-            )
-        if self.on_error not in ("info", "raise"):
-            raise ArgumentError(8, f"bad on_error {self.on_error!r}")
+__all__ = ["LaunchStats", "make_planner", "stats_from_execution"]
 
 
 @dataclass
@@ -197,8 +154,10 @@ class LaunchStats:
             )
 
 
-def make_planner(device, approach: str, options: PotrfOptions):
-    """The planner object for a resolved (non-auto) approach."""
+def make_planner(device, approach: str, options):
+    """The planner for a resolved (non-auto) approach, configured from
+    :class:`~repro.ops.options.OpOptions` with POTRF's defaults
+    resolved."""
     if approach == "fused":
         return FusedDriver(device, etm=options.etm, sorting=options.sorting, nb=options.nb)
     return SeparatedDriver(

@@ -12,7 +12,8 @@ Two interfaces, exactly as proposed:
 Plus :func:`potrf_batched_fixed` for the classic fixed-size case.
 
 Both vbatched entry points run through the one op driver,
-:func:`repro.ops.driver.run_op_vbatched`, under the ``"potrf"`` tag and
+:func:`repro.ops.driver.run_op_vbatched`, under the ``"potrf"`` tag:
+they take the :class:`~repro.ops.options.OpOptions` every op takes and
 return its :class:`~repro.ops.driver.OpResult`.
 """
 
@@ -21,15 +22,16 @@ from __future__ import annotations
 from ..errors import ArgumentError
 from ..kernels.aux import compute_max_size
 from ..ops.driver import OpResult, run_op_vbatched
+from ..ops.options import OpOptions
 from .batch import VBatch
-from .driver import PotrfOptions
 from .fixed import potrf_batched_fixed_run
 
 __all__ = [
     "potrf_vbatched",
     "potrf_vbatched_max",
     "potrf_batched_fixed",
-    "PotrfOptions",
+    "OpOptions",
+    "OpResult",
 ]
 
 
@@ -37,7 +39,7 @@ def potrf_vbatched_max(
     device,
     batch: VBatch,
     max_n: int,
-    options: PotrfOptions | None = None,
+    options: OpOptions | None = None,
     *,
     devices=None,
     plan_cache=None,
@@ -64,7 +66,7 @@ def potrf_vbatched_max(
         batch,
         max_n,
         "potrf",
-        options or PotrfOptions(),
+        options,
         devices=devices,
         plan_cache=plan_cache,
         optimize=optimize,
@@ -74,7 +76,7 @@ def potrf_vbatched_max(
 def potrf_vbatched(
     device,
     batch: VBatch,
-    options: PotrfOptions | None = None,
+    options: OpOptions | None = None,
     *,
     devices=None,
     plan_cache=None,

@@ -163,7 +163,7 @@ class ComputeMember(abc.ABC):
             from ..ops.registry import get_op
 
             return get_op(op).choose_approach(precision, int(np.max(sizes)), options)
-        approach = getattr(options, "approach", "auto")
+        approach = options.approach
         if approach != "auto":
             return approach
         return min(
@@ -225,8 +225,8 @@ def _probe_gpu_coefficients(
     group each get their own coefficients.
     """
     from ..core.batch import VBatch
-    from ..core.driver import PotrfOptions
     from ..core.interface import potrf_vbatched_max
+    from ..ops.options import OpOptions
 
     prec = Precision(precision)
     key = (spec, calibration, prec, approach)
@@ -234,7 +234,7 @@ def _probe_gpu_coefficients(
     if cached is not None:
         return cached
 
-    options = PotrfOptions(approach=approach)
+    options = OpOptions(approach=approach)
     rows, times = [], []
     for sizes in _probe_batches():
         dev = Device(spec=spec, calibration=calibration, execute_numerics=False)

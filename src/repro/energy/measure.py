@@ -19,7 +19,7 @@ import numpy as np
 from ..baselines.cpu_percore import run_cpu_percore
 from ..baselines.gpu import run_vbatched
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions
+from ..ops.options import OpOptions
 from ..cpu.power import CpuPowerModel, SANDY_BRIDGE_POWER
 from ..device import Device
 from ..device.power import GpuPowerModel, K40C_POWER
@@ -88,7 +88,7 @@ def measure_gpu_energy(
     precision: Precision | str = Precision.D,
     cpu_power: CpuPowerModel = SANDY_BRIDGE_POWER,
     gpu_power: GpuPowerModel = K40C_POWER,
-    options: PotrfOptions | None = None,
+    options: OpOptions | None = None,
 ) -> EnergyReading:
     """Energy of the proposed vbatched routine on the simulated K40c."""
     sizes = np.asarray(sizes, dtype=np.int64)

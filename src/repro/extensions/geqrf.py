@@ -21,11 +21,8 @@ the generic operation driver, so ``plan_cache=``, ``optimize=`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .. import flops as _flops
 from ..core.batch import VBatch
 from ..core.plan import LaunchPlan, PlanBuilder
 from ..core.sorting import partition_windows, sorted_order
@@ -35,27 +32,9 @@ from ..kernels.gemm import GemmTask, VbatchedGemmKernel
 from ..types import precision_info
 from .kernels import LarfbUpdateGemmKernel, OpRunStats, PanelGeqr2Kernel
 
-__all__ = ["GeqrfResult", "geqrf_vbatched", "plan_geqrf"]
+__all__ = ["geqrf_vbatched", "plan_geqrf"]
 
 _WINDOW_MIN_COUNT = 256
-
-
-@dataclass
-class GeqrfResult:
-    """Outcome of one vbatched QR run."""
-
-    elapsed: float
-    total_flops: float
-    taus: np.ndarray  # (batch, max_n)
-    launch_stats: object = field(default_factory=dict)
-    approach: str = "separated"
-    #: Heterogeneous runs only (see :class:`~repro.ops.driver.OpResult`).
-    placement: list | None = None
-    member_stats: list | None = None
-
-    @property
-    def gflops(self) -> float:
-        return _flops.gflops(self.total_flops, self.elapsed)
 
 
 def plan_geqrf(
@@ -173,18 +152,19 @@ def geqrf_vbatched(
     device,
     batch: VBatch,
     max_n: int | None = None,
-    panel_nb: int = 64,
+    panel_nb: int | None = None,
     *,
     options=None,
     devices=None,
     plan_cache=None,
     optimize: str | None = None,
-) -> GeqrfResult:
+):
     """QR-factorize every matrix in the batch, in place (LAPACK storage).
 
     ``R`` lands in each upper triangle, the Householder vectors below
-    the diagonal; the result carries the per-matrix ``tau`` scalars.
-    ``max_n`` defaults to a device-side reduction.  ``options`` is an
+    the diagonal; the :class:`~repro.ops.driver.OpResult` carries the
+    per-matrix ``tau`` scalars in ``outputs["taus"]``.  ``max_n``
+    defaults to a device-side reduction.  ``options`` is an
     :class:`~repro.ops.options.OpOptions`; the scaling hooks
     (``devices=``, ``plan_cache=``, ``optimize=``) match the POTRF
     driver.
@@ -194,16 +174,7 @@ def geqrf_vbatched(
 
     if options is None:
         options = OpOptions(panel_nb=panel_nb)
-    result = run_op_vbatched(
+    return run_op_vbatched(
         device, batch, max_n, "geqrf", options,
         devices=devices, plan_cache=plan_cache, optimize=optimize,
-    )
-    return GeqrfResult(
-        elapsed=result.elapsed,
-        total_flops=result.total_flops,
-        taus=result.outputs["taus"],
-        launch_stats=result.launch_stats,
-        approach=result.approach,
-        placement=result.placement,
-        member_stats=result.member_stats,
     )

@@ -32,7 +32,7 @@ from ..errors import ArgumentError
 from ..types import precision_info
 from .kernels import JacobiSweepKernel, OpRunStats, SvdConvergenceKernel, SvdFinalizeKernel
 
-__all__ = ["GesvjResult", "SvdState", "gesvj_vbatched", "plan_gesvj"]
+__all__ = ["SvdState", "gesvj_vbatched", "plan_gesvj"]
 
 _WINDOW_MIN_COUNT = 256
 
@@ -82,31 +82,6 @@ class _SvdResetKernel(SvdConvergenceKernel):
 
     def run_numerics(self) -> None:
         self.state.reset(self.batch)
-
-
-@dataclass
-class GesvjResult:
-    """Outcome of one vbatched SVD run.
-
-    Each batch matrix holds ``U`` in place after execution;
-    ``singular_values[i, :n_i]`` descends and ``vt[i]`` is the matching
-    right-factor transpose.
-    """
-
-    elapsed: float
-    total_flops: float
-    singular_values: np.ndarray  # (batch, max_n)
-    vt: dict
-    sweeps: int
-    launch_stats: object = field(default_factory=dict)
-    approach: str = "jacobi"
-    #: Heterogeneous runs only (see :class:`~repro.ops.driver.OpResult`).
-    placement: list | None = None
-    member_stats: list | None = None
-
-    @property
-    def gflops(self) -> float:
-        return _flops.gflops(self.total_flops, self.elapsed)
 
 
 def plan_gesvj(
@@ -203,31 +178,18 @@ def gesvj_vbatched(
     devices=None,
     plan_cache=None,
     optimize: str | None = None,
-) -> GesvjResult:
+):
     """SVD every matrix in the batch: ``A_i = U_i diag(s_i) V_i^T``.
 
-    ``U`` replaces each matrix in place; the result carries the
-    descending singular values, per-matrix ``V^T`` and the sweep
-    budget.  Scaling hooks are the op driver's
-    (:func:`~repro.ops.driver.run_op_vbatched`).
+    ``U`` replaces each matrix in place; the
+    :class:`~repro.ops.driver.OpResult` carries the descending
+    ``outputs["singular_values"]``, per-matrix ``outputs["vt"]`` and
+    each matrix's ``outputs["sweeps_done"]``.  Scaling hooks are the op
+    driver's (:func:`~repro.ops.driver.run_op_vbatched`).
     """
     from ..ops.driver import run_op_vbatched
-    from ..ops.options import OpOptions
 
-    if options is None:
-        options = OpOptions()
-    result = run_op_vbatched(
+    return run_op_vbatched(
         device, batch, max_n, "gesvj", options,
         devices=devices, plan_cache=plan_cache, optimize=optimize,
-    )
-    return GesvjResult(
-        elapsed=result.elapsed,
-        total_flops=result.total_flops,
-        singular_values=result.outputs["singular_values"],
-        vt=result.outputs["vt"],
-        sweeps=int(result.meta.get("sweeps", 0)),
-        launch_stats=result.launch_stats,
-        approach=result.approach,
-        placement=result.placement,
-        member_stats=result.member_stats,
     )

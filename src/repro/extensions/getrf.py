@@ -19,11 +19,8 @@ all apply).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .. import flops as _flops
 from ..core.batch import VBatch
 from ..core.plan import LaunchPlan, PlanBuilder
 from ..core.sorting import partition_windows, sorted_order
@@ -32,32 +29,9 @@ from ..kernels.aux import StepSizesKernel
 from ..kernels.gemm import GemmTask, VbatchedGemmKernel
 from .kernels import LeftTrsmKernel, OpRunStats, PanelGetf2Kernel, RowSwapKernel
 
-__all__ = ["GetrfResult", "getrf_vbatched", "plan_getrf"]
+__all__ = ["getrf_vbatched", "plan_getrf"]
 
 _WINDOW_MIN_COUNT = 256
-
-
-@dataclass
-class GetrfResult:
-    """Outcome of one vbatched LU run."""
-
-    elapsed: float
-    total_flops: float
-    infos: np.ndarray
-    ipivs: np.ndarray  # (batch, max_n), 1-based rows, 0 where unused
-    launch_stats: object = field(default_factory=dict)
-    approach: str = "separated"
-    #: Heterogeneous runs only (see :class:`~repro.ops.driver.OpResult`).
-    placement: list | None = None
-    member_stats: list | None = None
-
-    @property
-    def gflops(self) -> float:
-        return _flops.gflops(self.total_flops, self.elapsed)
-
-    @property
-    def failed_count(self) -> int:
-        return int(np.count_nonzero(self.infos))
 
 
 def plan_getrf(
@@ -178,18 +152,19 @@ def getrf_vbatched(
     device,
     batch: VBatch,
     max_n: int | None = None,
-    panel_nb: int = 64,
+    panel_nb: int | None = None,
     *,
     options=None,
     devices=None,
     plan_cache=None,
     optimize: str | None = None,
-) -> GetrfResult:
+):
     """LU-factorize every matrix in the batch, in place.
 
     Each matrix ends up holding ``L`` (unit lower, implicit diagonal)
-    and ``U`` in LAPACK storage; the result carries per-matrix 1-based
-    pivot rows and info codes.  ``max_n`` defaults to a device-side
+    and ``U`` in LAPACK storage; the :class:`~repro.ops.driver.OpResult`
+    carries per-matrix info codes and 1-based pivot rows in
+    ``outputs["ipivs"]``.  ``max_n`` defaults to a device-side
     reduction (the LAPACK-like interface path).
     """
     from ..ops.driver import run_op_vbatched
@@ -197,17 +172,7 @@ def getrf_vbatched(
 
     if options is None:
         options = OpOptions(panel_nb=panel_nb)
-    result = run_op_vbatched(
+    return run_op_vbatched(
         device, batch, max_n, "getrf", options,
         devices=devices, plan_cache=plan_cache, optimize=optimize,
-    )
-    return GetrfResult(
-        elapsed=result.elapsed,
-        total_flops=result.total_flops,
-        infos=result.infos,
-        ipivs=result.outputs["ipivs"],
-        launch_stats=result.launch_stats,
-        approach=result.approach,
-        placement=result.placement,
-        member_stats=result.member_stats,
     )

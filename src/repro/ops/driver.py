@@ -4,11 +4,12 @@
 POTRF included: resolve the op tag, pick an approach (per-op
 crossover), plan (or re-serve from a
 :class:`~repro.core.plan.PlanCache` — the op tag is a structural key
-component), execute, and collect a uniform :class:`OpResult`.  The
-public POTRF interface (:mod:`repro.core.interface`) is a thin call
-into it; POTRF's tuned planner knobs ride in
-:class:`~repro.core.driver.PotrfOptions`, which its registry entry
-plans from.
+component), execute, and collect a uniform :class:`OpResult`.  Every
+public entry point (:mod:`repro.core.interface`, the QR/LU/SVD
+wrappers, posv/gesv) is a thin call into it.  One
+:class:`~repro.ops.options.OpOptions` type carries every op's knobs;
+fields left ``None`` take the op's tuned defaults when its plan is
+built.
 
 Placement is a parameter, not a separate driver:
 
@@ -56,7 +57,10 @@ class OpResult:
     ``outputs`` maps the op's output keys (``taus``, ``ipivs``,
     ``singular_values``, ``vt``, ``sweeps_done``) to batch-global
     containers; ``meta`` is the executed plan's metadata (single-device
-    runs) or a small summary (sharded/hetero runs).  With a
+    runs) or a small summary (sharded/hetero runs).  A posv/gesv
+    result (``op`` names the solve) covers factor + solve in
+    ``elapsed`` and ``total_flops`` and splits the time in
+    ``meta["factor_elapsed"]``/``meta["solve_elapsed"]``.  With a
     ``plan_cache`` the single-device output arrays belong to the cached
     plan — a later re-serve of the same plan refreshes them in place.
     """
@@ -96,7 +100,12 @@ def plan_op(
 
     def build():
         built.append(True)
-        plan = op_desc.planner(device, batch, max_n, options, approach)
+        # Defaults resolve here, after the cache lookup: the key holds
+        # the caller's options object, so a warm lookup matches it by
+        # identity instead of comparing fields.
+        plan = op_desc.planner(
+            device, batch, max_n, op_desc.resolve_options(options), approach
+        )
         # Every plan carries its operation tag; the executor stamps it
         # on kernel spans so mixed-op traces attribute time per op.
         plan.meta.setdefault("op", op_desc.name)
@@ -179,9 +188,7 @@ def run_op_vbatched(
     devices) shards or places the batch; ``plan_cache`` re-serves
     previously built plans for batches with identical size vectors;
     ``optimize`` overrides ``options.optimize`` (a plan-optimizer
-    level, see :mod:`repro.core.optimizer`).  ``options`` is an
-    :class:`~repro.ops.options.OpOptions`, or for ``"potrf"`` also a
-    :class:`~repro.core.driver.PotrfOptions`.
+    level, see :mod:`repro.core.optimizer`).
     """
     op_desc = get_op(op)
     if op_desc.planner is None:

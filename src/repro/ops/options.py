@@ -1,8 +1,8 @@
-"""Options shared by the extension-operation drivers (QR/LU/SVD).
+"""The one options type of every vbatched op.
 
-A deliberately small, frozen (hashable — it rides in plan-cache keys)
-subset of :class:`~repro.core.driver.PotrfOptions`: the knobs every
-panel-sweep planner has, plus the Jacobi-SVD sweep controls.
+Frozen (hashable — it rides in plan-cache keys).  Each op reads the
+knobs its planner has and ignores the rest: the POTRF planners take
+``etm``/``nb``/``syrk_mode``, the Jacobi SVD ``sweeps``/``tol``.
 """
 
 from __future__ import annotations
@@ -17,22 +17,31 @@ __all__ = ["OpOptions"]
 
 @dataclass(frozen=True)
 class OpOptions:
-    """Knobs of the generic vbatched operation driver.
+    """Knobs of the vbatched operation driver.
 
     ``approach`` is ``"auto"`` (per-op crossover policy), ``"fused"``
     (one whole-matrix launch per size window) or ``"separated"`` (the
-    blocked panel sweep); the SVD ignores it (single Jacobi path).
-    ``sorting`` enables implicit-sorting windows (fused) / sorted task
-    order (separated) — off by default so the default path is
-    launch-for-launch identical to the historical eager drivers.
-    ``sweeps``/``tol`` drive the Jacobi SVD.  ``on_error`` mirrors the
-    POTRF option: ``"raise"`` turns failed infos into
-    :class:`~repro.errors.BatchNumericalError`.
+    blocked panel sweep); the SVD has one Jacobi path and takes only
+    ``"auto"``.  ``sorting`` enables implicit-sorting windows (fused) /
+    sorted task order (separated).  ``sorting`` and ``panel_nb`` left
+    ``None`` take the op's tuned value
+    (:attr:`~repro.ops.registry.Operation.defaults`): POTRF sorts and
+    uses 128-wide panels, the other ops run unsorted with 64-wide
+    panels.  ``etm`` (early-termination mechanism), ``nb`` (inner
+    blocking) and ``syrk_mode`` steer the POTRF planners;
+    ``sweeps``/``tol`` drive the Jacobi SVD.  ``on_error`` selects
+    LAPACK-style reporting: ``"info"`` returns per-matrix codes,
+    ``"raise"`` additionally raises
+    :class:`~repro.errors.BatchNumericalError` if any matrix failed
+    (only meaningful when the device executes numerics).
     """
 
     approach: str = "auto"
-    panel_nb: int = 64
-    sorting: bool = False
+    etm: str = "aggressive"
+    sorting: bool | None = None
+    nb: int | None = None
+    panel_nb: int | None = None
+    syrk_mode: str = "vbatched"
     crossover_size: int | None = None
     sweeps: int | None = None
     tol: float = 1.0e-10
@@ -48,10 +57,16 @@ class OpOptions:
             raise ArgumentError(9, str(exc)) from None
         if self.approach not in ("auto", "fused", "separated"):
             raise ArgumentError(1, f"bad approach {self.approach!r}")
-        if self.panel_nb <= 0:
+        if self.etm not in ("classic", "aggressive"):
+            raise ArgumentError(2, f"bad etm {self.etm!r} (use 'classic' or 'aggressive')")
+        if self.panel_nb is not None and self.panel_nb <= 0:
             raise ArgumentError(4, f"panel_nb must be positive, got {self.panel_nb}")
         if self.sweeps is not None and self.sweeps <= 0:
             raise ArgumentError(5, f"sweeps must be positive, got {self.sweeps}")
+        if self.syrk_mode not in ("vbatched", "streamed"):
+            raise ArgumentError(
+                6, f"bad syrk_mode {self.syrk_mode!r} (use 'vbatched' or 'streamed')"
+            )
         if self.tol <= 0.0:
             raise ArgumentError(7, f"tol must be positive, got {self.tol}")
         if self.on_error not in ("info", "raise"):

@@ -18,7 +18,7 @@ Two kinds of entries coexist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .. import flops as _flops
@@ -40,7 +40,9 @@ class Operation:
     alias that factors via ``base``.  ``default_crossover`` feeds the
     fused/separated :class:`~repro.core.crossover.CrossoverPolicy` when
     ``options.approach == "auto"`` (``None`` = the potrf-tuned
-    per-precision table).
+    per-precision table).  ``defaults`` holds the op's tuned values of
+    the :class:`~repro.ops.options.OpOptions` fields a caller leaves
+    ``None``.
     """
 
     name: str
@@ -54,6 +56,13 @@ class Operation:
     real_only: bool = False
     needs_rhs: bool = False
     output_keys: tuple = field(default=())
+    defaults: tuple = (("sorting", False), ("panel_nb", 64))
+
+    def resolve_options(self, options):
+        """``options`` with every field left ``None`` set to this op's
+        tuned value (see :attr:`defaults`)."""
+        unset = {name: value for name, value in self.defaults if getattr(options, name) is None}
+        return replace(options, **unset) if unset else options
 
     def choose_approach(self, precision: Precision, max_n: int, options) -> str:
         """Resolve ``options.approach`` ("auto" -> crossover policy)."""
@@ -109,17 +118,8 @@ def list_ops(*, plannable: bool | None = None) -> tuple:
 
 
 def _plan_potrf(device, batch, max_n, options, approach):
-    from ..core.driver import PotrfOptions, make_planner
+    from ..core.driver import make_planner
 
-    if not isinstance(options, PotrfOptions):
-        # POTRF keeps its tuned planner defaults (ETM, sorting, NB=128
-        # panels); an OpOptions forwards only the knobs it shares.
-        options = PotrfOptions(
-            approach=options.approach,
-            crossover_size=options.crossover_size,
-            on_error=options.on_error,
-            optimize=options.optimize,
-        )
     return make_planner(device, approach, options).plan(batch, max_n)
 
 
@@ -160,6 +160,8 @@ register(
         spd_input=True,
         # None -> the potrf-tuned DEFAULT_CROSSOVER table.
         default_crossover=None,
+        # Implicit sorting and NB=128 panels: the paper's tuned planners.
+        defaults=(("sorting", True), ("panel_nb", 128)),
     )
 )
 

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import threading
 
-from ..core.driver import LaunchStats, PotrfOptions
+from ..core.driver import LaunchStats
 from ..core.plan import PlanCache
 from ..device.executor import ExecutionStats
 from ..device.topology import DeviceGroup
 from ..errors import ArgumentError
 from ..observability.registry import MetricsRegistry
+from ..ops.options import OpOptions
 from .faults import ReplicaHealth
 from .server import BatchServer
 
@@ -74,7 +75,7 @@ def build_fleet(
     policy: str = "greedy-window",
     max_batch: int = 32,
     max_wait: float = 2e-3,
-    options: PotrfOptions | None = None,
+    options: OpOptions | None = None,
     optimize: str | None = None,
     plan_cache: PlanCache | None = None,
     fault_injector=None,

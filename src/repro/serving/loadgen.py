@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.driver import PotrfOptions
 from ..core.plan import PlanCache
 from ..device.device import Device
 from ..device.topology import DeviceGroup
@@ -122,7 +121,7 @@ def _make_server(
         max_batch=max_batch,
         max_wait=max_wait,
         plan_cache=PlanCache(max_plans=64),
-        options=PotrfOptions(optimize=optimize),
+        optimize=optimize,
         name=f"{label}:serving",
         **target,
     )

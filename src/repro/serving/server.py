@@ -36,7 +36,6 @@ from dataclasses import replace
 import numpy as np
 
 from ..core.batch import VBatch
-from ..core.driver import PotrfOptions
 from ..core.plan import PlanCache
 from ..device.device import Device, cost_memo_stats
 from ..device.hetero import HeteroGroup
@@ -83,15 +82,12 @@ class BatchServer:
         backpressure (submit waits for space — needs a running worker),
         ``"reject"`` raises :class:`~repro.errors.AdmissionError`.
     options:
-        :class:`~repro.core.driver.PotrfOptions` for every POTRF
-        dispatch.
-    op_options:
-        :class:`~repro.ops.options.OpOptions` for every non-POTRF
-        dispatch (QR/LU/SVD batches).
+        :class:`~repro.ops.options.OpOptions` for every dispatch;
+        fields left ``None`` take each batch's op defaults (POTRF and
+        QR/LU/SVD batches plan with their own tuned values).
     optimize:
         Plan-optimizer pass level for every dispatch (overrides
-        ``options.optimize`` and ``op_options.optimize``); see
-        :mod:`repro.core.optimizer`.
+        ``options.optimize``); see :mod:`repro.core.optimizer`.
     plan_cache:
         ``"auto"`` (default) creates a private thread-safe
         :class:`~repro.core.plan.PlanCache`; pass an instance to share
@@ -135,8 +131,7 @@ class BatchServer:
         deadline_margin: float = 0.0,
         queue_limit: int = 1024,
         admission: str = "block",
-        options: PotrfOptions | None = None,
-        op_options: OpOptions | None = None,
+        options: OpOptions | None = None,
         optimize: str | None = None,
         plan_cache: PlanCache | str | None = "auto",
         fault_injector=None,
@@ -159,12 +154,9 @@ class BatchServer:
         else:
             self.device = device if device is not None else Device()
             self.group = None
-        self.options = options or PotrfOptions()
-        self.op_options = op_options or OpOptions()
+        self.options = options or OpOptions()
         if optimize is not None and optimize != self.options.optimize:
             self.options = replace(self.options, optimize=optimize)
-        if optimize is not None and optimize != self.op_options.optimize:
-            self.op_options = replace(self.op_options, optimize=optimize)
         self.plan_cache = PlanCache() if plan_cache == "auto" else plan_cache
         self.fault_injector = fault_injector
         self.queue_limit = int(queue_limit)
@@ -317,15 +309,8 @@ class BatchServer:
             if crossover_size is not _UNSET:
                 if crossover_size != self.options.crossover_size:
                     self.options = replace(self.options, crossover_size=crossover_size)
-                if crossover_size != self.op_options.crossover_size:
-                    self.op_options = replace(
-                        self.op_options, crossover_size=crossover_size
-                    )
-            if optimize is not None:
-                if optimize != self.options.optimize:
-                    self.options = replace(self.options, optimize=optimize)
-                if optimize != self.op_options.optimize:
-                    self.op_options = replace(self.op_options, optimize=optimize)
+            if optimize is not None and optimize != self.options.optimize:
+                self.options = replace(self.options, optimize=optimize)
             self._cond.notify_all()
 
     def cancel(self, req_id: int) -> str:
@@ -579,7 +564,7 @@ class BatchServer:
                     batch,
                     max_n,
                     op_key,
-                    self.options if op_key == "potrf" else self.op_options,
+                    self.options,
                     devices=self.group,
                     plan_cache=self.plan_cache,
                 )

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from repro import (
     Device,
-    PotrfOptions,
+    OpOptions,
     VBatch,
     make_spd_batch,
     potrf_batched_fixed,
@@ -200,7 +200,7 @@ class TestPublicInterface:
         dev = Device()
         mats = make_spd_batch([40, 90], "d", seed=8)
         b = VBatch.from_host(dev, mats)
-        res = potrf_vbatched(dev, b, PotrfOptions(approach=approach))
+        res = potrf_vbatched(dev, b, OpOptions(approach=approach))
         expected = approach if approach != "auto" else "fused"
         assert res.approach == expected
         assert max(residuals(mats, b)) < 1e-13
@@ -230,14 +230,14 @@ class TestPublicInterface:
         bad[2, 2] = -1.0
         b = VBatch.from_host(dev, [bad])
         with pytest.raises(BatchNumericalError) as ei:
-            potrf_vbatched(dev, b, PotrfOptions(on_error="raise"))
+            potrf_vbatched(dev, b, OpOptions(on_error="raise"))
         assert ei.value.infos == {0: 3}
 
     def test_options_validation(self):
         with pytest.raises(ArgumentError):
-            PotrfOptions(approach="warp")
+            OpOptions(approach="warp")
         with pytest.raises(ArgumentError):
-            PotrfOptions(on_error="ignore")
+            OpOptions(on_error="ignore")
 
     def test_result_timing_positive_and_flops_exact(self):
         from repro.flops import batch_flops
@@ -268,7 +268,7 @@ class TestPublicInterface:
         dev = Device()
         mats = make_spd_batch(sizes, "d", seed=sum(sizes))
         b = VBatch.from_host(dev, mats)
-        potrf_vbatched(dev, b, PotrfOptions(approach=approach))
+        potrf_vbatched(dev, b, OpOptions(approach=approach))
         for a, l in zip(mats, b.download_matrices()):
             ref = sla.cholesky(a, lower=True)
             np.testing.assert_allclose(np.tril(l), ref, rtol=1e-8, atol=1e-10)

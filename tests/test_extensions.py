@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Device, PotrfOptions, VBatch, make_spd_batch, potrf_vbatched
+from repro import Device, OpOptions, VBatch, make_spd_batch, potrf_vbatched
 from repro.errors import ArgumentError
 from repro.extensions import geqrf_vbatched, getrf_vbatched, potrs_vbatched
 from repro.hostblas import apply_pivots, build_q
@@ -36,7 +36,7 @@ class TestGetrfVbatched:
             n = a.shape[0]
             l = np.tril(f, -1) + np.eye(n)
             u = np.triu(f)
-            recon = apply_pivots(l @ u, res.ipivs[i, :n], forward=False)
+            recon = apply_pivots(l @ u, res.outputs["ipivs"][i, :n], forward=False)
             np.testing.assert_allclose(recon, a, atol=1e-9)
 
     def test_pivots_within_bounds(self):
@@ -45,7 +45,7 @@ class TestGetrfVbatched:
         b = VBatch.from_host(dev, mats)
         res = getrf_vbatched(dev, b)
         for i, n in enumerate([40, 12]):
-            piv = res.ipivs[i, :n]
+            piv = res.outputs["ipivs"][i, :n]
             assert np.all(piv >= 1) and np.all(piv <= n)
 
     def test_pivoting_handles_zero_leading_entry(self):
@@ -54,7 +54,7 @@ class TestGetrfVbatched:
         b = VBatch.from_host(dev, [a])
         res = getrf_vbatched(dev, b)
         assert res.failed_count == 0
-        assert res.ipivs[0, 0] == 2
+        assert res.outputs["ipivs"][0, 0] == 2
 
     def test_launch_structure(self):
         dev = Device(execute_numerics=False)
@@ -92,7 +92,7 @@ class TestGeqrfVbatched:
         outs = b.download_matrices()
         for i, (a, f) in enumerate(zip(mats, outs)):
             n = a.shape[0]
-            q = build_q(f, res.taus[i, :n])
+            q = build_q(f, res.outputs["taus"][i, :n])
             np.testing.assert_allclose(q @ np.triu(f), a, atol=1e-8)
             np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-9)
 
@@ -117,7 +117,7 @@ class TestPotrsVbatched:
         sizes = [6, 40, 90]
         mats = make_spd_batch(sizes, "d", seed=4)
         b = VBatch.from_host(dev, mats)
-        potrf_vbatched(dev, b, PotrfOptions(on_error="raise"))
+        potrf_vbatched(dev, b, OpOptions(on_error="raise"))
         rng = np.random.default_rng(5)
         rhs = [rng.standard_normal((n, 2)) for n in sizes]
         originals = [r.copy() for r in rhs]
@@ -178,7 +178,7 @@ class TestGetrsVbatched:
         rng = np.random.default_rng(10)
         rhs = [rng.standard_normal((n, 3)) for n in sizes]
         originals = [r.copy() for r in rhs]
-        sol = getrs_vbatched(dev, b, res.ipivs, rhs)
+        sol = getrs_vbatched(dev, b, res.outputs["ipivs"], rhs)
         assert sol.gflops > 0
         for a, x, f in zip(mats, rhs, originals):
             np.testing.assert_allclose(a @ x, f, atol=1e-8)
@@ -191,11 +191,11 @@ class TestGetrsVbatched:
         from repro.extensions import getrs_vbatched
 
         with pytest.raises(ArgumentError):
-            getrs_vbatched(dev, b, res.ipivs, [None])
+            getrs_vbatched(dev, b, res.outputs["ipivs"], [None])
         with pytest.raises(ArgumentError):
-            getrs_vbatched(dev, b, res.ipivs[:1], [None, None])
+            getrs_vbatched(dev, b, res.outputs["ipivs"][:1], [None, None])
         with pytest.raises(ArgumentError):
-            getrs_vbatched(dev, b, res.ipivs, [np.zeros(9), None])
+            getrs_vbatched(dev, b, res.outputs["ipivs"], [np.zeros(9), None])
 
 
 class TestDriverRoutines:
@@ -211,7 +211,7 @@ class TestDriverRoutines:
         keep = [r.copy() for r in rhs]
         res = posv_vbatched(dev, b, rhs)
         assert res.failed_count == 0
-        assert res.elapsed == res.factor_elapsed + res.solve_elapsed
+        assert res.elapsed == res.meta["factor_elapsed"] + res.meta["solve_elapsed"]
         for a, x, f in zip(mats, rhs, keep):
             np.testing.assert_allclose(a @ x, f, atol=1e-9)
 

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
 from repro.core.interface import potrf_vbatched_max
-from repro.device import Device
+from repro.device import Device, DeviceGroup
 from repro.device.hetero import HeteroGroup, parse_members
 from repro.device.member import CpuMember, GpuMember
 from repro.device.spec import K20X, K40C, TITAN_BLACK
 from repro.errors import ArgumentError
 from repro.hostblas import make_spd_batch, potrf
 from repro.kernels import grouping
-from repro.ops import get_op
+from repro.ops import OpOptions, get_op
 from repro.ops.driver import run_op_hetero
 from repro.observability.trace import Tracer, activate
 from repro.types import Precision
@@ -30,7 +29,7 @@ def _timing_batch(sizes):
 def _run(group, sizes, **kwargs):
     batch = _timing_batch(sizes)
     return potrf_vbatched_max(
-        batch.device, batch, int(np.max(sizes)), PotrfOptions(), devices=group, **kwargs
+        batch.device, batch, int(np.max(sizes)), OpOptions(), devices=group, **kwargs
     )
 
 
@@ -88,7 +87,7 @@ class TestPlacement:
     def test_assign_records_alternatives(self):
         sizes = dist.uniform_sizes(60, 128, seed=2)
         group = HeteroGroup.simulated("k40c+cpu", execute_numerics=False)
-        queues = group.assign(sizes, D, PotrfOptions())
+        queues = group.assign(sizes, D, OpOptions())
         chunks = [c for q in queues.values() for c in q]
         assert chunks and all(set(c.alternatives) == set(queues) for c in chunks)
         assert all(c.est > 0 for c in chunks)
@@ -112,7 +111,7 @@ class TestScaling:
         dev = Device(execute_numerics=False)
         b1 = VBatch.allocate(dev, sizes, D)
         t1 = potrf_vbatched_max(
-            dev, b1, int(sizes.max()), PotrfOptions(approach="fused")
+            dev, b1, int(sizes.max()), OpOptions(approach="fused")
         ).elapsed
         group = HeteroGroup.simulated(
             "k40c*8", execute_numerics=False, chunks_per_member=1
@@ -178,7 +177,7 @@ class TestNumerics:
         mats = make_spd_batch([48, 7, 33, 64, 12, 33, 21, 56], D, seed=3)
         # Pin approach AND nb: the default nb tracks the planner's
         # max_n, and a chunk's local max_n differs from the global one.
-        opts = PotrfOptions(approach="fused", nb=16)
+        opts = OpOptions(approach="fused", nb=16)
         with grouping.reference_numerics():
             single = VBatch.from_host(Device(), [m.copy() for m in mats])
             potrf_vbatched_max(single.device, single, 64, opts)
@@ -195,7 +194,7 @@ class TestNumerics:
         mats = make_spd_batch([30, 18, 44, 25], D, seed=9)
         group = HeteroGroup([CpuMember(name="c")])
         batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
-        res = potrf_vbatched_max(batch.device, batch, 44, PotrfOptions(), devices=group)
+        res = potrf_vbatched_max(batch.device, batch, 44, OpOptions(), devices=group)
         assert res.failed_count == 0
         assert res.approach == "hetero[cpu-percore]"
         for i, a0 in enumerate(mats):
@@ -209,7 +208,7 @@ class TestNumerics:
         group = HeteroGroup.simulated("k40c+k20x+cpu", name_prefix="m:")
         batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
         res = potrf_vbatched_max(
-            batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group
+            batch.device, batch, int(sizes.max()), OpOptions(), devices=group
         )
         assert res.failed_count == 0
         for i, a0 in enumerate(mats):
@@ -222,7 +221,7 @@ class TestNumerics:
         mats[bad] = -np.eye(24)
         group = HeteroGroup.simulated("k40c*2+cpu", name_prefix="i:")
         batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
-        opts = PotrfOptions(on_error="info")
+        opts = OpOptions(on_error="info")
         res = potrf_vbatched_max(batch.device, batch, 24, opts, devices=group)
         assert res.infos[bad] != 0
         assert np.all(res.infos[np.arange(8) != bad] == 0)
@@ -235,7 +234,7 @@ class TestObservability:
         tracer = Tracer()
         with activate(tracer):
             batch = _timing_batch(sizes)
-            run_op_hetero(group, batch, int(sizes.max()), get_op("potrf"), PotrfOptions())
+            run_op_hetero(group, batch, int(sizes.max()), get_op("potrf"), OpOptions())
         spans = tracer.spans(cat="hetero")
         names = {e.name for e in spans}
         assert "hetero-place" in names and "hetero-chunk" in names
@@ -321,6 +320,8 @@ class TestNonPotrfHetero:
         assert np.array_equal(res.infos, ref.infos)
         for i in range(len(mats)):
             assert np.array_equal(batch.matrix_view(i), single.matrix_view(i)), f"matrix {i}"
+        if op == "gesvj":
+            assert "sweeps_done" in desc.output_keys  # compared bitwise below
         for key in desc.output_keys:
             want, got = ref.outputs[key], res.outputs[key]
             if isinstance(want, dict):
@@ -329,6 +330,30 @@ class TestNonPotrfHetero:
                     assert np.array_equal(got[j], want[j]), f"{key}[{j}]"
             else:
                 assert np.array_equal(got, want), key
+
+    @pytest.mark.parametrize("placement", ["group", "hetero"])
+    def test_gesvj_sweeps_done_matches_single_device(self, placement):
+        """Per-matrix sweep counts survive sharding and hetero placement
+        bit for bit (a batch-level ``sweeps`` read 0 off those runs)."""
+        from repro.extensions import gesvj_vbatched
+
+        sizes = [24, 7, 17, 32, 12, 9]
+        mats = self._mats(sizes, seed=6)
+        single = VBatch.from_host(Device(), [m.copy() for m in mats])
+        ref = gesvj_vbatched(single.device, single)
+        if placement == "group":
+            group = DeviceGroup.simulated(2)
+        else:
+            group = HeteroGroup.simulated(self.MEMBERS, name_prefix="gesvj:")
+        batch = VBatch.from_host(group.staging_device, [m.copy() for m in mats])
+        res = gesvj_vbatched(batch.device, batch, devices=group)
+
+        assert not hasattr(res, "sweeps")
+        assert ref.outputs["sweeps_done"].min() > 0
+        assert np.array_equal(res.outputs["sweeps_done"], ref.outputs["sweeps_done"])
+        assert np.array_equal(res.outputs["singular_values"], ref.outputs["singular_values"])
+        for i in range(len(mats)):
+            assert np.array_equal(batch.matrix_view(i), single.matrix_view(i)), f"matrix {i}"
 
     def test_no_steal_even_from_a_mispredicted_member(self):
         """The POTRF stealing test's setup: a non-POTRF op keeps its

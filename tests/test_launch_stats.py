@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import LaunchStats, PlanCache, PotrfOptions, VBatch
+from repro.core import LaunchStats, OpOptions, PlanCache, VBatch
 from repro.core.interface import potrf_vbatched_max
 from repro.device import Device
 from repro import distributions as dist
@@ -153,7 +153,7 @@ class TestDriverPopulatesCacheCounters:
         dev = Device(execute_numerics=False)
         sizes = dist.generate_sizes("uniform", 20, 64, seed=2)
         batch = VBatch.allocate(dev, sizes, "d")
-        opts = PotrfOptions(approach="fused")
+        opts = OpOptions(approach="fused")
         return [
             potrf_vbatched_max(dev, batch, int(sizes.max()), opts, plan_cache=cache)
             for _ in range(3)

@@ -9,7 +9,7 @@ whose rows are padded to ``lda``.
 import numpy as np
 import pytest
 
-from repro import Device, PotrfOptions, VBatch, make_spd_batch, potrf_vbatched
+from repro import Device, OpOptions, VBatch, make_spd_batch, potrf_vbatched
 from repro.hostblas import cholesky_residual
 
 
@@ -32,7 +32,7 @@ class TestLdaSupport:
         sizes = [5, 33, 64, 17]
         ldas = [8, 40, 64, 32]  # mixed: padded and exact
         mats, batch = padded_batch(device, sizes, ldas, seed=11)
-        res = potrf_vbatched(device, batch, PotrfOptions(approach=approach, on_error="raise"))
+        res = potrf_vbatched(device, batch, OpOptions(approach=approach, on_error="raise"))
         assert res.failed_count == 0
         for i, (n, lda) in enumerate(zip(sizes, ldas)):
             buf = batch.matrices[i].data
@@ -68,5 +68,5 @@ class TestLdaSupport:
             f = batch.matrices[i].data[:n, :n]
             l = np.tril(f, -1) + np.eye(n)
             u = np.triu(f)
-            recon = apply_pivots(l @ u, res.ipivs[i, :n], forward=False)
+            recon = apply_pivots(l @ u, res.outputs["ipivs"][i, :n], forward=False)
             np.testing.assert_allclose(recon, a, atol=1e-9)

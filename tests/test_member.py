@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.device import Device
 from repro.device.member import (
@@ -53,7 +53,7 @@ class TestGpuCostModel:
             dev = Device(execute_numerics=False)
             batch = VBatch.allocate(dev, sizes, D)
             actual = potrf_vbatched_max(
-                dev, batch, int(sizes.max()), PotrfOptions(approach=approach)
+                dev, batch, int(sizes.max()), OpOptions(approach=approach)
             ).elapsed
             assert abs(est - actual) / actual < 1.0, approach
 
@@ -86,8 +86,8 @@ class TestGpuCostModel:
     def test_choose_approach_honours_explicit_option(self):
         m = GpuMember(execute_numerics=False)
         sizes = np.array([16, 16, 16])
-        assert m.choose_approach(sizes, D, PotrfOptions(approach="separated")) == "separated"
-        assert m.choose_approach(sizes, D, PotrfOptions()) in ("fused", "separated")
+        assert m.choose_approach(sizes, D, OpOptions(approach="separated")) == "separated"
+        assert m.choose_approach(sizes, D, OpOptions()) in ("fused", "separated")
 
 
 class TestGpuChunk:
@@ -96,7 +96,7 @@ class TestGpuChunk:
         batch = VBatch.from_host(Device(), [m.copy() for m in mats])
         member = GpuMember(name="g0")
         idx = np.array([1, 3])
-        run = member.run_chunk(batch, idx, PotrfOptions())
+        run = member.run_chunk(batch, idx, OpOptions())
         assert run.count == 2 and run.max_n == 40 and run.kind == "gpu"
         assert np.all(run.infos == 0)
         assert member.now() > 0 and run.elapsed > 0
@@ -112,7 +112,7 @@ class TestGpuChunk:
         dev = Device(execute_numerics=False)
         batch = VBatch.allocate(dev, sizes, D)
         member = GpuMember(execute_numerics=False, name="g0")
-        run = member.run_chunk(batch, np.arange(3), PotrfOptions())
+        run = member.run_chunk(batch, np.arange(3), OpOptions())
         assert run.elapsed > 0 and np.all(run.infos == 0)
         assert run.launch_stats.executed_launches > 0
 
@@ -120,7 +120,7 @@ class TestGpuChunk:
         member = GpuMember(execute_numerics=False)
         dev = Device(execute_numerics=False)
         batch = VBatch.allocate(dev, np.array([32]), D)
-        member.run_chunk(batch, np.array([0]), PotrfOptions())
+        member.run_chunk(batch, np.array([0]), OpOptions())
         assert member.synchronize() > 0
         member.reset_clock()
         assert member.synchronize() == 0.0
@@ -142,7 +142,7 @@ class TestCpuMember:
         est = member.estimate_cost(sizes, D)
         dev = Device(execute_numerics=False)
         batch = VBatch.allocate(dev, sizes, D)
-        run = member.run_chunk(batch, np.arange(sizes.size), PotrfOptions())
+        run = member.run_chunk(batch, np.arange(sizes.size), OpOptions())
         assert run.elapsed == est
         assert member.synchronize() == est
 
@@ -150,7 +150,7 @@ class TestCpuMember:
         mats = make_spd_batch([19, 45, 32], D, seed=5)
         batch = VBatch.from_host(Device(), [m.copy() for m in mats])
         member = CpuMember(name="c0")
-        run = member.run_chunk(batch, np.arange(3), PotrfOptions())
+        run = member.run_chunk(batch, np.arange(3), OpOptions())
         assert np.all(run.infos == 0) and run.approach == "cpu-percore"
         for i, a0 in enumerate(mats):
             ref = a0.copy()
@@ -159,7 +159,7 @@ class TestCpuMember:
 
     def test_choose_approach_is_cpu_percore(self):
         member = CpuMember()
-        assert member.choose_approach(np.array([32]), D, PotrfOptions()) == "cpu-percore"
+        assert member.choose_approach(np.array([32]), D, OpOptions()) == "cpu-percore"
 
     def test_contention_pinning_matches_baseline_convention(self):
         """contention_cores pins the §IV-F full-machine charge."""

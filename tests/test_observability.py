@@ -341,10 +341,10 @@ class TestExecutorTracing:
 
 class TestPlanCacheTracing:
     def _plan_once(self, cache, dev, batch, max_n):
-        from repro.core.driver import PotrfOptions
+        from repro.ops import OpOptions
         from repro.ops import get_op, plan_op
 
-        return plan_op(dev, batch, max_n, get_op("potrf"), PotrfOptions(), "fused", cache)
+        return plan_op(dev, batch, max_n, get_op("potrf"), OpOptions(), "fused", cache)
 
     def test_hit_miss_instants_and_build_span(self):
         from repro.core.batch import VBatch

@@ -65,7 +65,7 @@ class TestGeqrfDifferential:
         result, factors = _run(geqrf_vbatched, mats, prec)
         for i, (a, f) in enumerate(zip(mats, factors)):
             n = a.shape[0]
-            q = build_q(f[:n, :n], result.taus[i, :n])
+            q = build_q(f[:n, :n], result.outputs["taus"][i, :n])
             assert np.allclose(q @ np.triu(f[:n, :n]), a,
                                rtol=_RTOL[prec], atol=_RTOL[prec] * n)
 
@@ -82,7 +82,7 @@ class TestGetrfDifferential:
             assert np.allclose(f[:n, :n], lu_ref,
                                rtol=_RTOL[prec], atol=_RTOL[prec] * n), f"matrix {i}"
             # Ours are 1-based pivot rows; scipy's are 0-based.
-            assert np.array_equal(result.ipivs[i, :n] - 1, piv_ref)
+            assert np.array_equal(result.outputs["ipivs"][i, :n] - 1, piv_ref)
             assert result.infos[i] == 0
 
     @pytest.mark.parametrize("prec", ["c", "z"])
@@ -98,7 +98,7 @@ class TestGetrfDifferential:
             l = np.tril(lu, -1) + np.eye(n, dtype=lu.dtype)
             rebuilt = l @ np.triu(lu)
             for k in reversed(range(n)):
-                p = int(result.ipivs[i, k]) - 1
+                p = int(result.outputs["ipivs"][i, k]) - 1
                 if p != k:
                     rebuilt[[k, p]] = rebuilt[[p, k]]
             assert np.allclose(rebuilt, a, rtol=_RTOL[prec], atol=_RTOL[prec] * n)
@@ -113,7 +113,7 @@ class TestGesvjDifferential:
         result, factors = _run(gesvj_vbatched, mats, prec)
         for i, a in enumerate(mats):
             n = a.shape[0]
-            sigma = result.singular_values[i, :n]
+            sigma = result.outputs["singular_values"][i, :n]
             ref = np.linalg.svd(a, compute_uv=False)
             assert np.all(np.diff(sigma) <= 1e-12 * max(sigma[0], 1.0))
             assert np.allclose(sigma, ref, rtol=50 * _RTOL[prec],
@@ -125,8 +125,8 @@ class TestGesvjDifferential:
         result, factors = _run(gesvj_vbatched, mats, "d")
         for i, (a, u) in enumerate(zip(mats, factors)):
             n = a.shape[0]
-            sigma = result.singular_values[i, :n]
-            vt = result.vt[i]
+            sigma = result.outputs["singular_values"][i, :n]
+            vt = result.outputs["vt"][i]
             rebuilt = u[:n, :n] @ (sigma[:, None] * vt)
             assert np.allclose(rebuilt, a, rtol=1e-8, atol=1e-8 * n)
             # U and V orthogonal.
@@ -146,7 +146,7 @@ def test_ragged_geqrf_and_getrf_reconstruct(sizes, seed):
     lu_result, lu_factors = _run(getrf_vbatched, mats, "d")
     for i, a in enumerate(mats):
         n = a.shape[0]
-        q = build_q(qr_factors[i][:n, :n], qr_result.taus[i, :n])
+        q = build_q(qr_factors[i][:n, :n], qr_result.outputs["taus"][i, :n])
         assert np.allclose(q @ np.triu(qr_factors[i][:n, :n]), a, atol=1e-9 * max(n, 4))
         lu = lu_factors[i][:n, :n]
         l = np.tril(lu, -1) + np.eye(n)
@@ -154,7 +154,7 @@ def test_ragged_geqrf_and_getrf_reconstruct(sizes, seed):
         rebuilt = l @ u
         # Undo the row swaps getrf applied (1-based pivot rows).
         for k in reversed(range(n)):
-            p = int(lu_result.ipivs[i, k]) - 1
+            p = int(lu_result.outputs["ipivs"][i, k]) - 1
             if p != k:
                 rebuilt[[k, p]] = rebuilt[[p, k]]
         assert np.allclose(rebuilt, a, atol=1e-9 * max(n, 4))
@@ -174,5 +174,5 @@ def test_distribution_sampled_svd_values(dist_name, seed):
     for i, a in enumerate(mats):
         n = a.shape[0]
         ref = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(result.singular_values[i, :n], ref,
+        assert np.allclose(result.outputs["singular_values"][i, :n], ref,
                            rtol=1e-8, atol=1e-8 * max(ref[0], 1.0))

@@ -141,7 +141,6 @@ class TestRunOpVbatched:
     def test_potrf_is_the_same_from_every_entry_point(self, placement, approach):
         """The op driver and the public POTRF interface are one path:
         same clock, infos, factors, counters and placement."""
-        from repro.core.driver import PotrfOptions
         from repro.core.interface import potrf_vbatched_max
         from repro.device.hetero import HeteroGroup
         from repro.hostblas import make_spd_batch
@@ -168,7 +167,7 @@ class TestRunOpVbatched:
         )
         via_api, api_factors = run(
             lambda dev, batch, devices: potrf_vbatched_max(
-                dev, batch, max(sizes), PotrfOptions(approach=approach), devices=devices
+                dev, batch, max(sizes), OpOptions(approach=approach), devices=devices
             )
         )
         assert via_op.failed_count == 1
@@ -182,8 +181,9 @@ class TestRunOpVbatched:
             assert np.array_equal(a, b)
 
     def test_plan_op_potrf_honours_planner_knobs(self):
-        """PotrfOptions' planner knobs reach the POTRF planner."""
-        from repro.core.driver import PotrfOptions, make_planner
+        """OpOptions' planner knobs reach the POTRF planner, and the
+        fields left ``None`` resolve to POTRF's tuned defaults."""
+        from repro.core.driver import make_planner
         from repro.ops import plan_op
 
         def signature(plan):
@@ -201,17 +201,17 @@ class TestRunOpVbatched:
         batch = VBatch.allocate(dev, sizes, "d")
         potrf = get_op("potrf")
         cases = [
-            ("fused", PotrfOptions()),
-            ("fused", PotrfOptions(etm="classic")),
-            ("fused", PotrfOptions(nb=16)),
-            ("separated", PotrfOptions()),
-            ("separated", PotrfOptions(nb=8)),
-            ("separated", PotrfOptions(syrk_mode="streamed")),
+            ("fused", OpOptions()),
+            ("fused", OpOptions(etm="classic")),
+            ("fused", OpOptions(nb=16)),
+            ("separated", OpOptions()),
+            ("separated", OpOptions(nb=8)),
+            ("separated", OpOptions(syrk_mode="streamed")),
         ]
         seen = {}
         for approach, opts in cases:
             plan, _ = plan_op(dev, batch, 300, potrf, opts, approach)
-            want = make_planner(dev, approach, opts).plan(batch, 300)
+            want = make_planner(dev, approach, potrf.resolve_options(opts)).plan(batch, 300)
             assert signature(plan) == signature(want)
             assert plan.meta["op"] == "potrf"
             assert plan.meta["useful_flops"] == potrf.batch_flops(sizes, "d")
@@ -222,6 +222,75 @@ class TestRunOpVbatched:
         for approach, plans in seen.items():
             assert all(p != plans[0] for p in plans[1:]), approach
         batch.free()
+
+        explicit = dict(etm="aggressive", sorting=True, panel_nb=128, syrk_mode="vbatched")
+        for approach in ("fused", "separated"):
+            default = _timing_run("potrf", sizes, OpOptions(approach=approach))
+            assert default == _timing_run(
+                "potrf", sizes, OpOptions(approach=approach, **explicit)
+            ), approach
+        # The other ops' defaults would give a different POTRF plan.
+        assert _timing_run("potrf", sizes, OpOptions(approach="separated")) != _timing_run(
+            "potrf", sizes, OpOptions(approach="separated", sorting=False, panel_nb=64)
+        )
+
+    @pytest.mark.parametrize(
+        "op,approach",
+        [("geqrf", "fused"), ("geqrf", "separated"), ("getrf", "fused"),
+         ("getrf", "separated"), ("gesvj", "auto")],
+    )
+    def test_plan_op_defaults_resolve_per_op(self, op, approach):
+        """QR/LU/SVD leave ``None`` fields at sorting=False, panel_nb=64."""
+        sizes = np.array([300, 200, 130, 64, 17], dtype=np.int64)
+        if op == "gesvj":
+            sizes = np.array([40, 24, 17, 9], dtype=np.int64)
+        default = _timing_run(op, sizes, OpOptions(approach=approach))
+        explicit = OpOptions(approach=approach, sorting=False, panel_nb=64)
+        assert default == _timing_run(op, sizes, explicit)
+        if approach == "separated":
+            # POTRF's defaults would give a different plan.
+            potrf_like = OpOptions(approach=approach, sorting=True, panel_nb=128)
+            assert default != _timing_run(op, sizes, potrf_like)
+
+    def test_cross_op_server_plans_each_op_with_its_own_defaults(self, monkeypatch):
+        """One server options object: POTRF batches plan with POTRF's
+        defaults, geqrf batches with geqrf's, both at its optimize level."""
+        import repro.core.driver as core_driver
+        import repro.extensions.geqrf as ext_geqrf
+        import repro.ops.driver as ops_driver
+        from repro.hostblas import make_spd_batch
+        from repro.serving import BatchServer
+
+        seen = {}
+        levels = []
+        real_make, real_geqrf, real_opt = (
+            core_driver.make_planner, ext_geqrf.plan_geqrf, ops_driver.optimize_plan
+        )
+
+        def make_planner(device, approach, options):
+            seen["potrf"] = (options.sorting, options.panel_nb)
+            return real_make(device, approach, options)
+
+        def plan_geqrf(device, batch, max_n, **kw):
+            seen["geqrf"] = (kw["sorting"], kw["panel_nb"])
+            return real_geqrf(device, batch, max_n, **kw)
+
+        def optimize_plan(plan, level):
+            levels.append((plan.meta["op"], level))
+            return real_opt(plan, level)
+
+        monkeypatch.setattr(core_driver, "make_planner", make_planner)
+        monkeypatch.setattr(ext_geqrf, "plan_geqrf", plan_geqrf)
+        monkeypatch.setattr(ops_driver, "optimize_plan", optimize_plan)
+        server = BatchServer(Device(), policy="cross-op", options=OpOptions(optimize="all"))
+        rng = np.random.default_rng(0)
+        futures = [server.submit(m) for m in make_spd_batch([24, 40], "d", seed=1)]
+        futures += [server.submit(rng.standard_normal((n, n)), op="geqrf") for n in (24, 40)]
+        server.drain()
+        assert [f.result().info for f in futures] == [0, 0, 0, 0]
+        assert seen == {"potrf": (True, 128), "geqrf": (False, 64)}
+        assert sorted(levels) == [("geqrf", "all"), ("potrf", "all")]
+        server.shutdown()
 
     def test_gesvj_rejects_complex_precision(self):
         dev = Device(execute_numerics=False)
@@ -241,6 +310,18 @@ class TestRunOpVbatched:
         assert result.outputs["taus"].shape == (len(sizes), 64)
         assert result.infos.shape == (len(sizes),)
         batch.free()
+
+
+def _timing_run(op, sizes, options):
+    """Launches, simulated time and launch stats of one timing-only run."""
+    dev = Device(execute_numerics=False)
+    batch = VBatch.allocate(dev, sizes, "d")
+    result = run_op_vbatched(dev, batch, int(max(sizes)), op, options)
+    batch.free()
+    return (
+        result.approach, result.elapsed, result.launch_stats.as_dict(),
+        list(dev.timeline.intervals),
+    )
 
 
 class TestServingPaddedFlops:

@@ -15,7 +15,7 @@ import pytest
 from repro import distributions as dist
 from repro.core.batch import VBatch
 from repro.core.blas_steps import BlasStepDriver
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.core.optimizer import (
@@ -84,8 +84,8 @@ class TestResolvePasses:
 
     def test_options_validate_level(self):
         with pytest.raises(ArgumentError):
-            PotrfOptions(optimize="bogus")
-        assert PotrfOptions(optimize="elide+lpt").optimize == "elide+lpt"
+            OpOptions(optimize="bogus")
+        assert OpOptions(optimize="elide+lpt").optimize == "elide+lpt"
 
 
 def _timing_plan(planner, count=120, max_size=256, seed=7):
@@ -252,8 +252,8 @@ class TestLaunchProgram:
         plan.close()
 
     def test_with_level_reuses_options(self):
-        opts = PotrfOptions()
-        assert with_level(opts, "all") is with_level(PotrfOptions(), "all")
+        opts = OpOptions()
+        assert with_level(opts, "all") is with_level(OpOptions(), "all")
         assert with_level(opts, "all").optimize == "all"
 
 
@@ -339,7 +339,7 @@ class TestDriverIntegration:
             dev = Device(execute_numerics=True)
             batch = VBatch.from_host(dev, [m.copy() for m in mats])
             res = potrf_vbatched_max(
-                dev, batch, int(sizes.max()), PotrfOptions(), optimize=optimize
+                dev, batch, int(sizes.max()), OpOptions(), optimize=optimize
             )
             out = batch.download_matrices()
             batch.free()
@@ -359,7 +359,7 @@ class TestDriverIntegration:
             dev,
             batch,
             int(sizes.max()),
-            PotrfOptions(approach="separated", syrk_mode="streamed"),
+            OpOptions(approach="separated", syrk_mode="streamed"),
             optimize="all",
         )
         stats = res.launch_stats
@@ -376,7 +376,7 @@ class TestDriverIntegration:
         dev = Device(execute_numerics=False)
         sizes = dist.generate_sizes("uniform", 40, 128, seed=2)
         batch = VBatch.allocate(dev, sizes, "d")
-        res = potrf_vbatched_max(dev, batch, int(sizes.max()), PotrfOptions())
+        res = potrf_vbatched_max(dev, batch, int(sizes.max()), OpOptions())
         assert res.launch_stats.opt_barriers_elided == 0
         assert res.launch_stats.opt_launches_merged == 0
         assert res.launch_stats.opt_launches_pruned == 0
@@ -425,13 +425,13 @@ class TestPlanCacheKey:
         batch, sizes = self._batch(dev)
         cache = PlanCache()
         max_n = int(sizes.max())
-        potrf_vbatched_max(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
+        potrf_vbatched_max(dev, batch, max_n, OpOptions(), plan_cache=cache,
                            optimize="none")
         assert cache.misses == 1
-        potrf_vbatched_max(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
+        potrf_vbatched_max(dev, batch, max_n, OpOptions(), plan_cache=cache,
                            optimize="all")
         assert cache.misses == 2  # different level: no false hit
-        res = potrf_vbatched_max(dev, batch, max_n, PotrfOptions(), plan_cache=cache,
+        res = potrf_vbatched_max(dev, batch, max_n, OpOptions(), plan_cache=cache,
                                  optimize="all")
         assert cache.hits == 1
         assert res.launch_stats.plan_cache_hit

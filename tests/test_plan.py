@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.core.plan import (
@@ -235,7 +235,7 @@ class TestCachedReexecutionAcceptance:
         dev, batch, sizes = _timing_batch(seed=7, count=60, max_size=200)
         max_n = int(sizes.max())
         cache = PlanCache()
-        opts = PotrfOptions()
+        opts = OpOptions()
         r1 = potrf_vbatched_max(dev, batch, max_n, opts, plan_cache=cache)
         assert cache.planner_calls == 1
         assert not r1.launch_stats.plan_cache_hit
@@ -254,9 +254,9 @@ class TestCachedReexecutionAcceptance:
         dev, batch, sizes = _timing_batch()
         max_n = int(sizes.max())
         cache = PlanCache()
-        potrf_vbatched_max(dev, batch, max_n, PotrfOptions(approach="fused"), plan_cache=cache)
+        potrf_vbatched_max(dev, batch, max_n, OpOptions(approach="fused"), plan_cache=cache)
         potrf_vbatched_max(
-            dev, batch, max_n, PotrfOptions(approach="fused", etm="classic"), plan_cache=cache
+            dev, batch, max_n, OpOptions(approach="fused", etm="classic"), plan_cache=cache
         )
         assert cache.planner_calls == 2  # different options -> different plan
 
@@ -264,7 +264,7 @@ class TestCachedReexecutionAcceptance:
         dev, batch, sizes = _timing_batch()
         max_n = int(sizes.max())
         cache = PlanCache()
-        opts = PotrfOptions(approach="separated")
+        opts = OpOptions(approach="separated")
         r1 = potrf_vbatched_max(dev, batch, max_n, opts, plan_cache=cache)
         dev.reset_clock()
         r2 = potrf_vbatched_max(dev, batch, max_n, opts, plan_cache=cache)

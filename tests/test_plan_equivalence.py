@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.batch import VBatch
 from repro.core.blas_steps import BlasStepDriver
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.core.partial import partial_potrf_vbatched
@@ -49,7 +49,7 @@ RUNNERS = {
         b, int(s.max())
     ),
     "blas": lambda d, b, s: BlasStepDriver(d).factorize(b, int(s.max())),
-    "driver_auto": lambda d, b, s: potrf_vbatched_max(d, b, int(s.max()), PotrfOptions()),
+    "driver_auto": lambda d, b, s: potrf_vbatched_max(d, b, int(s.max()), OpOptions()),
     "partial": lambda d, b, s: partial_potrf_vbatched(d, b, np.minimum(s // 2, s)),
 }
 

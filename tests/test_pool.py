@@ -112,7 +112,7 @@ class TestDevicePresets:
 
     def test_devices_run_the_framework(self):
         """The framework is device-agnostic: same code, different spec."""
-        from repro.core import PotrfOptions, VBatch, potrf_vbatched
+        from repro.core import OpOptions, VBatch, potrf_vbatched
         from repro.distributions import uniform_sizes
 
         results = {}
@@ -120,7 +120,7 @@ class TestDevicePresets:
             dev = Device(spec=spec, execute_numerics=False)
             b = VBatch.allocate(dev, uniform_sizes(300, 256, seed=0), "d")
             dev.reset_clock()
-            results[spec.name] = potrf_vbatched(dev, b, PotrfOptions()).gflops
+            results[spec.name] = potrf_vbatched(dev, b, OpOptions()).gflops
         # Faster clock + equal SMs -> Titan Black ahead of the K40c;
         # fewer, slower SMs -> K20X behind.
         assert results[TITAN_BLACK.name] > results[K40C.name] > results[K20X.name]
@@ -128,7 +128,7 @@ class TestDevicePresets:
 
 class TestDriverPoolHygiene:
     def test_drivers_release_workspaces_on_success(self):
-        from repro.core.driver import PotrfOptions
+        from repro.ops import OpOptions
         from repro.core.interface import potrf_vbatched_max
         from repro.core.batch import VBatch
         from repro.distributions import uniform_sizes
@@ -137,13 +137,13 @@ class TestDriverPoolHygiene:
         sizes = uniform_sizes(100, 128, seed=0)
         for approach in ("fused", "separated"):
             b = VBatch.allocate(dev, sizes, "d")
-            potrf_vbatched_max(dev, b, 128, PotrfOptions(approach=approach))
+            potrf_vbatched_max(dev, b, 128, OpOptions(approach=approach))
             # Everything the driver took from the pool went back.
             assert dev.pool.pooled_blocks == dev.pool.misses
         # Second run of the same shape is all pool hits for workspaces.
         hits_before = dev.pool.hits
         b = VBatch.allocate(dev, sizes, "d")
-        potrf_vbatched_max(dev, b, 128, PotrfOptions(approach="fused"))
+        potrf_vbatched_max(dev, b, 128, OpOptions(approach="fused"))
         assert dev.pool.hits > hits_before
 
     def test_workspaces_released_even_on_failure(self):

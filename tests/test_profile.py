@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import Device, PotrfOptions, VBatch, potrf_vbatched
+from repro import Device, OpOptions, VBatch, potrf_vbatched
 from repro.bench import export_chrome_trace, format_profile, profile_timeline
 from repro.device.clock import Timeline
 from repro.distributions import uniform_sizes
@@ -14,7 +14,7 @@ def _run_workload():
     dev = Device(execute_numerics=False)
     b = VBatch.allocate(dev, uniform_sizes(200, 128, seed=0), "d")
     dev.reset_clock()
-    potrf_vbatched(dev, b, PotrfOptions())
+    potrf_vbatched(dev, b, OpOptions())
     return dev
 
 

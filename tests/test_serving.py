@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import make_spd, make_spd_batch
-from repro.core import PlanCache, PotrfOptions, VBatch
+from repro.core import OpOptions, PlanCache, VBatch
 from repro.core.interface import potrf_vbatched_max
 from repro.device import Device, DeviceGroup
 from repro.errors import AdmissionError, ArgumentError, ServingError
@@ -27,7 +27,7 @@ def _direct_factors(matrices, devices=None):
     device = devices.devices[0] if devices is not None else Device()
     batch = VBatch.from_host(device, matrices)
     potrf_vbatched_max(
-        device, batch, max(m.shape[0] for m in matrices), PotrfOptions(), devices=devices
+        device, batch, max(m.shape[0] for m in matrices), OpOptions(), devices=devices
     )
     out = batch.download_matrices()
     batch.free()

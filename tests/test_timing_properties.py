@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.fused import FusedDriver
 from repro.device import Device
@@ -96,7 +96,7 @@ class TestDriverInvariants:
         dev = Device(execute_numerics=False)
         b = VBatch.allocate(dev, sizes, "d")
         dev.reset_clock()
-        potrf_vbatched_max(dev, b, int(max(sizes)), PotrfOptions(**opts))
+        potrf_vbatched_max(dev, b, int(max(sizes)), OpOptions(**opts))
         return dev.synchronize()
 
     @given(

@@ -5,7 +5,7 @@ import pytest
 
 from repro import flops as _flops
 from repro.core.batch import VBatch
-from repro.core.driver import PotrfOptions
+from repro.ops import OpOptions
 from repro.core.interface import potrf_vbatched_max
 from repro.core.plan import PlanCache
 from repro.device import Device, DeviceGroup, partition_sizes
@@ -88,7 +88,7 @@ class TestDeviceGroup:
         group = DeviceGroup.simulated(2, execute_numerics=False)
         sizes = np.array([64] * 8)
         batch = VBatch.allocate(group.devices[0], sizes, "d")
-        potrf_vbatched_max(group.devices[0], batch, 64, PotrfOptions())
+        potrf_vbatched_max(group.devices[0], batch, 64, OpOptions())
         assert group.synchronize() == max(d.synchronize() for d in group)
 
 
@@ -98,11 +98,11 @@ class TestShardedExecution:
         sizes = dist.generate_sizes("uniform", 400, 256, seed=11)
         single = Device(execute_numerics=False)
         b1 = VBatch.allocate(single, sizes, "d")
-        r1 = potrf_vbatched_max(single, b1, int(sizes.max()), PotrfOptions())
+        r1 = potrf_vbatched_max(single, b1, int(sizes.max()), OpOptions())
         group = DeviceGroup.simulated(4, execute_numerics=False, partition="flops")
         b4 = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
         r4 = potrf_vbatched_max(
-            b4.device, b4, int(sizes.max()), PotrfOptions(), devices=group
+            b4.device, b4, int(sizes.max()), OpOptions(), devices=group
         )
         assert r4.elapsed < r1.elapsed
         assert r4.launch_stats.devices_used == 4
@@ -114,10 +114,10 @@ class TestShardedExecution:
         mats = [_spd(rng, int(n)) for n in sizes]
         single = Device()
         b1 = VBatch.from_host(single, [m.copy() for m in mats])
-        potrf_vbatched_max(single, b1, int(sizes.max()), PotrfOptions())
+        potrf_vbatched_max(single, b1, int(sizes.max()), OpOptions())
         group = DeviceGroup.simulated(3)
         b3 = VBatch.from_host(Device(), [m.copy() for m in mats])
-        res = potrf_vbatched_max(b3.device, b3, int(sizes.max()), PotrfOptions(), devices=group)
+        res = potrf_vbatched_max(b3.device, b3, int(sizes.max()), OpOptions(), devices=group)
         assert res.failed_count == 0
         for i, a0 in enumerate(mats):
             L = np.tril(b3.matrix_view(i))
@@ -130,7 +130,7 @@ class TestShardedExecution:
         mats[bad] = -np.eye(24)  # negative definite: potf2 must flag it
         group = DeviceGroup.simulated(3, partition="round-robin")
         batch = VBatch.from_host(Device(), [m.copy() for m in mats])
-        res = potrf_vbatched_max(batch.device, batch, 24, PotrfOptions(), devices=group)
+        res = potrf_vbatched_max(batch.device, batch, 24, OpOptions(), devices=group)
         assert res.infos[bad] != 0
         assert np.all(res.infos[np.arange(8) != bad] == 0)
 
@@ -142,18 +142,18 @@ class TestShardedExecution:
         batch = VBatch.from_host(Device(), mats)
         with pytest.raises(BatchNumericalError):
             potrf_vbatched_max(
-                batch.device, batch, 16, PotrfOptions(on_error="raise"), devices=group
+                batch.device, batch, 16, OpOptions(on_error="raise"), devices=group
             )
 
     def test_single_device_group_matches_plain_path(self):
         sizes = dist.generate_sizes("uniform", 60, 128, seed=6)
         d1 = Device(execute_numerics=False)
         b1 = VBatch.allocate(d1, sizes, "d")
-        r1 = potrf_vbatched_max(d1, b1, int(sizes.max()), PotrfOptions())
+        r1 = potrf_vbatched_max(d1, b1, int(sizes.max()), OpOptions())
         d2 = Device(execute_numerics=False)
         b2 = VBatch.allocate(d2, sizes, "d")
         r2 = potrf_vbatched_max(
-            d2, b2, int(sizes.max()), PotrfOptions(), devices=DeviceGroup([d2])
+            d2, b2, int(sizes.max()), OpOptions(), devices=DeviceGroup([d2])
         )
         assert r2.elapsed == r1.elapsed
         assert r2.launch_stats.devices_used == 1
@@ -162,7 +162,7 @@ class TestShardedExecution:
         sizes = np.array([32] * 12)
         devs = [Device(execute_numerics=False) for _ in range(2)]
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
-        res = potrf_vbatched_max(batch.device, batch, 32, PotrfOptions(), devices=devs)
+        res = potrf_vbatched_max(batch.device, batch, 32, OpOptions(), devices=devs)
         assert res.launch_stats.devices_used == 2
 
     def test_plan_cache_reused_across_sharded_runs(self):
@@ -171,7 +171,7 @@ class TestShardedExecution:
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
         cache = PlanCache()
         r1 = potrf_vbatched_max(
-            batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group, plan_cache=cache
+            batch.device, batch, int(sizes.max()), OpOptions(), devices=group, plan_cache=cache
         )
         assert cache.planner_calls == len(
             [p for p in group.partition_indices(sizes, batch.precision) if p.size]
@@ -179,7 +179,7 @@ class TestShardedExecution:
         calls_before = cache.planner_calls
         group.reset_clocks()  # same start times -> bit-identical replay
         r2 = potrf_vbatched_max(
-            batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group, plan_cache=cache
+            batch.device, batch, int(sizes.max()), OpOptions(), devices=group, plan_cache=cache
         )
         assert cache.planner_calls == calls_before  # all shards hit
         assert r2.launch_stats.plan_cache_hit
@@ -190,7 +190,7 @@ class TestShardedExecution:
         group = DeviceGroup.simulated(2, execute_numerics=False)
         batch = VBatch.allocate(Device(execute_numerics=False), sizes, "d")
         res = potrf_vbatched_max(
-            batch.device, batch, int(sizes.max()), PotrfOptions(), devices=group
+            batch.device, batch, int(sizes.max()), OpOptions(), devices=group
         )
         stats = res.launch_stats
         assert stats.executed_launches == stats.plan_nodes - stats.barriers

@@ -12,7 +12,7 @@ bytes to agree.
 import numpy as np
 import pytest
 
-from repro import Device, PotrfOptions, VBatch, potrf_vbatched
+from repro import Device, OpOptions, VBatch, potrf_vbatched
 from repro.baselines import run_cpu_percore, run_cpu_percore_measured
 from repro.distributions import gaussian_sizes, uniform_sizes
 from repro.hostblas import cholesky_residual, make_spd_batch
@@ -31,7 +31,7 @@ def factorize(sizes, mats, approach, reference, ldas=None, precision="d", **opts
             buf[...] = -777.0  # sentinel in the padding rows
             buf[:n, :n] = mats[i]
     with grouping.reference_numerics(reference):
-        potrf_vbatched(device, batch, PotrfOptions(approach=approach, **opts))
+        potrf_vbatched(device, batch, OpOptions(approach=approach, **opts))
     outs = [m.data.copy() for m in batch.matrices]
     infos = batch.infos_dev.data.copy()
     return outs, infos

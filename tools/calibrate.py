@@ -6,7 +6,7 @@ approximate value (read off the figures) next to the simulated one.
 """
 
 
-from repro import Device, VBatch, potrf_batched_fixed, PotrfOptions
+from repro import Device, OpOptions, VBatch, potrf_batched_fixed
 from repro.core.interface import potrf_vbatched_max
 from repro.distributions import uniform_sizes
 from repro.flops import batch_flops, gflops
@@ -25,7 +25,7 @@ def vbatched_gflops(nmax, prec, batch=800, seed=0, **opts):
     sizes = uniform_sizes(batch, nmax, seed=seed)
     b = VBatch.allocate(dev, sizes, prec)
     dev.reset_clock()
-    r = potrf_vbatched_max(dev, b, nmax, PotrfOptions(**opts))
+    r = potrf_vbatched_max(dev, b, nmax, OpOptions(**opts))
     return r.gflops
 
 

@@ -25,7 +25,7 @@ import sys
 import time
 
 from repro import distributions as dist
-from repro.core import PlanCache, PotrfOptions, VBatch, potrf_vbatched_max
+from repro.core import OpOptions, PlanCache, VBatch, potrf_vbatched_max
 from repro.device import Device
 from repro.serving import check_acceptance, run_serve_bench
 
@@ -44,7 +44,7 @@ def warm_wall(optimize: str, nmax: int, count: int = 300, seed: int = 0) -> floa
     sizes = dist.generate_sizes("uniform", count, nmax, seed=seed)
     batch = VBatch.allocate(device, sizes, "d")
     cache = PlanCache()
-    opts = PotrfOptions()
+    opts = OpOptions()
     potrf_vbatched_max(
         device, batch, nmax, opts, plan_cache=cache, optimize=optimize
     )  # cold call: plan + optimize + cache
