@@ -13,8 +13,18 @@ import numpy as np
 
 from .. import flops as _flops
 from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
-from ..hostblas import geqr2, getf2, jacobi_sweep, larft, trsm as host_trsm
+from ..hostblas import (
+    geqr2,
+    getf2,
+    jacobi_sweep,
+    larft,
+    stacked_geqrf,
+    stacked_jacobi_sweep,
+    stacked_larft,
+    trsm as host_trsm,
+)
 from ..kernels.gemm import VbatchedGemmKernel
+from ..kernels.grouping import reference_enabled
 from ..types import Precision, precision_info
 
 __all__ = [
@@ -306,17 +316,30 @@ class PanelGeqr2Kernel(_PanelKernelBase):
         return self._grouped(per)
 
     def run_numerics(self) -> None:
+        j0 = self.offset
+        groups: dict[tuple[int, int], list[int]] = {}
         for i in self.indices:
             i = int(i)
             jb = int(self.jbs[i])
-            n = int(self.batch.sizes_host[i])
-            m = n - self.offset
+            m = int(self.batch.sizes_host[i]) - j0
             if jb == 0 or m <= 0:
                 continue
-            a = self.batch.matrix_view(i)
-            panel = a[self.offset :, self.offset : self.offset + jb]
-            geqr2(panel, self.taus[i, self.offset : self.offset + jb])
-            self.t_store[i] = larft(panel, self.taus[i, self.offset : self.offset + jb])
+            if reference_enabled() or self.precision.is_complex:
+                # Complex panels stay on the host reference too: LAPACK's
+                # larfg makes a real beta where geqr2's is complex.
+                panel = self.batch.matrix_view(i)[j0:, j0 : j0 + jb]
+                geqr2(panel, self.taus[i, j0 : j0 + jb])
+                self.t_store[i] = larft(panel, self.taus[i, j0 : j0 + jb])
+            else:
+                groups.setdefault((m, jb), []).append(i)
+        for (_, jb), members in groups.items():
+            panels = [self.batch.matrix_view(i)[j0:, j0 : j0 + jb] for i in members]
+            packed, taus = stacked_geqrf(np.stack(panels))
+            ts = stacked_larft(packed, taus)
+            for g, (i, panel) in enumerate(zip(members, panels)):
+                panel[...] = packed[g]
+                self.taus[i, j0 : j0 + jb] = taus[g]
+                self.t_store[i] = ts[g]
 
 
 class LarfbUpdateGemmKernel(VbatchedGemmKernel):
@@ -355,14 +378,25 @@ class LarfbUpdateGemmKernel(VbatchedGemmKernel):
             )
 
 
+def _jacobi_order_class(n: int) -> int:
+    """Stack order a matrix of order ``n`` sweeps at: the next multiple
+    of 8, at least 8.  It depends on ``n`` alone, so the round-robin
+    schedule (and every bit of the result) is independent of the batch."""
+    return max(8, -(-n // 8) * 8)
+
+
 class JacobiSweepKernel(_PanelKernelBase):
-    """One cyclic one-sided Jacobi sweep per matrix (one block each).
+    """One round-robin one-sided Jacobi sweep per matrix (one block each).
 
     The timing plane charges the full sweep for every live matrix — the
     sweep budget is fixed at plan time (static DAG), so timing depends
     only on sizes and the plan stays cacheable.  The functional plane
     skips matrices whose columns already converged (value-dependent
-    early exit that never moves the simulated clock).
+    early exit that never moves the simulated clock) and sweeps the
+    rest as zero-padded stacks, one per order class
+    (:func:`~repro.hostblas.stacked_jacobi_sweep`), in the round-robin
+    order the timing plane charges.  The reference path sweeps each
+    matrix row-cyclically (:func:`~repro.hostblas.jacobi_sweep`).
     """
 
     def __init__(self, batch, sweep: int, state, max_rows: int,
@@ -398,20 +432,39 @@ class JacobiSweepKernel(_PanelKernelBase):
 
     def run_numerics(self) -> None:
         st = self.state
+        classes: dict[int, list[int]] = {}
         for i in self.indices:
             i = int(i)
             n = int(self.batch.sizes_host[i])
             if n == 0 or st.converged[i]:
                 continue
-            a = self.batch.matrix_view(i)
             if n == 1:
                 st.converged[i] = True
                 continue
-            rotations = jacobi_sweep(a, st.v_store[i], st.tol)
-            if rotations == 0:
-                st.converged[i] = True
+            if reference_enabled():
+                self._record(i, jacobi_sweep(self.batch.matrix_view(i), st.v_store[i], st.tol))
             else:
-                st.sweeps_done[i] = self.sweep + 1
+                classes.setdefault(_jacobi_order_class(n), []).append(i)
+        for order, members in classes.items():
+            a = np.zeros((len(members), order, order), dtype=self._info.dtype)
+            v = np.zeros_like(a)
+            for g, i in enumerate(members):
+                n = int(self.batch.sizes_host[i])
+                a[g, :n, :n] = self.batch.matrix_view(i)
+                v[g, :n, :n] = st.v_store[i]
+            rotations = stacked_jacobi_sweep(a, v, st.tol)
+            for g, i in enumerate(members):
+                n = int(self.batch.sizes_host[i])
+                self.batch.matrix_view(i)[...] = a[g, :n, :n]
+                st.v_store[i][...] = v[g, :n, :n]
+                self._record(i, int(rotations[g]))
+
+    def _record(self, i: int, rotations: int) -> None:
+        """Per-matrix convergence bookkeeping after one sweep."""
+        if rotations == 0:
+            self.state.converged[i] = True
+        else:
+            self.state.sweeps_done[i] = self.sweep + 1
 
 
 class SvdConvergenceKernel(Kernel):

@@ -13,8 +13,16 @@ from .trsm import trsm
 from .trtri import trtri
 from .potrf import potf2, potrf
 from .getrf import apply_pivots, getf2, getrf
-from .geqrf import apply_q_transpose, build_q, geqr2, geqrf, larft
-from .svd import gesvj, jacobi_sweep
+from .geqrf import (
+    apply_q_transpose,
+    build_q,
+    geqr2,
+    geqrf,
+    larft,
+    stacked_geqrf,
+    stacked_larft,
+)
+from .svd import gesvj, jacobi_sweep, round_robin_pairs, stacked_jacobi_sweep
 from .validate import (
     make_spd,
     make_spd_batch,
@@ -35,10 +43,14 @@ __all__ = [
     "geqr2",
     "geqrf",
     "larft",
+    "stacked_geqrf",
+    "stacked_larft",
     "apply_q_transpose",
     "build_q",
     "gesvj",
     "jacobi_sweep",
+    "round_robin_pairs",
+    "stacked_jacobi_sweep",
     "make_spd",
     "make_spd_batch",
     "cholesky_residual",

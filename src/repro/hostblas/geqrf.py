@@ -6,6 +6,11 @@ the diagonal (implicit unit leading entry), scalars in ``tau``.  The
 blocked variant accumulates the compact-WY ``T`` factor (``larft``) and
 applies panels with two gemms (``larfb``) — exactly the structure the
 vbatched gemm kernel accelerates.
+
+:func:`stacked_geqrf` and :func:`stacked_larft` factor a stack of
+same-shape real panels through LAPACK (``np.linalg.qr``) and build
+their ``T`` factors together; :func:`geqr2` and :func:`larft` stay the
+per-matrix reference.
 """
 
 from __future__ import annotations
@@ -14,7 +19,15 @@ import numpy as np
 
 from ..errors import ArgumentError
 
-__all__ = ["geqr2", "geqrf", "larft", "apply_q_transpose", "build_q"]
+__all__ = [
+    "geqr2",
+    "geqrf",
+    "larft",
+    "stacked_geqrf",
+    "stacked_larft",
+    "apply_q_transpose",
+    "build_q",
+]
 
 
 def _house(x: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -68,6 +81,42 @@ def larft(a_panel: np.ndarray, tau: np.ndarray) -> np.ndarray:
             w = vprev.conj().T @ v_j
             t[:j, j] = -tau[j] * (t[:j, :j] @ w)
         t[j, j] = tau[j]
+    return t
+
+
+def stacked_geqrf(panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK QR of a ``(k, m, n)`` stack of real panels, ``m >= n``.
+
+    Returns ``(packed, taus)``: each panel in :func:`geqr2`'s storage (R
+    on and above the diagonal, unit-lower Householder vectors below)
+    and its ``n`` reflector scalars.  One ``np.linalg.qr`` call factors
+    every panel with ``geqrf``; each panel's factor depends only on that
+    panel.  Real only: for complex input LAPACK's ``larfg`` picks a
+    real ``beta`` where :func:`geqr2`'s is complex, so the two R factors
+    differ by row phases.
+    """
+    if np.iscomplexobj(panels):
+        raise ValueError("stacked_geqrf supports real precisions only")
+    h, taus = np.linalg.qr(panels, mode="raw")
+    return np.swapaxes(h, 1, 2), taus
+
+
+def stacked_larft(panels: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """:func:`larft` over a ``(k, m, n)`` stack of packed panels.
+
+    Forms ``G = V^H V`` with one stacked matmul, then runs the ``n``-step
+    column recurrence ``T[:j, j] = -tau_j T[:j, :j] G[:j, j]`` over the
+    whole stack at once.  Returns the ``(k, n, n)`` ``T`` factors.
+    """
+    k, _, n = panels.shape
+    v = np.tril(panels, -1)
+    diag = np.arange(n)
+    v[:, diag, diag] = 1.0
+    g = np.swapaxes(v, 1, 2).conj() @ v
+    t = np.zeros((k, n, n), dtype=panels.dtype)
+    t[:, diag, diag] = taus
+    for j in range(1, n):
+        t[:, :j, j] = -taus[:, j, None] * (t[:, :j, :j] @ g[:, :j, j, None])[:, :, 0]
     return t
 
 

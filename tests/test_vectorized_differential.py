@@ -15,7 +15,7 @@ import pytest
 from repro import Device, OpOptions, VBatch, potrf_vbatched
 from repro.baselines import run_cpu_percore, run_cpu_percore_measured
 from repro.distributions import gaussian_sizes, uniform_sizes
-from repro.hostblas import cholesky_residual, make_spd_batch
+from repro.hostblas import build_q, cholesky_residual, make_spd_batch
 from repro.kernels import grouping
 
 
@@ -184,7 +184,9 @@ class TestBatchCompositionInvariance:
         assert np.array_equal(alone, same)
         assert cholesky_residual(target, alone) < 1e-13
 
-    @pytest.mark.parametrize("n", [33, 129, 257])  # 129/257: one trailing column
+    # 129/257: one trailing column; 8..16: the hmatrix tile orders, where
+    # every panel is a whole matrix.
+    @pytest.mark.parametrize("n", [8, 13, 16, 33, 129, 257])
     @pytest.mark.parametrize("approach", ["fused", "separated"])
     @pytest.mark.parametrize("op", ["getrf", "geqrf"])
     def test_extension_factor_is_independent_of_batch(self, op, approach, n):
@@ -192,7 +194,8 @@ class TestBatchCompositionInvariance:
 
         rng = np.random.default_rng(n)
         target = rng.standard_normal((n, n))
-        others = [rng.standard_normal((m, m)) for m in (n, 70, 9, n, 130)]
+        other_sizes = (n, 11, 9, n, 16) if n <= 16 else (n, 70, 9, n, 130)
+        others = [rng.standard_normal((m, m)) for m in other_sizes]
         (key,) = get_op(op).output_keys
 
         def factor_of_target(batch_mats, pos):
@@ -214,6 +217,177 @@ class TestBatchCompositionInvariance:
         for got in (mixed, same):
             assert np.array_equal(alone[0], got[0])
             assert np.array_equal(alone[1], got[1])
+
+    # Straddling the Jacobi order classes (multiples of 8).
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
+    def test_gesvj_is_independent_of_batch(self, n):
+        rng = np.random.default_rng(100 + n)
+        target = rng.standard_normal((n, n))
+        others = [rng.standard_normal((m, m)) for m in (n, 24, 9, n, 16, 3)]
+
+        def svd_of_target(batch_mats, pos):
+            mats = [m.copy() for m in batch_mats]
+            mats.insert(pos, target.copy())
+            result, factors = run_op("gesvj", mats)
+            out = result.outputs
+            return (factors[pos], out["singular_values"][pos, :n].copy(),
+                    out["vt"][pos].copy(), out["sweeps_done"][pos])
+
+        alone = svd_of_target([], 0)
+        mixed = svd_of_target(others, 2)
+        same = svd_of_target([others[0], others[3]], 1)
+        assert alone[3] > 0
+        for got in (mixed, same):
+            for want, have in zip(alone, got):
+                assert np.array_equal(want, have)
+
+
+def run_op(op, mats, reference=False, ldas=None, options=None):
+    """One extension-op run on fresh matrices; returns (result, buffers).
+
+    With ``ldas`` each buffer is the whole ``lda x n`` allocation, its
+    padding rows set to the -777 sentinel before the run.
+    """
+    from repro.ops import OpOptions, run_op_vbatched
+
+    device = Device()
+    if ldas is None:
+        batch = VBatch.from_host(device, [m.copy() for m in mats])
+    else:
+        sizes = [m.shape[0] for m in mats]
+        batch = VBatch.allocate(device, sizes, mats[0].dtype.char, ldas=ldas)
+        for i, (m, n) in enumerate(zip(mats, sizes)):
+            batch.matrices[i].data[...] = -777.0
+            batch.matrices[i].data[:n, :n] = m
+    with grouping.reference_numerics(reference):
+        result = run_op_vbatched(device, batch, None, op, options or OpOptions())
+    if ldas is None:
+        buffers = batch.download_matrices()
+    else:
+        buffers = [m.data.copy() for m in batch.matrices]
+    batch.free()
+    return result, buffers
+
+
+class TestStackedVsReference:
+    """The stacked Jacobi sweep and LAPACK QR panels against the
+    per-matrix reference loops (``grouping.reference_numerics()``)."""
+
+    SIZES = [1, 2, 3, 7, 8, 9, 16, 17, 24]
+
+    @staticmethod
+    def _mats(sizes, seed, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        out = []
+        for n in sizes:
+            a = rng.standard_normal((n, n))
+            if np.dtype(dtype).kind == "c":
+                a = a + 1j * rng.standard_normal((n, n))
+            out.append(a.astype(dtype))
+        return out
+
+    def test_gesvj_singular_values_and_orthogonality(self):
+        mats = self._mats(self.SIZES, seed=1)
+        ref, _ = run_op("gesvj", mats, reference=True)
+        got, us = run_op("gesvj", mats)
+        for i, (a, u) in enumerate(zip(mats, us)):
+            n = a.shape[0]
+            sigma = got.outputs["singular_values"][i, :n]
+            np.testing.assert_allclose(
+                sigma, ref.outputs["singular_values"][i, :n], rtol=1e-12
+            )
+            vt = got.outputs["vt"][i]
+            # U's columns are orthogonal to the sweep tolerance; V is a
+            # product of exact rotations.
+            np.testing.assert_allclose(u.T @ u, np.eye(n), atol=1e-10)
+            np.testing.assert_allclose(vt @ vt.T, np.eye(n), atol=1e-13)
+            np.testing.assert_allclose(u @ (sigma[:, None] * vt), a, atol=1e-12 * n)
+        assert (got.outputs["sweeps_done"] > 0).sum() == len(mats) - 1  # n = 1 needs none
+
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (16, 9), (9, 16)])
+    def test_gesvj_of_rank_deficient_r_factors(self, shape):
+        """What the hmatrix app feeds gesvj: the R factor of an m x n tile
+        zero-embedded into a square of order max(m, n)."""
+        m, n = shape
+        order = max(m, n)
+        tiles = []
+        for seed in range(3):
+            emb = np.zeros((order, order))
+            emb[:m, :n] = self._mats([order], seed=seed)[0][:m, :n]
+            tiles.append(emb)
+        _, factors = run_op("geqrf", tiles)
+        rs = [np.triu(f) for f in factors]
+        ref, _ = run_op("gesvj", rs, reference=True)
+        got, _ = run_op("gesvj", rs)
+        rank = min(m, n)
+        for i in range(len(rs)):
+            want = ref.outputs["singular_values"][i]
+            have = got.outputs["singular_values"][i]
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12 * want[0])
+            np.testing.assert_allclose(
+                have[:rank], np.linalg.svd(tiles[i], compute_uv=False)[:rank], rtol=1e-12
+            )
+            if m > n:  # exactly-zero columns never rotate
+                assert not have[rank:].any()
+
+    @pytest.mark.parametrize("op", ["gesvj", "geqrf"])
+    def test_lda_padding_never_written(self, op):
+        mats = self._mats(self.SIZES, seed=2)
+        ldas = [n + pad for n, pad in zip(self.SIZES, [0, 3, 1, 7, 0, 2, 8, 1, 5])]
+        _, ref_bufs = run_op(op, mats, reference=True, ldas=ldas)
+        _, got_bufs = run_op(op, mats, ldas=ldas)
+        # Singular vectors agree to the sweep tolerance, QR to rounding.
+        atol = 1e-8 if op == "gesvj" else 1e-12
+        for n, r, g in zip(self.SIZES, ref_bufs, got_bufs):
+            assert np.all(g[n:, :] == -777.0)
+            np.testing.assert_allclose(np.abs(g[:n, :n]), np.abs(r[:n, :n]), atol=atol)
+
+    @pytest.mark.parametrize("precision", ["d", "s"])
+    @pytest.mark.parametrize("approach", ["fused", "separated"])
+    def test_geqrf_matches_reference(self, approach, precision):
+        from repro.ops import OpOptions
+
+        dtype = np.float64 if precision == "d" else np.float32
+        atol = 1e-12 if precision == "d" else 1e-4
+        mats = self._mats(self.SIZES + [40], seed=3, dtype=dtype)
+        # panel_nb 8: the separated sweep applies each panel's T to the
+        # trailing columns, so a wrong T shows up in R.
+        opts = OpOptions(approach=approach, panel_nb=8)
+        ref, ref_f = run_op("geqrf", mats, reference=True, options=opts)
+        got, got_f = run_op("geqrf", mats, options=opts)
+        for i, (a, r, g) in enumerate(zip(mats, ref_f, got_f)):
+            n = a.shape[0]
+            taus = got.outputs["taus"][i, :n]
+            np.testing.assert_allclose(taus, ref.outputs["taus"][i, :n], atol=atol)
+            np.testing.assert_allclose(g, r, atol=atol * n)
+            q = build_q(g, taus)
+            np.testing.assert_allclose(q @ np.triu(g), a, atol=atol * n)
+
+    @pytest.mark.parametrize("precision", ["c", "z"])
+    def test_complex_geqrf_is_the_reference(self, precision):
+        dtype = np.complex64 if precision == "c" else np.complex128
+        mats = self._mats(self.SIZES, seed=4, dtype=dtype)
+        ref, ref_f = run_op("geqrf", mats, reference=True)
+        got, got_f = run_op("geqrf", mats)
+        assert np.array_equal(got.outputs["taus"], ref.outputs["taus"])
+        for r, g in zip(ref_f, got_f):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("op", ["gesvj", "geqrf"])
+    def test_non_finite_matrix_leaves_batchmates_alone(self, op):
+        sizes = [9, 9, 9, 12, 9]
+        clean = self._mats(sizes, seed=5)
+        mats = [m.copy() for m in clean]
+        mats[1][4, 2] = np.nan
+        mats[3][0, 7] = np.inf
+        healthy, healthy_f = run_op(op, clean)
+        with np.errstate(invalid="ignore"):
+            got, got_f = run_op(op, mats)
+        for i in (0, 2, 4):
+            assert np.array_equal(got_f[i], healthy_f[i]), f"matrix {i}"
+            for key, want in healthy.outputs.items():
+                assert np.array_equal(got.outputs[key][i], want[i]), f"{key}[{i}]"
+        assert not np.isfinite(got_f[1]).all()
 
 
 class TestEdgeShapes:

@@ -2,6 +2,7 @@
 
 Usage:  PYTHONPATH=src python tools/ext_lapack_ratio.py [--batch 40]
         [--orders 8 16] [--repeat 7] [--seed 0] [--ops potrf geqrf ...]
+        [--max-ratio gesvj=45 geqrf=9 ...]
 
 Factors one batch of random square matrices (orders uniform in
 ``--orders``; the default 8..16 is the cluster size of the e2e
@@ -13,6 +14,11 @@ the same matrices: ``np.linalg.cholesky`` (potrf),
 (getrf) and ``np.linalg.svd`` (gesvj; LAPACK gesdd).  Prints the best
 of ``--repeat`` runs of each and their ratio.  BLAS is pinned to one
 thread.
+
+The gesvj singular values and the geqrf ``|diag R|`` are checked
+against the floor's answers, so a fast but wrong path cannot pass.
+``--max-ratio OP=X`` makes the script a gate: it exits 1 when a
+checked answer is wrong or an op's ratio is above its bound.
 """
 
 from __future__ import annotations
@@ -67,16 +73,48 @@ OPS = {
 }
 
 
-def best_numerics_s(clock: NumericsClock, driver, mats, repeat: int) -> float:
+def best_numerics_s(clock: NumericsClock, driver, mats, repeat: int):
+    """Best summed ``run_numerics`` time, with the last run's result and
+    downloaded matrices."""
     device = Device()
     best = float("inf")
     for _ in range(repeat):
         batch = VBatch.from_host(device, [m.copy() for m in mats])
         clock.total_s = 0.0
-        driver(device, batch)
+        result = driver(device, batch)
         best = min(best, clock.total_s)
+        factors = batch.download_matrices()
         batch.free()
-    return best
+    return best, result, factors
+
+
+def answer_errors(op: str, mats, result, factors) -> list[str]:
+    """Where the timed answers disagree with LAPACK's (gesvj singular
+    values, geqrf ``|diag R|``); other ops are not checked."""
+    if op not in ("gesvj", "geqrf"):
+        return []
+    errors = []
+    for i, (a, f) in enumerate(zip(mats, factors)):
+        n = a.shape[0]
+        if op == "gesvj":
+            got = result.outputs["singular_values"][i, :n]
+            want = np.linalg.svd(a, compute_uv=False)
+        else:
+            got = np.abs(np.diag(f))
+            want = np.abs(np.diag(scipy.linalg.qr(a, mode="r")[0]))
+        if not np.allclose(got, want, rtol=1e-10, atol=1e-10 * max(want[0], 1.0)):
+            errors.append(f"{op}: matrix {i} (n={n}) disagrees with LAPACK")
+    return errors
+
+
+def parse_bounds(items) -> dict[str, float]:
+    bounds = {}
+    for item in items:
+        op, sep, value = item.partition("=")
+        if not sep or op not in OPS:
+            raise SystemExit(f"--max-ratio wants OP=X with OP in {sorted(OPS)}, got {item!r}")
+        bounds[op] = float(value)
+    return bounds
 
 
 def best_lapack_s(routine, mats, repeat: int) -> float:
@@ -96,7 +134,10 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops", nargs="+", choices=list(OPS), default=list(OPS))
+    parser.add_argument("--max-ratio", nargs="+", default=[], metavar="OP=X",
+                        help="exit 1 when OP's numerics/LAPACK ratio is above X")
     args = parser.parse_args(argv)
+    bounds = parse_bounds(args.max_ratio)
     clock = NumericsClock()
     clock.instrument()
     rng = np.random.default_rng(args.seed)
@@ -112,12 +153,18 @@ def main(argv=None) -> int:
     print(f"batch {args.batch}, orders {args.orders[0]}..{args.orders[1]}, "
           f"best of {args.repeat}")
     print(f"{'op':6} {'numerics_ms':>12} {'lapack_ms':>10} {'ratio':>7}")
+    failures = []
     for op in args.ops:
         driver, routine = OPS[op]
-        ours = best_numerics_s(clock, driver, inputs[op], args.repeat)
+        ours, result, factors = best_numerics_s(clock, driver, inputs[op], args.repeat)
         floor = best_lapack_s(routine, inputs[op], args.repeat)
         print(f"{op:6} {ours * 1e3:12.2f} {floor * 1e3:10.2f} {ours / floor:7.1f}")
-    return 0
+        failures += answer_errors(op, inputs[op], result, factors)
+        if op in bounds and not ours / floor <= bounds[op]:
+            failures.append(f"{op}: ratio {ours / floor:.1f} above its bound {bounds[op]:g}")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
