@@ -166,7 +166,7 @@ class _FlexTrsmKernel(Kernel):
         )
         return (self.side, dims.tobytes())
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         works = []
@@ -182,7 +182,7 @@ class _FlexTrsmKernel(Kernel):
                     active_threads=min(1024, max(m, 1)),
                 )
             )
-        return works
+        return BlockWork.pack(works)
 
     def run_numerics(self) -> None:
         for na, m, n, a_view, b_view in self.items:
@@ -265,7 +265,7 @@ class _FullTrtriKernel(Kernel):
         orders = np.fromiter((n for n, _ in self.items), dtype=np.int64, count=len(self.items))
         return (orders.tobytes(),)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         works = []
@@ -281,7 +281,7 @@ class _FullTrtriKernel(Kernel):
                     active_threads=min(n, 1024),
                 )
             )
-        return works
+        return BlockWork.pack(works)
 
     def run_numerics(self) -> None:
         for n, view in self.items:

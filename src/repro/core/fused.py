@@ -25,12 +25,13 @@ import numpy as np
 
 from ..errors import ArgumentError
 from ..types import Precision, precision_info
+from ..device.kernel import key_prefix
 from ..kernels import grouping
 from ..kernels.aux import StepSizesKernel
-from ..kernels.fused_potrf import FusedPotrfStepKernel
+from ..kernels.fused_potrf import FusedPotrfStepKernel, fused_cost_bytes, fused_launch_config
 from .batch import VBatch
 from .plan import LaunchPlan, PlanBuilder
-from .sorting import partition_windows, sorted_order
+from .sorting import sorted_order, window_bounds
 
 __all__ = ["FusedDriver", "FusedRunStats", "default_fused_nb", "fused_max_feasible_size"]
 
@@ -92,6 +93,99 @@ class FusedRunStats:
     window_launches_max: int = 0
 
 
+class _FusedEmitter:
+    """Builds one plan's fused kernels.  The precision is resolved once
+    per plan; one launch config (block bound checked) and memo-key
+    prefix are shared per distinct ``max_m``."""
+
+    def __init__(self, batch, precision, nb: int, etm: str):
+        self.batch = batch
+        self.precision = precision
+        self.nb = nb
+        self.etm = etm
+        self.info = precision_info(precision)
+        self._shapes: dict[int, tuple] = {}
+
+    def __call__(self, step, indices, max_m, ms, counts):
+        shape = self._shapes.get(max_m)
+        if shape is None:
+            config = fused_launch_config(max_m, self.nb, self.info.bytes_per_element)
+            prefix = key_prefix(
+                config, self.precision, self.etm, FusedPotrfStepKernel.compute_efficiency,
+                FusedPotrfStepKernel.serial_latency_scale,
+            )
+            shape = self._shapes[max_m] = (config, prefix)
+        config, prefix = shape
+        key = FusedPotrfStepKernel.byte_key(prefix, fused_cost_bytes(step, self.nb, ms, counts))
+        return FusedPotrfStepKernel(
+            self.batch, step, self.nb, indices, max_m, self.etm, (ms, counts),
+            info=self.info, config=config, memo_key=key,
+        )
+
+
+def _sorted_launches(sizes, steps: int, nb: int, window: int, min_count: int) -> list[list]:
+    """Every step's implicit-sorting launches, ``(indices, max_m, ms,
+    counts)`` each, from one pass over the descending sizes.
+
+    The runs of equal size in the sorted order are the same at every
+    step, and a window never splits one (its matrices share a window
+    id), so the steps are planned on runs: row ``s`` of ``rem`` holds
+    each run's remaining rows at step ``s``, its live runs are a prefix,
+    and a window's groups are a slice of that row and of the run
+    lengths.  Identical to :func:`~repro.core.sorting.partition_windows`
+    plus first-seen grouping per window.
+    """
+    order = sorted_order(sizes)
+    ordered = sizes[order]
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    cum = bounds.tolist()  # run starts, then the batch count
+    values = ordered[bounds[:-1]]  # distinct sizes, descending
+    lengths = bounds[1:] - bounds[:-1]
+    rem = values - (np.arange(steps, dtype=np.int64) * nb)[:, None]
+    descending = values.tolist()
+    runs = len(descending)
+    win_id = None
+    # Windows of whole live prefixes recur from step to step: share
+    # their index and count slices.
+    prefixes: dict[int, tuple] = {}
+    launches = []
+    for s in range(steps):
+        offset = s * nb
+        while runs and descending[runs - 1] <= offset:  # the live prefix shrinks
+            runs -= 1
+        if runs == 0:
+            launches.append([])
+            continue
+        row = rem[s]
+        if cum[runs] <= min_count:  # one window: the whole live prefix
+            prefix = prefixes.get(runs)
+            if prefix is None:
+                prefix = prefixes[runs] = (order[:cum[runs]], lengths[:runs])
+            launches.append([(prefix[0], descending[0] - offset, row[:runs], prefix[1])])
+            continue
+        if win_id is None:
+            win_id = (rem - 1) // window
+        cuts = window_bounds(win_id[s, :runs], cum, min_count)
+        launches.append([
+            (order[cum[a]:cum[b]], int(row[a]), row[a:b], lengths[a:b])
+            for a, b in zip(cuts, cuts[1:])
+        ])
+    return launches
+
+
+def _unsorted_launches(sizes, steps: int, nb: int, max_n: int) -> list[list]:
+    """One launch per step over the whole batch in batch order, shaped
+    by ``max_n`` (finished matrices ride along as ETM-terminated
+    blocks), grouped first-seen."""
+    indices = np.arange(len(sizes), dtype=np.int64)
+    launches = []
+    for s in range(steps):
+        offset = s * nb
+        ms, counts = grouping.grouped_first_seen(np.maximum(0, sizes - offset))
+        launches.append([(indices, max_n - offset, ms, counts)])
+    return launches
+
+
 class FusedDriver:
     """Runs the fused-kernel approach over a :class:`VBatch`."""
 
@@ -112,74 +206,56 @@ class FusedDriver:
         self.window_width = window_width
 
     def plan(self, batch: VBatch, max_n: int) -> LaunchPlan:
-        """Emit the launch DAG for Algorithm 1 (no device time passes)."""
+        """Emit the launch DAG for Algorithm 1 (no device time passes).
+
+        Per step: the auxiliary step-sizes launch, whose output stays in
+        device memory for the compute kernels (the host never reads it
+        back; it derives the launch shape from the interface-provided
+        ``max_n``, paper §III-F), then the fused launches.  Every step's
+        launch shapes come from one pass over the sorted sizes
+        (:func:`_sorted_launches`); the loop below only emits them.
+        """
         if max_n <= 0:
             raise ArgumentError(3, f"max_n must be positive, got {max_n}")
-        nb = self.nb or default_fused_nb(max_n, batch.precision)
+        precision = batch.precision
+        nb = self.nb or default_fused_nb(max_n, precision)
         window = self.window_width or max(nb, _WARP)
-        stats = FusedRunStats()
+        steps = -(-max_n // nb)
+        k = batch.batch_count
         pb = PlanBuilder(self.device, batch)
-
-        sizes = batch.sizes_host
-        order = sorted_order(sizes) if self.sorting else np.arange(batch.batch_count, dtype=np.int64)
-
         try:
             # Device workspaces for the per-step auxiliary kernel; the
             # plan owns them (cached re-executions reuse them) and the
             # pool gets them back when the plan closes.
-            remaining_dev = pb.workspace((batch.batch_count,), np.int64)
-            panel_dev = pb.workspace((batch.batch_count,), np.int64)
+            remaining_dev = pb.workspace((k,), np.int64)
+            panel_dev = pb.workspace((k,), np.int64)
             stats_dev = pb.workspace((2,), np.int64)
-
-            steps = -(-max_n // nb)
-            for s in range(steps):
-                offset = s * nb
-                # The auxiliary kernel leaves per-matrix step metadata in
-                # device memory for the compute kernels; the host itself
-                # never reads it back — it derives the launch shape from
-                # the interface-provided max_n (paper §III-F).
-                pb.aux(
-                    StepSizesKernel(batch.sizes_dev, offset, nb, remaining_dev, panel_dev, stats_dev)
+            if self.sorting:
+                # Merge small windows up to roughly the device's block
+                # capacity so no sub-launch wastes whole waves.
+                launches = _sorted_launches(batch.sizes_host, steps, nb, window, min_count=256)
+            else:
+                launches = _unsorted_launches(batch.sizes_host, steps, nb, max_n)
+            emit = _FusedEmitter(batch, precision, nb, self.etm)
+            sizes_dev = batch.sizes_dev
+            aux_key = None
+            for s, step_launches in enumerate(launches):
+                aux = StepSizesKernel(
+                    sizes_dev, s * nb, nb, remaining_dev, panel_dev, stats_dev, memo_key=aux_key
                 )
-                stats.aux_launches += 1
-                max_m = max_n - offset
-                if max_m <= 0:
-                    break
-                stats.steps += 1
-
-                # Host-side grouping of this step's remaining sizes: the
-                # planner buckets once and every sub-launch reuses it for
-                # the timing plane (same-size blocks collapse to one
-                # grouped work record).
-                rem_all = np.maximum(0, sizes - offset)
-                if self.sorting:
-                    # Merge small windows up to roughly the device's block
-                    # capacity so no sub-launch wastes whole waves.
-                    windows = partition_windows(
-                        sizes, order, offset, window, min_count=256
-                    )
-                    stats.window_launches_max = max(stats.window_launches_max, len(windows))
-                    for win in windows:
-                        pb.launch(
-                            FusedPotrfStepKernel(
-                                batch, s, nb, win.indices, win.max_m, self.etm,
-                                groups=grouping.grouped_first_seen(rem_all[win.indices]),
-                            ),
-                            tag="fused",
-                        )
-                        stats.fused_launches += 1
-                else:
-                    pb.launch(
-                        FusedPotrfStepKernel(
-                            batch, s, nb, order, max_m, self.etm,
-                            groups=grouping.grouped_first_seen(rem_all[order]),
-                        ),
-                        tag="fused",
-                    )
-                    stats.fused_launches += 1
+                aux_key = aux.memo_key()  # one size vector: every step costs the same
+                pb.aux(aux)
+                for indices, max_m, ms, counts in step_launches:
+                    pb.launch(emit(s, indices, max_m, ms, counts), tag="fused")
         except BaseException:
             pb.abandon()
             raise
+        stats = FusedRunStats(
+            steps=steps,
+            fused_launches=sum(map(len, launches)),
+            aux_launches=steps,
+            window_launches_max=max(map(len, launches)) if self.sorting else 0,
+        )
         return pb.build(run_stats=stats, meta={"planner": "fused", "nb": nb, "max_n": max_n})
 
     def factorize(self, batch: VBatch, max_n: int) -> FusedRunStats:

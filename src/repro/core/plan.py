@@ -57,41 +57,64 @@ def _cache_track(device) -> Track:
     return Track(getattr(device, "name", "planner"), "planner")
 
 
-@dataclass(frozen=True)
 class PlanNode:
     """Common shape of every node in a :class:`LaunchPlan`.
 
     ``index`` is the node's position in the plan (its id); ``deps`` are
     indices of earlier nodes this node must wait for.  Same-stream
     ordering is implicit, so ``deps`` only matters across streams.
+    Nodes are slotted records, set once by their planner and never
+    changed afterwards (the optimizer builds new ones).
     """
 
-    index: int
-    stream: int = DEFAULT_STREAM
-    deps: tuple[int, ...] = ()
+    __slots__ = ("index", "stream", "deps")
+
+    def __init__(self, index: int, stream: int = DEFAULT_STREAM, deps: tuple[int, ...] = ()):
+        self.index = index
+        self.stream = stream
+        self.deps = deps
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for cls in reversed(type(self).__mro__)
+            for name in getattr(cls, "__slots__", ())
+        )
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class KernelLaunch(PlanNode):
     """Launch one compute kernel on a logical stream."""
 
-    kernel: object = None
-    tag: str = "kernel"
+    __slots__ = ("kernel", "tag")
+
+    def __init__(self, index: int, stream: int = DEFAULT_STREAM, deps: tuple[int, ...] = (),
+                 kernel: object = None, tag: str = "kernel"):
+        super().__init__(index, stream, deps)
+        self.kernel = kernel
+        self.tag = tag
 
 
-@dataclass(frozen=True)
 class AuxLaunch(KernelLaunch):
     """Launch a metadata/auxiliary kernel (step sizes, reductions)."""
 
-    tag: str = "aux"
+    __slots__ = ()
+
+    def __init__(self, index: int, stream: int = DEFAULT_STREAM, deps: tuple[int, ...] = (),
+                 kernel: object = None, tag: str = "aux"):
+        super().__init__(index, stream, deps, kernel, tag)
 
 
-@dataclass(frozen=True)
 class Barrier(PlanNode):
     """Join point: the host drains ``streams`` (``None`` = every stream
     the plan has touched) and then the whole device."""
 
-    streams: tuple[int, ...] | None = None
+    __slots__ = ("streams",)
+
+    def __init__(self, index: int, stream: int = DEFAULT_STREAM, deps: tuple[int, ...] = (),
+                 streams: tuple[int, ...] | None = None):
+        super().__init__(index, stream, deps)
+        self.streams = streams
 
 
 @dataclass
@@ -106,10 +129,11 @@ class LaunchPlan:
     ``owns_batch`` additionally makes :meth:`close` free ``batch_ref``:
     set by callers (the sharded driver) that materialized a batch solely
     to back this plan, so cache eviction releases its device memory.
-    ``program`` is the plan optimizer's lowered form of ``nodes`` (a
+    ``program`` is the lowered form of ``nodes`` (a
     :class:`~repro.device.executor.LaunchProgram`), which the executor
-    replays instead of walking the nodes; ``None`` for plans the
-    optimizer did not finalize or could not lower.
+    replays instead of walking the nodes.  :meth:`PlanBuilder.build`
+    and the plan optimizer lower every plan without barriers; plans
+    with barriers keep ``None``.
     """
 
     device: object
@@ -137,9 +161,10 @@ class LaunchPlan:
     def validate(self) -> None:
         """Check the node list is a well-formed DAG in topological order."""
         for node in self.nodes:
-            if any(d >= node.index or d < 0 for d in node.deps):
+            deps = node.deps
+            if deps and (max(deps) >= node.index or min(deps) < 0):
                 raise PlanError(
-                    f"node {node.index} depends on {node.deps}: edges must point backwards"
+                    f"node {node.index} depends on {deps}: edges must point backwards"
                 )
             if isinstance(node, KernelLaunch) and node.kernel is None:
                 raise PlanError(f"node {node.index} is a launch without a kernel")
@@ -228,6 +253,10 @@ class PlanBuilder:
 
     # -- lifecycle ------------------------------------------------------
     def build(self, run_stats=None, meta=None, bound_numerics: bool | None = None) -> LaunchPlan:
+        """Validate the nodes into a :class:`LaunchPlan`, lowered to a
+        replayable program when it has no barriers."""
+        from ..device.executor import LaunchProgram
+
         if self._built:
             raise PlanError("builder already produced its plan")
         self._built = True
@@ -243,6 +272,7 @@ class PlanBuilder:
             meta=meta or {},
         )
         plan.validate()
+        plan.program = LaunchProgram.lower(plan)
         return plan
 
     def abandon(self) -> None:

@@ -16,11 +16,12 @@ measured gains.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SizeWindow", "sorted_order", "partition_windows"]
+__all__ = ["SizeWindow", "sorted_order", "partition_windows", "window_bounds"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,36 @@ def sorted_order(sizes: np.ndarray) -> np.ndarray:
     """Indices ordered by size descending (stable for reproducibility)."""
     sizes = np.asarray(sizes)
     return np.argsort(-sizes, kind="stable").astype(np.int64)
+
+
+def window_bounds(win_id: np.ndarray, cum, min_count: int = 0) -> list[int]:
+    """Unit boundaries ``[0, ..., n]`` of the size windows of one step.
+
+    The ``n`` units are consecutive pieces of a descending live prefix:
+    single matrices, or runs of equal sizes.  ``win_id`` is each unit's
+    (non-increasing) window id and ``cum`` (length ``n + 1``, any
+    sequence) the number of matrices ahead of each unit.  A window
+    takes units until it holds ``min_count`` matrices (at least one),
+    then runs on to the end of the last taken unit's window id.
+    """
+    n = len(win_id)
+    total = cum[n]
+    take = max(min_count, 1)
+    if take >= total:
+        return [0, n]
+    run_ends = (np.flatnonzero(win_id[1:] != win_id[:-1]) + 1).tolist()
+    run_ends.append(n)
+    bounds = [0]
+    start = 0
+    while start < n:
+        target = cum[start] + take
+        if target >= total:
+            bounds.append(n)
+            break
+        last = bisect_right(cum, target - 1) - 1  # the unit holding matrix target - 1
+        start = run_ends[bisect_right(run_ends, last)]
+        bounds.append(start)
+    return bounds
 
 
 def partition_windows(
@@ -73,23 +104,12 @@ def partition_windows(
         return []
     live_order = order[:live_count]
     live_remaining = remaining[:live_count]
-
-    windows: list[SizeWindow] = []
     # Window id of each live matrix: ceil(m / width) - 1, so the largest
     # window holds remaining sizes in ((w)*width, (w+1)*width].
     win_id = (live_remaining - 1) // window_width
-    start = 0
-    while start < live_count:
-        w = win_id[start]
-        end = start
-        while end < live_count and (win_id[end] == w or end - start < min_count):
-            w = win_id[end]
-            end += 1
-        windows.append(
-            SizeWindow(
-                indices=live_order[start:end].copy(),
-                max_m=int(live_remaining[start]),  # descending => first is max
-            )
-        )
-        start = end
-    return windows
+    bounds = window_bounds(win_id, range(live_count + 1), min_count)
+    return [
+        # descending => the first matrix of a window has its max
+        SizeWindow(indices=live_order[a:b].copy(), max_m=int(live_remaining[a]))
+        for a, b in zip(bounds, bounds[1:])
+    ]

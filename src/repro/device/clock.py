@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 __all__ = ["Interval", "Timeline"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Interval:
     """One span of simulated activity.
 
     ``utilization`` is the fraction of the resource kept busy during
     the span (block slots for a kernel, cores for a CPU phase); it
-    scales the dynamic term of the power models.
+    scales the dynamic term of the power models.  Slotted rather than
+    frozen: the device records one per launch, and a frozen init costs
+    several times more.  Nothing changes an interval once recorded.
     """
 
     start: float

@@ -5,8 +5,8 @@
 1. pays the host-side launch overhead (launches pipeline: the host can
    run ahead of the device);
 2. resolves occupancy for the kernel's :class:`LaunchConfig`;
-3. converts each :class:`BlockWork` into a duration via the calibrated
-   cost model (`_block_duration`);
+3. converts each work group of :meth:`Kernel.block_arrays` into a
+   block duration via the calibrated cost model (`_block_durations`);
 4. schedules the blocks onto SM slots (`BlockScheduler`) for the
    kernel's standalone makespan;
 5. serializes against the device-wide SM *area* so concurrent streams
@@ -30,7 +30,7 @@ import numpy as np
 from ..types import precision_info
 from .calibration import Calibration, K40C_CALIBRATION
 from .clock import Timeline
-from .kernel import BlockWork, Kernel
+from .kernel import Kernel
 from .memory import DeviceArray, GlobalMemory
 from .pool import WorkspacePool
 from .scheduler import BlockScheduler, ScheduleResult
@@ -199,12 +199,18 @@ class Device:
 
         # In-order within the stream; across streams, execution may
         # overlap but the total SM area (block-seconds / slots) is a
-        # shared resource, so heavy concurrent work serializes.
-        start = max(issue_done, stream.ready_time, )
-        area_time = schedule.total_block_time / max(1, occ.concurrent_blocks)
-        area_start = max(start, self._sm_area_free_at)
-        self._sm_area_free_at = area_start + area_time
-        end = max(start + schedule.makespan, self._sm_area_free_at)
+        # shared resource, so heavy concurrent work serializes.  (The
+        # conditionals are max() spelled out: this runs once per launch.)
+        ready = stream.ready_time
+        start = ready if ready > issue_done else issue_done
+        slots = occ.concurrent_blocks
+        area_time = schedule.total_block_time / (slots if slots > 1 else 1)
+        free_at = self._sm_area_free_at
+        area_end = (free_at if free_at > start else start) + area_time
+        self._sm_area_free_at = area_end
+        end = start + schedule.makespan
+        if area_end > end:
+            end = area_end
         stream.ready_time = end
 
         self.timeline.record(start, end, f"kernel:{kernel.name}", schedule.utilization)
@@ -262,103 +268,42 @@ class Device:
             config.regs_per_thread,
         )
         info = precision_info(kernel.precision)
-        works = kernel.block_works()
-        counts = np.fromiter((w.count for w in works), dtype=np.int64, count=len(works))
+        *works, counts = kernel.block_arrays()
         total_blocks = int(counts.sum())
-        durations = self._block_durations(works, occ, info, kernel, config, total_blocks)
+        if len(counts) == 1:
+            # One group (every single-matrix launch): the same expressions
+            # on numpy scalars cost a fraction of the array calls.
+            works = [a[0] for a in works]
+        durations = np.atleast_1d(
+            self._block_durations(*works, occ, info, kernel, config, total_blocks)
+        )
         schedule = self.scheduler.makespan(durations, counts, occ.concurrent_blocks)
         return occ, schedule, total_blocks
 
     def _block_durations(
         self,
-        works: list[BlockWork],
+        flops: np.ndarray,
+        bytes_: np.ndarray,
+        serial: np.ndarray,
+        active_threads: np.ndarray,
         occ: Occupancy,
         info,
         kernel: Kernel,
         config,
         total_blocks: int,
     ) -> np.ndarray:
-        """Vectorized `_block_duration` over a launch's work groups.
-
-        Evaluates the identical expression tree elementwise, so each
-        entry matches the scalar path bit-for-bit.
-        """
+        """Duration of one thread block of each work group under the
+        calibrated model, for the arrays of :meth:`Kernel.block_arrays`
+        (or one group's numpy scalars)."""
         cal = self.calibration
-        n = len(works)
         threads_per_block = config.threads_per_block
-        flops = np.empty(n)
-        bytes_ = np.empty(n)
-        serial = np.empty(n)
-        active = np.empty(n)
-        for i, w in enumerate(works):
-            flops[i] = w.flops
-            bytes_[i] = w.bytes
-            serial[i] = w.serial_iters
-            a = w.active_threads
-            active[i] = threads_per_block if a is None else min(a, threads_per_block)
+        active = np.minimum(active_threads, threads_per_block)
         terminated = active == 0.0
 
         warp = self.spec.warp_size
         # Clamped to one warp for terminated groups to keep the shared
         # expressions finite; those entries are overwritten at the end.
         live_warps = np.maximum(np.ceil(active / warp), 1.0)
-
-        latency_eff = min(
-            1.0, occ.resident_warps_per_sm * config.ilp / cal.full_throughput_warps
-        )
-        sm_share_rate = (
-            self.spec.peak_flops_per_sm(info)
-            * cal.issue_efficiency
-            * kernel.compute_efficiency
-            * latency_eff
-            / occ.blocks_per_sm
-        )
-        warp_issue_rate = (
-            live_warps * warp * 2.0 * self.spec.clock_hz
-            * cal.issue_efficiency * kernel.compute_efficiency
-        )
-        compute_rate = np.minimum(sm_share_rate, warp_issue_rate)
-        sharers = max(1, min(occ.concurrent_blocks, total_blocks))
-        mem_rate = np.minimum(
-            self.spec.global_mem_bandwidth * cal.mem_efficiency / sharers,
-            live_warps * cal.warp_mem_bandwidth * config.ilp,
-        )
-        base = np.maximum(flops / compute_rate, bytes_ / mem_rate)
-
-        lane_capacity = live_warps * warp
-        sub_idle = (lane_capacity - active) / lane_capacity
-        base *= 1.0 + cal.intra_warp_divergence_penalty * sub_idle
-        if kernel.etm_mode == "classic":
-            total_warps = -(-threads_per_block // warp)
-            idle_warp_frac = (total_warps - live_warps) / total_warps
-            base *= 1.0 + cal.classic_idle_warp_penalty * idle_warp_frac
-
-        arith = cal.serial_fp64_scale if info.uses_fp64_units else 1.0
-        per_iter = cal.serial_op_latency * (arith + (kernel.serial_latency_scale - 1.0))
-        out = base + serial * per_iter + cal.block_start_overhead
-        out[terminated] = cal.etm_terminate_overhead
-        return out
-
-    def _block_duration(
-        self,
-        work: BlockWork,
-        occ: Occupancy,
-        info,
-        kernel: Kernel,
-        config,
-        total_blocks: int,
-    ) -> float:
-        """Duration of one thread block under the calibrated model."""
-        cal = self.calibration
-        if work.terminated:
-            return cal.etm_terminate_overhead
-
-        warp = self.spec.warp_size
-        threads_per_block = config.threads_per_block
-        active = (
-            threads_per_block if work.active_threads is None else min(work.active_threads, threads_per_block)
-        )
-        live_warps = -(-active // warp)
 
         # Latency hiding: throughput scales with resident warps (times
         # the kernel's per-warp ILP) until the pipeline is saturated.
@@ -380,17 +325,17 @@ class Device:
             live_warps * warp * 2.0 * self.spec.clock_hz
             * cal.issue_efficiency * kernel.compute_efficiency
         )
-        compute_rate = min(sm_share_rate, warp_issue_rate)
+        compute_rate = np.minimum(sm_share_rate, warp_issue_rate)
         # DRAM bandwidth is shared by however many blocks actually run
         # concurrently (a one-block kernel gets the whole bus), and a
         # block's own pull is capped by its live warps' outstanding
         # loads.
         sharers = max(1, min(occ.concurrent_blocks, total_blocks))
-        mem_rate = min(
+        mem_rate = np.minimum(
             self.spec.global_mem_bandwidth * cal.mem_efficiency / sharers,
             live_warps * cal.warp_mem_bandwidth * config.ilp,
         )
-        base = max(work.flops / compute_rate, work.bytes / mem_rate)
+        base = np.maximum(flops / compute_rate, bytes_ / mem_rate)
 
         # Sub-warp idle lanes ride along in lockstep under EITHER ETM
         # mode (a warp executes all 32 lanes regardless).
@@ -411,7 +356,8 @@ class Device:
         # (serial_latency_scale > 1) is DRAM latency — precision-free.
         arith = cal.serial_fp64_scale if info.uses_fp64_units else 1.0
         per_iter = cal.serial_op_latency * (arith + (kernel.serial_latency_scale - 1.0))
-        return base + work.serial_iters * per_iter + cal.block_start_overhead
+        out = base + serial * per_iter + cal.block_start_overhead
+        return np.where(terminated, cal.etm_terminate_overhead, out)
 
 
 def cost_memo_stats(devices) -> dict:

@@ -26,7 +26,8 @@ falsy check per plan plus one per node.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 
 from ..errors import PlanError, PlanExecutionError
 from ..observability.trace import Track, current_tracer, propagating
@@ -177,17 +178,22 @@ class MemberStats:
 
 @dataclass(frozen=True)
 class LaunchProgram:
-    """A barrier-free plan lowered to a flat launch sequence.
+    """A barrier-free plan lowered to runs of launches.
 
-    ``steps`` holds one ``(index, kernel, stream, waits, record)`` per
-    launch: the earlier launches on other streams it waits on, and
-    whether a later launch waits on it.  ``stats`` is what a replay
-    reports, the same counts the node-by-node walk would produce.  The
-    plan optimizer lowers every plan it finalizes, so a cached plan's
-    warm re-run skips the executor's per-node dispatch.
+    ``segments`` holds one ``(stream, waits, kernels, record)`` per
+    maximal run of consecutive launches on one logical stream: the
+    earlier launches on other streams its first launch waits on, its
+    kernels in plan order, and the node index of its last launch when a
+    later launch waits on it (else ``None``).  A plan on stream 0 with
+    no dependency edges (every fused plan) is one segment, so a replay
+    is one launch call per kernel.  ``stats`` is what a replay reports,
+    the same counts the node-by-node walk would produce.
+    :meth:`~repro.core.plan.PlanBuilder.build` and the plan optimizer
+    lower every plan they finish, so an execution skips the executor's
+    per-node dispatch.
     """
 
-    steps: tuple
+    segments: tuple
     stats: ExecutionStats
 
     @classmethod
@@ -198,38 +204,54 @@ class LaunchProgram:
         nodes = plan.nodes
         if not all(isinstance(n, KernelLaunch) for n in nodes):
             return None
-        waits = [tuple(d for d in n.deps if nodes[d].stream != n.stream) for n in nodes]
+        tags = [n.tag for n in nodes]
+        waits = [
+            tuple(d for d in n.deps if nodes[d].stream != n.stream) if n.deps else ()
+            for n in nodes
+        ]
         recorded = {d for w in waits for d in w}
+        segments = []
+        sid = kernels = None
+        for n, w in zip(nodes, waits):
+            if n.stream != sid or w:
+                sid, kernels = n.stream, [n.kernel]
+                segments.append([sid, w, kernels, None])
+            else:
+                kernels.append(n.kernel)
+            if n.index in recorded:
+                segments[-1][3] = n.index
+                sid = None  # the next launch starts a new segment
         stats = ExecutionStats(
             launches=len(nodes),
             aux_launches=sum(isinstance(n, AuxLaunch) for n in nodes),
+            by_tag={tag: tags.count(tag) for tag in dict.fromkeys(tags)},
             streams_used=len({n.stream for n in nodes}),
             event_waits=sum(map(len, waits)),
             events_recorded=len(recorded),
         )
-        for n in nodes:
-            stats.by_tag[n.tag] = stats.by_tag.get(n.tag, 0) + 1
-        steps = tuple(
-            (n.index, n.kernel, n.stream, w, n.index in recorded)
-            for n, w in zip(nodes, waits)
-        )
-        return cls(steps, stats)
+        return cls(tuple((s, w, tuple(k), r) for s, w, k, r in segments), stats)
 
     def replay(self, device) -> ExecutionStats:
-        """Launch every step on ``device``; logical streams other than 0
-        get fresh streams, as in :meth:`PlanExecutor.execute`."""
+        """Launch every segment on ``device``; logical streams other than
+        0 get fresh streams, as in :meth:`PlanExecutor.execute`."""
+        launch = device.launch
         streams = {0: device.default_stream}
-        events = {}
-        for index, kernel, sid, waits, record in self.steps:
+        events = {}  # node index -> its stream's frontier after it
+        for sid, waits, kernels, record in self.segments:
             stream = streams.get(sid)
             if stream is None:
                 stream = streams[sid] = device.create_stream()
             for dep in waits:
-                stream.wait_event(events[dep])
-            device.launch(kernel, stream=stream)
-            if record:
-                events[index] = stream.record_event()
-        return replace(self.stats, by_tag=dict(self.stats.by_tag))
+                # Stream.wait_event on the recorded frontier.
+                if events[dep] > stream.ready_time:
+                    stream.ready_time = events[dep]
+            for kernel in kernels:
+                launch(kernel, stream)
+            if record is not None:
+                events[record] = stream.ready_time
+        stats = copy(self.stats)
+        stats.by_tag = dict(stats.by_tag)
+        return stats
 
 
 class PlanExecutor:
@@ -249,8 +271,8 @@ class PlanExecutor:
     construction, so the results are bit-identical to serial execution;
     the simulated clock always advances serially in node order.
 
-    A plan the optimizer lowered (``plan.program``, a
-    :class:`LaunchProgram`) is replayed instead of walked, unless a
+    A lowered plan (``plan.program``, a :class:`LaunchProgram`: every
+    plan without barriers) is replayed instead of walked, unless a
     tracer is active or parallel groups apply: both need the walk.
     """
 

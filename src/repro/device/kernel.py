@@ -2,10 +2,13 @@
 
 A simulated kernel describes itself in two planes:
 
-* ``block_works()`` — the *timing plane*: one :class:`BlockWork` per
-  group of identical thread blocks (flops, global-memory bytes, serial
-  chain length, live threads).  The device turns these into per-block
-  durations and schedules them onto SM slots.
+* ``block_arrays()`` — the *timing plane*: parallel arrays with one
+  entry per group of identical thread blocks (flops, global-memory
+  bytes, serial chain length, live threads, block count).  The device
+  turns these into per-block durations and schedules them onto SM
+  slots.  A kernel with a few groups writes them as :class:`BlockWork`
+  records and returns :meth:`BlockWork.pack`; one with many builds the
+  arrays directly.
 * ``run_numerics()`` — the *functional plane*: the actual NumPy math the
   kernel performs on device arrays.  Tests always execute it; figure
   sweeps may disable it (``Device(execute_numerics=False)``) since the
@@ -13,20 +16,21 @@ A simulated kernel describes itself in two planes:
 
 ``cost_key()`` digests exactly what the timing plane reads, so the
 device can serve a launch's cost from its memo without building
-``block_works()`` (see :meth:`repro.device.Device.prepare_launch`).
+``block_arrays()`` (see :meth:`repro.device.Device.prepare_launch`).
 """
 
 from __future__ import annotations
 
 import abc
 import pickle
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..types import Precision
 
-__all__ = ["LaunchConfig", "BlockWork", "Kernel", "EtmMode", "array_key"]
+__all__ = ["LaunchConfig", "BlockWork", "Kernel", "EtmMode", "array_key", "int64_bytes", "key_prefix"]
 
 
 EtmMode = str  # "classic" | "aggressive"
@@ -34,7 +38,7 @@ EtmMode = str  # "classic" | "aggressive"
 _ETM_MODES = ("classic", "aggressive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LaunchConfig:
     """Per-launch resource request (the CUDA ``<<<...>>>`` analogue).
 
@@ -43,6 +47,10 @@ class LaunchConfig:
     blocking / double buffering).  It multiplies the resident-warp count
     when judging latency hiding — a register-tiled gemm saturates an SM
     with far fewer warps than a shared-memory-bound panel kernel.
+
+    Slotted rather than frozen (planners build one per distinct block
+    shape, and a frozen init costs several times more); a config is
+    never changed once built, and plans share them between kernels.
     """
 
     threads_per_block: int
@@ -101,12 +109,67 @@ class BlockWork:
     def terminated(self) -> bool:
         return self.active_threads == 0
 
+    @staticmethod
+    def pack(works) -> tuple[np.ndarray, ...]:
+        """Records as the arrays of :meth:`Kernel.block_arrays`:
+        ``(flops, bytes, serial_iters, active_threads, counts)``, with
+        ``inf`` threads where a record keeps the whole block busy
+        (``active_threads is None``)."""
+        n = len(works)
+        return (
+            np.fromiter((w.flops for w in works), np.float64, n),
+            np.fromiter((w.bytes for w in works), np.float64, n),
+            np.fromiter((w.serial_iters for w in works), np.float64, n),
+            np.fromiter(
+                (np.inf if w.active_threads is None else w.active_threads for w in works),
+                np.float64, n,
+            ),
+            np.fromiter((w.count for w in works), np.int64, n),
+        )
+
 
 def array_key(values) -> tuple:
     """Hashable, exact digest of an array's contents (dtype and shape
     included, so equal bytes of different dtypes never collide)."""
     a = np.asarray(values)
     return (a.dtype.str, a.shape, a.tobytes())
+
+
+_INT64 = np.dtype("<i8")
+
+
+def int64_bytes(values) -> bytes:
+    """An integer array's values as little-endian int64 bytes.
+
+    One fixed dtype, so equal values encode equally whatever integer
+    type they arrive in; callers put the length ahead of the bytes.
+    """
+    a = np.asarray(values)
+    if a.dtype is _INT64:
+        return a.tobytes()
+    if a.dtype.kind not in "iub":
+        raise TypeError(f"byte cost keys encode integer arrays, got {a.dtype}")
+    return a.astype(_INT64, copy=False).tobytes()
+
+
+_PREFIX = struct.Struct("<qqqddd")  # config (threads, smem, regs, ilp), efficiency constants
+
+
+def key_prefix(config: LaunchConfig, precision, etm_mode: str, compute_efficiency: float,
+               serial_latency_scale: float) -> bytes:
+    """The bytes a byte memo key holds ahead of the kernel's own cost
+    bytes (:meth:`Kernel.byte_key`).
+
+    The launch config and the efficiency constants in a fixed layout,
+    then the precision and the ETM mode, each closed by ``|`` (neither
+    contains one), so the prefix ends unambiguously.  Planners that emit
+    many kernels of one shape compute it once and share it.
+    """
+    p = precision.value if isinstance(precision, Precision) else precision
+    return _PREFIX.pack(
+        config.threads_per_block, config.shared_mem_per_block, config.regs_per_thread,
+        config.ilp, compute_efficiency, serial_latency_scale,
+    ) + f"{p}|{etm_mode}|".encode()
 
 
 class Kernel(abc.ABC):
@@ -156,36 +219,50 @@ class Kernel(abc.ABC):
         """Resource request for this launch."""
 
     @abc.abstractmethod
-    def block_works(self) -> list[BlockWork]:
-        """Timing plane: grouped per-block work records."""
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
+        """Timing plane as parallel arrays, one entry per group of
+        identical blocks: ``(flops, bytes, serial_iters, active_threads,
+        counts)`` (float64, counts int64; ``active_threads`` is ``inf``
+        where a group keeps the whole block busy, ``0`` where its blocks
+        terminate at once).  Groups are in issue order."""
 
-    def cost_key(self) -> tuple | None:
-        """Hashable digest of everything ``launch_config()`` and
-        ``block_works()`` read (sizes, steps, tiling, ...).
+    def cost_key(self) -> tuple | bytes | None:
+        """Digest of everything ``launch_config()`` and
+        ``block_arrays()`` read (sizes, steps, tiling, ...).
 
         Two kernels of the same class with equal keys, precision, ETM
         mode and efficiency constants must cost the same.  Group arrays
         are keyed in issue order: the exact scheduler depends on it.
-        Plain values only (numbers, strings, bytes, tuples), since the
-        key is pickled.  ``None`` (the default) opts the kernel out of
-        the device's memo.
+        Either a tuple of plain values (numbers, strings, bytes,
+        tuples), which :meth:`memo_key` pickles, or ``bytes`` in a
+        fixed layout that encodes its own length (array lengths ahead of
+        the arrays), which it uses as they are.  ``None`` (the default)
+        opts the kernel out of the device's memo.
         """
         return None
 
     def memo_key(self) -> tuple:
         """The device cost memo's key, computed once per kernel object.
 
-        The class plus a pickle of :meth:`cost_key` and every other
-        kernel-level input of the cost model; ``()`` when the kernel
-        opts out.  Pickling is exact (equal bytes only for equal
-        values) and leaves a key whose hash is cached, so a re-launch
-        costs one cheap dict lookup.
+        :meth:`byte_key` of :func:`key_prefix` and :meth:`cost_key` when
+        the cost key is bytes; otherwise the class plus a pickle of
+        :meth:`cost_key` and every other kernel-level input of the cost
+        model; ``()`` when the kernel opts out.  Both forms are exact
+        (equal bytes only for equal values) and leave a key whose hash
+        is cached, so a re-launch costs one cheap dict lookup.  A
+        planner may hand a kernel its key at construction.
         """
         key = self._memo_key
         if key is None:
             cost = self.cost_key()
             if cost is None:
                 key = ()
+            elif isinstance(cost, bytes):
+                prefix = key_prefix(
+                    self.launch_config(), self.precision, self.etm_mode,
+                    self.compute_efficiency, self.serial_latency_scale,
+                )
+                key = self.byte_key(prefix, cost)
             else:
                 # Flattened to plain values: they pickle several times
                 # faster than the dataclasses and enum they come from.
@@ -201,6 +278,12 @@ class Kernel(abc.ABC):
             self._memo_key = key
         return key
 
+    @classmethod
+    def byte_key(cls, prefix: bytes, cost: bytes) -> tuple:
+        """A byte memo key: the class, then :func:`key_prefix` bytes
+        followed by the kernel's byte :meth:`cost_key`."""
+        return (cls, prefix + cost)
+
     def run_numerics(self) -> None:
         """Functional plane: perform the kernel's math on device arrays.
 
@@ -208,4 +291,4 @@ class Kernel(abc.ABC):
         """
 
     def total_blocks(self) -> int:
-        return sum(w.count for w in self.block_works())
+        return int(self.block_arrays()[-1].sum())

@@ -9,6 +9,7 @@ Figs 8-9 depends on genuinely running out.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class DeviceArray:
         self._producer = None
         self._shape = shape
         self._dtype = dtype
-        self.nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
+        self.nbytes = int(math.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
 
     @property
     def data(self) -> np.ndarray:
@@ -113,7 +114,7 @@ class GlobalMemory:
         """Allocate a zero-initialized array on the device."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
+        nbytes = int(math.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
         if nbytes < 0:
             raise ValueError(f"invalid shape {shape}")
         if self.used + nbytes > self.capacity:

@@ -13,6 +13,7 @@ blocks until :meth:`trim` or :meth:`close`.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -74,7 +75,7 @@ class WorkspacePool:
         one of the right bin and dtype is available."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         dtype = np.dtype(dtype)
-        count = int(np.prod(shape, dtype=np.int64))
+        count = int(math.prod(shape))
         nbytes = count * dtype.itemsize
         key = (_bin_bytes(max(nbytes, 1)), dtype)
         bucket = self._free[key]

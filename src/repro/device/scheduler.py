@@ -73,16 +73,23 @@ class BlockScheduler:
         )
         if c.shape != d.shape:
             raise ValueError(f"counts shape {c.shape} != durations shape {d.shape}")
-        if np.any(d < 0) or np.any(c < 0):
-            raise ValueError("durations and counts must be non-negative")
-        keep = c > 0
-        d, c = d[keep], c[keep]
-        if d.size == 0:
+        if d.size == 1:
+            # One group (every single-matrix launch): the reductions
+            # below on plain numbers, a fraction of the array calls.
+            max_d, total_blocks = float(d[0]), int(c[0])
+            if max_d < 0 or total_blocks < 0:
+                raise ValueError("durations and counts must be non-negative")
+            total_time = max_d * total_blocks
+        else:
+            if np.any(d < 0) or np.any(c < 0):
+                raise ValueError("durations and counts must be non-negative")
+            keep = c > 0
+            d, c = d[keep], c[keep]
+            total_blocks = int(c.sum())
+            total_time = float(d @ c)
+            max_d = float(d.max()) if d.size else 0.0
+        if total_blocks == 0:
             return ScheduleResult(0.0, 0.0, slots, exact=True)
-
-        total_blocks = int(c.sum())
-        total_time = float(d @ c)
-        max_d = float(d.max())
 
         use_exact = force == "exact" or (force is None and total_blocks <= self.exact_threshold)
         if use_exact:

@@ -108,7 +108,7 @@ class _PanelKernelBase(Kernel):
         nrhs = np.fromiter((_nrhs(r) for r in rhs_views), dtype=np.int64, count=count)
         return (array_key(self.batch.sizes_host[:count]), nrhs.tobytes())
 
-    def _grouped(self, per_matrix) -> list[BlockWork]:
+    def _grouped(self, per_matrix) -> tuple[np.ndarray, ...]:
         groups: dict[tuple, int] = {}
         for desc in per_matrix:
             groups[desc] = groups.get(desc, 0) + 1
@@ -121,7 +121,7 @@ class _PanelKernelBase(Kernel):
                     BlockWork(flops, bytes_, serial_iters=serial,
                               active_threads=active, count=count)
                 )
-        return works
+        return BlockWork.pack(works)
 
 
 class PanelGetf2Kernel(_PanelKernelBase):
@@ -144,7 +144,7 @@ class PanelGetf2Kernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return self._panel_key(self.indices)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
@@ -197,7 +197,7 @@ class RowSwapKernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return self._panel_key(slice(0, len(self.jbs)))
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         elem = self._info.bytes_per_element
         per = []
         for i, jb in enumerate(self.jbs):
@@ -249,7 +249,7 @@ class LeftTrsmKernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return self._panel_key(slice(0, len(self.jbs)))
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
@@ -300,7 +300,7 @@ class PanelGeqr2Kernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return self._panel_key(self.indices)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
@@ -409,7 +409,7 @@ class JacobiSweepKernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return (self.max_rows, array_key(self.batch.sizes_host[self.indices]))
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
@@ -494,16 +494,16 @@ class SvdConvergenceKernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.count,)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         count = max(1, self.count)
-        return [
+        return BlockWork.pack([
             BlockWork(
                 flops=float(count),
                 bytes=8.0 * count,
                 serial_iters=float(max(1, count.bit_length())),
                 active_threads=min(256, count),
             )
-        ]
+        ])
 
 
 class SvdFinalizeKernel(_PanelKernelBase):
@@ -522,7 +522,7 @@ class SvdFinalizeKernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return (self.max_rows, array_key(self.batch.sizes_host[: self.batch.batch_count]))
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
@@ -574,7 +574,7 @@ class FusedGetrsKernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return self._solve_key(self.rhs_views)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
@@ -622,7 +622,7 @@ class FusedPotrsKernel(_PanelKernelBase):
     def cost_key(self) -> tuple:
         return self._solve_key(self.rhs_views)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []

@@ -12,6 +12,7 @@ negligible, which is the paper's argument for the simpler interface.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from ..device.kernel import BlockWork, Kernel, LaunchConfig
 __all__ = ["IMaxReduceKernel", "StepSizesKernel", "compute_max_size"]
 
 _THREADS = 256
+_STEP_CONFIG = LaunchConfig(threads_per_block=_THREADS)
+_COUNT = struct.Struct("<q")
 
 
 class IMaxReduceKernel(Kernel):
@@ -44,18 +47,18 @@ class IMaxReduceKernel(Kernel):
     def cost_key(self) -> tuple:
         return (math.prod(self.values_dev.shape),)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         n = int(np.prod(self.values_dev.shape))
         blocks = max(1, -(-n // _THREADS))
         per_block = min(n, _THREADS)
-        return [
+        return BlockWork.pack([
             BlockWork(
                 flops=float(per_block),  # one compare per element
                 bytes=per_block * 8.0 + 8.0,
                 active_threads=per_block,
                 count=blocks,
             )
-        ]
+        ])
 
     def run_numerics(self) -> None:
         self.result_dev.data[0] = self.values_dev.data.max()
@@ -76,7 +79,8 @@ class StepSizesKernel(Kernel):
 
     name = "aux:step_sizes"
 
-    def __init__(self, sizes_dev, offset: int, nb: int, remaining_dev, panel_dev, stats_dev):
+    def __init__(self, sizes_dev, offset: int, nb: int, remaining_dev, panel_dev, stats_dev,
+                 *, memo_key: tuple | None = None):
         super().__init__()
         if offset < 0 or nb <= 0:
             raise ValueError(f"invalid offset={offset} nb={nb}")
@@ -86,29 +90,32 @@ class StepSizesKernel(Kernel):
         self.remaining_dev = remaining_dev
         self.panel_dev = panel_dev
         self.stats_dev = stats_dev
+        # Every step of a plan costs the same: its planner keys the
+        # first step and hands the key to the others.
+        self._memo_key = memo_key
 
     @property
     def precision(self):
         return Precision.S
 
     def launch_config(self) -> LaunchConfig:
-        return LaunchConfig(threads_per_block=_THREADS)
+        return _STEP_CONFIG
 
-    def cost_key(self) -> tuple:
-        return (math.prod(self.sizes_dev.shape),)
+    def cost_key(self) -> bytes:
+        return _COUNT.pack(math.prod(self.sizes_dev.shape))
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         n = int(np.prod(self.sizes_dev.shape))
         blocks = max(1, -(-n // _THREADS))
         per_block = min(n, _THREADS)
-        return [
+        return BlockWork.pack([
             BlockWork(
                 flops=4.0 * per_block,  # subtract, two clips, a reduce step
                 bytes=per_block * 8.0 * 3 + 16.0,
                 active_threads=per_block,
                 count=blocks,
             )
-        ]
+        ])
 
     def run_numerics(self) -> None:
         sizes = self.sizes_dev.data

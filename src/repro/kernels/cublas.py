@@ -55,17 +55,17 @@ class SingleGemmKernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.tiling.key(), self.m, self.n, self.k)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         t = self.tiling
         tiles = max(1, -(-self.m // t.blk_m)) * max(1, -(-self.n // t.blk_n))
         if self.m == 0 or self.n == 0:
-            return [BlockWork(0.0, 0.0, active_threads=0, count=1)]
+            return BlockWork.pack([BlockWork(0.0, 0.0, active_threads=0, count=1)])
         flops = _flops.gemm_flops(self.m, self.n, self.k, None) * self._info.flop_weight / tiles
         elem = self._info.bytes_per_element
         em, en = min(t.blk_m, self.m), min(t.blk_n, self.n)
         bytes_ = ((em + en) * self.k + 2.0 * em * en) * elem
         active = max(1, round(t.threads * (em * en) / (t.blk_m * t.blk_n)))
-        return [BlockWork(flops, bytes_, active_threads=active, count=tiles)]
+        return BlockWork.pack([BlockWork(flops, bytes_, active_threads=active, count=tiles)])
 
     def run_numerics(self) -> None:
         if self.c is None or self.m == 0 or self.n == 0:
@@ -110,8 +110,8 @@ class SinglePotf2Kernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.n,)
 
-    def block_works(self) -> list[BlockWork]:
-        return [
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
+        return BlockWork.pack([
             BlockWork(
                 flops=_flops.potf2_flops(self.n) * self._info.flop_weight,
                 bytes=2.0 * self.n * self.n * self._info.bytes_per_element,
@@ -119,7 +119,7 @@ class SinglePotf2Kernel(Kernel):
                 active_threads=self.n,
                 count=1,
             )
-        ]
+        ])
 
     def run_numerics(self) -> None:
         if self.a is None:

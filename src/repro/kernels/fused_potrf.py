@@ -18,22 +18,55 @@ retires idle warps inside live blocks (§III-D1).
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from ..errors import LaunchError
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
+from ..device.kernel import Kernel, LaunchConfig, int64_bytes
 from . import grouping
 from .grouping import fused_step_numerics
 
-__all__ = ["FusedPotrfStepKernel", "fused_step_numerics", "fused_shared_mem_bytes"]
+__all__ = [
+    "FusedPotrfStepKernel", "fused_cost_bytes", "fused_launch_config", "fused_step_numerics",
+    "fused_shared_mem_bytes",
+]
 
 _WARP = 32
+_MAX_ROWS = 1024
+_COST_HEAD = struct.Struct("<qqq")
 
 
 def fused_shared_mem_bytes(max_m: int, nb: int, bytes_per_element: int) -> int:
     """Shared memory the fused kernel needs: the ``m x nb`` panel."""
     return max(1, max_m) * nb * bytes_per_element
+
+
+def fused_launch_config(max_m: int, nb: int, bytes_per_element: int) -> LaunchConfig:
+    """Block shape of a fused launch whose tallest panel has ``max_m`` rows.
+
+    One thread per row, rounded up to whole warps.  A panel taller than
+    the max block dimension cannot be held by one block: the driver
+    must have switched to the separated approach before this point.
+    """
+    if max_m > _MAX_ROWS:
+        raise LaunchError(
+            f"fused kernel cannot cover {max_m} remaining rows "
+            "(max block dimension is 1024); use the separated approach"
+        )
+    threads = -(-max_m // _WARP) * _WARP  # <= _MAX_ROWS, a warp multiple
+    return LaunchConfig(
+        threads, fused_shared_mem_bytes(max_m, nb, bytes_per_element),
+        regs_per_thread=48,
+        ilp=2.0,  # double-buffered panel update
+    )
+
+
+def fused_cost_bytes(step: int, nb: int, ms, counts) -> bytes:
+    """The fused kernel's byte cost key: step, nb, the group count, then
+    the grouped remaining rows and their block counts, in issue order."""
+    return _COST_HEAD.pack(step, nb, len(ms)) + int64_bytes(ms) + int64_bytes(counts)
 
 
 class FusedPotrfStepKernel(Kernel):
@@ -61,14 +94,23 @@ class FusedPotrfStepKernel(Kernel):
         Optional pre-grouped ``(remaining_sizes, counts)`` pair from
         :func:`~repro.kernels.grouping.grouped_first_seen` — the driver
         computes the step's grouping once and shares it across the
-        timing plane instead of each launch re-deriving it.
+        timing plane instead of each launch re-deriving it.  The cost
+        key is the grouped content either way, so a launch costs one
+        memo entry however it was built.
+    info, config, memo_key:
+        Optional values a planner emitting many launches resolved once:
+        the batch precision's info, the launch config for ``max_m``
+        (:func:`fused_launch_config`) and the memo key
+        (:meth:`~repro.device.kernel.Kernel.byte_key`).  Derived here
+        when omitted.
     """
 
     #: Shared-memory-bound FMA loop: well below a register-tiled gemm.
     compute_efficiency = 0.70
 
     def __init__(self, batch, step: int, nb: int, indices: np.ndarray, max_m: int,
-                 etm: str = "classic", groups: tuple[np.ndarray, np.ndarray] | None = None):
+                 etm: str = "classic", groups: tuple[np.ndarray, np.ndarray] | None = None,
+                 *, info=None, config: LaunchConfig | None = None, memo_key: tuple | None = None):
         self.etm_mode = etm
         super().__init__()
         if nb <= 0:
@@ -83,46 +125,38 @@ class FusedPotrfStepKernel(Kernel):
         self.indices = np.asarray(indices, dtype=np.int64)
         self.max_m = int(max_m)
         self.groups = groups
-        self._info = precision_info(batch.precision)
-        self.name = f"fused_potrf:{self._info.name}:nb{nb}"
-
-        threads = min(1024, -(-self.max_m // _WARP) * _WARP)
-        smem = fused_shared_mem_bytes(min(self.max_m, threads), nb, self._info.bytes_per_element)
-        # Panel taller than the max block dimension cannot be held by
-        # one block; the driver must have switched to the separated
-        # approach before this point.
-        if self.max_m > 1024:
-            raise LaunchError(
-                f"fused kernel cannot cover {self.max_m} remaining rows "
-                "(max block dimension is 1024); use the separated approach"
-            )
-        self._config = LaunchConfig(
-            threads_per_block=threads,
-            shared_mem_per_block=smem,
-            regs_per_thread=48,
-            ilp=2.0,  # double-buffered panel update
-        )
+        if info is None:
+            info = precision_info(batch.precision)
+        self._info = info
+        self.name = f"fused_potrf:{info.name}:nb{nb}"
+        if config is None:
+            config = fused_launch_config(self.max_m, nb, info.bytes_per_element)
+        self._config = config
+        self._memo_key = memo_key
 
     @property
     def precision(self) -> Precision:
-        return self.batch.precision
+        return self._info.precision
 
     def launch_config(self) -> LaunchConfig:
         return self._config
 
-    def cost_key(self) -> tuple:
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
+        """The launch's ``(remaining rows, block counts)`` in issue order."""
         if self.groups is not None:
-            ms, counts = self.groups
-            return (self.step, self.nb, array_key(ms), array_key(counts))
-        k = self.step * self.nb
-        remaining = np.maximum(0, self.batch.sizes_host[self.indices] - k)
-        return (self.step, self.nb, array_key(remaining))
+            return self.groups
+        remaining = np.maximum(0, self.batch.sizes_host[self.indices] - self.step * self.nb)
+        return grouping.grouped_first_seen(remaining)
+
+    def cost_key(self) -> bytes:
+        ms, counts = self._grouped()
+        return fused_cost_bytes(self.step, self.nb, ms, counts)
 
     # ------------------------------------------------------------------
     def _remaining(self, i: int) -> int:
         return max(0, int(self.batch.sizes_host[i]) - self.step * self.nb)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         """One block per covered matrix, grouped by remaining rows."""
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
@@ -131,11 +165,7 @@ class FusedPotrfStepKernel(Kernel):
         # driver controls ordering: the implicit-sorting driver passes
         # size-sorted indices, the plain driver passes batch order —
         # the load-balance difference between the two must survive).
-        if self.groups is not None:
-            ms, counts = self.groups
-        else:
-            remaining = np.maximum(0, self.batch.sizes_host[self.indices] - k)
-            ms, counts = grouping.grouped_first_seen(remaining)
+        ms, counts = self._grouped()
         m = ms.astype(np.float64)
         jb = np.minimum(float(self.nb), m)
         # Customized syrk: C[m x jb] -= A[m x k] B[jb x k]^H; then the
@@ -150,21 +180,9 @@ class FusedPotrfStepKernel(Kernel):
         # Serial chains: jb dependent column steps in potf2 and jb
         # substitution steps in the fused trsm.
         serial = 2.0 * jb
-        works: list[BlockWork] = []
-        for i, (mi, count) in enumerate(zip(ms.tolist(), counts.tolist())):
-            if mi == 0:
-                works.append(BlockWork(0.0, 0.0, active_threads=0, count=count))
-            else:
-                works.append(
-                    BlockWork(
-                        flops=flops[i] * w,
-                        bytes=bytes_[i],
-                        serial_iters=serial[i],
-                        active_threads=mi,
-                        count=count,
-                    )
-                )
-        return works
+        # A finished matrix (m = 0) gets exact zeros: its block
+        # terminates at once (ETM).
+        return flops * w, bytes_, serial, m, np.asarray(counts, dtype=np.int64)
 
     def run_numerics(self) -> None:
         infos = self.batch.infos_dev.data

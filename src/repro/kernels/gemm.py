@@ -165,7 +165,7 @@ class VbatchedGemmKernel(Kernel):
         t = self.tiling
         return max(1, -(-self.max_m // t.blk_m)) * max(1, -(-self.max_n // t.blk_n))
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         t = self.tiling
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
@@ -192,7 +192,7 @@ class VbatchedGemmKernel(Kernel):
         works = _merged_works(flops, bytes_, active, live)
         if dead:
             works.append(BlockWork(0.0, 0.0, active_threads=0, count=dead))
-        return works
+        return BlockWork.pack(works)
 
     def run_numerics(self) -> None:
         live = [t for t in self.tasks if t.m and t.n and t.c is not None]

@@ -60,7 +60,7 @@ class NaivePotf2Kernel(Kernel):
     def cost_key(self) -> tuple:
         return (array_key(self.jbs),)
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         jbs, counts = grouping.grouped_first_seen(self.jbs)
@@ -82,7 +82,7 @@ class NaivePotf2Kernel(Kernel):
                     count=count,
                 )
             )
-        return works
+        return BlockWork.pack(works)
 
     def _tile(self, i: int, jb: int) -> np.ndarray:
         return self.batch.matrix_view(i)[

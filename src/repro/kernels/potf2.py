@@ -78,7 +78,7 @@ class PanelPotf2StepKernel(Kernel):
             return (self.inner_step, self.nb, array_key(ms), array_key(counts))
         return (self.inner_step, self.nb, array_key(self.jbs))
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         k = self.inner_step * self.nb
@@ -108,7 +108,7 @@ class PanelPotf2StepKernel(Kernel):
                         count=count,
                     )
                 )
-        return works
+        return BlockWork.pack(works)
 
     def _tile(self, i: int, jb: int) -> np.ndarray:
         return self.batch.matrix_view(i)[self.offset : self.offset + jb,

@@ -88,7 +88,7 @@ class VbatchedSyrkKernel(Kernel):
         )
         return (self.tiling.key(), dims.tobytes())
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         t = self.tiling
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
@@ -115,7 +115,7 @@ class VbatchedSyrkKernel(Kernel):
         works = _merged_works(flops, bytes_, active, live)
         if dead:
             works.append(BlockWork(0.0, 0.0, active_threads=0, count=dead))
-        return works
+        return BlockWork.pack(works)
 
     def run_numerics(self) -> None:
         live = [t for t in self.tasks if t.n and t.c is not None]

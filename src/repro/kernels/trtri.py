@@ -70,7 +70,7 @@ class VbatchedTrtriDiagKernel(Kernel):
         jbs = np.fromiter((t.jb for t in self.tasks), dtype=np.int64, count=len(self.tasks))
         return (self.ib, jbs.tobytes())
 
-    def block_works(self) -> list[BlockWork]:
+    def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         grid_per_matrix = max(1, -(-self.max_jb // self.ib))
@@ -88,7 +88,7 @@ class VbatchedTrtriDiagKernel(Kernel):
         works = _merged_works(flops, bytes_, active, live, serial=ib_eff)
         if dead:
             works.append(BlockWork(0.0, 0.0, active_threads=0, count=dead))
-        return works
+        return BlockWork.pack(works)
 
     def run_numerics(self) -> None:
         live = [t for t in self.tasks if t.jb and t.tri is not None]

@@ -37,6 +37,9 @@ Policies choose *which* compatible requests ride along:
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from bisect import bisect_left
 from collections.abc import Sequence
 
 from ..errors import ArgumentError, ServingError
@@ -74,7 +77,11 @@ class BatchingPolicy:
         """Indices sharing the urgent request's dtype *and* factor op
         (arrival order) — the two things one vbatched launch cannot
         mix.  Every policy's candidate set starts here, which is what
-        makes size buckets and greedy windows op-aware for free."""
+        makes size buckets and greedy windows op-aware for free.  The
+        :class:`Batcher` hands over its queue with the urgent request's
+        class already indexed, so for that request nothing is scanned."""
+        if isinstance(pending, _Queue) and urgent == pending.urgent:
+            return list(pending.classmates)
         dtype = pending[urgent].dtype
         op_key = pending[urgent].factor_op
         return [
@@ -214,6 +221,14 @@ def make_policy(policy: str | BatchingPolicy, **kwargs) -> BatchingPolicy:
     return cls(**kwargs)
 
 
+class _Queue(list):
+    """The pending queue in arrival order, as a policy receives it from
+    the :class:`Batcher`: ``classmates`` are the (ascending) indices of
+    the ``(dtype, factor_op)`` class of request ``urgent``."""
+
+    __slots__ = ("urgent", "classmates")
+
+
 class Batcher:
     """The windowing state machine between the queue and the dispatcher.
 
@@ -222,6 +237,18 @@ class Batcher:
     *which* requests it contains (delegated to the policy, validated
     here).  Thread safety is the server's job; the batcher itself is a
     plain data structure so the policies stay trivially testable.
+
+    The queue is indexed so a pump never rescans it: every request gets
+    an arrival sequence number, each ``(dtype, factor_op)`` class keeps
+    its requests in arrival order, and a heap orders
+    ``(effective_deadline, arrival, req_id, seq)`` with lazy deletion
+    (entries of requests no longer pending are skipped when they reach
+    the top).  :meth:`add` and :meth:`remove` maintain the indices, so
+    the urgent request, :meth:`flush_due` and :meth:`next_wakeup` cost
+    O(log q), and the policy receives the urgent request's class
+    positions with the queue instead of filtering it
+    (:meth:`BatchingPolicy.compatible`).  Heap keys are taken when a
+    request is added (or when ``max_wait`` changes).
     """
 
     def __init__(
@@ -239,12 +266,35 @@ class Batcher:
             raise ArgumentError(4, f"deadline_margin cannot be negative, got {deadline_margin}")
         self.policy = make_policy(policy)
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.deadline_margin = float(deadline_margin)
-        self._pending: list[Request] = []
+        self._seq = itertools.count()
+        #: seq -> request, in arrival order.
+        self._pending: dict[int, Request] = {}
+        #: Live seqs, ascending: a request's position in :attr:`pending`.
+        self._seqs: list[int] = []
+        #: (dtype, factor_op) -> seq -> request, in arrival order.
+        self._classes: dict[tuple, dict[int, Request]] = {}
+        #: req_id -> live seqs (ids are unique when a server assigns them).
+        self._ids: dict[int, list[int]] = {}
+        self._heap: list[tuple] = []
+        self.max_wait = max_wait
         # Trace row for window-close events; the owning server points
         # this at its queue track so events group under the server.
         self.trace_track = Track("serving", "queue")
+
+    @property
+    def max_wait(self) -> float:
+        return self._max_wait
+
+    @max_wait.setter
+    def max_wait(self, value: float) -> None:
+        # Effective deadlines depend on max_wait: re-key the heap.
+        self._max_wait = float(value)
+        self._heap = [self._entry(seq, r) for seq, r in self._pending.items()]
+        heapq.heapify(self._heap)
+
+    def _entry(self, seq: int, request: Request) -> tuple:
+        return (request.effective_deadline(self._max_wait), request.arrival, request.req_id, seq)
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -252,33 +302,54 @@ class Batcher:
     @property
     def pending(self) -> tuple[Request, ...]:
         """Read-only view of the queue (tests and metrics)."""
-        return tuple(self._pending)
+        return tuple(self._pending.values())
 
     def add(self, request: Request) -> None:
-        self._pending.append(request)
+        seq = next(self._seq)
+        self._pending[seq] = request
+        self._seqs.append(seq)
+        self._classes.setdefault((request.dtype, request.factor_op), {})[seq] = request
+        self._ids.setdefault(request.req_id, []).append(seq)
+        heapq.heappush(self._heap, self._entry(seq, request))
+
+    def _drop(self, seq: int) -> Request:
+        """Unindex one pending request; its heap entry goes lazily."""
+        request = self._pending.pop(seq)
+        del self._seqs[bisect_left(self._seqs, seq)]
+        key = (request.dtype, request.factor_op)
+        members = self._classes[key]
+        del members[seq]
+        if not members:
+            del self._classes[key]
+        seqs = self._ids[request.req_id]
+        seqs.remove(seq)
+        if not seqs:
+            del self._ids[request.req_id]
+        if len(self._heap) > 2 * len(self._pending) + 64:
+            self._heap = [e for e in self._heap if e[3] in self._pending]
+            heapq.heapify(self._heap)
+        return request
 
     def remove(self, req_id: int) -> Request | None:
         """Pull one pending request out of the queue by id (cancellation
         path); returns it, or ``None`` if it is no longer pending —
         already batched, served, or never queued here."""
-        for i, req in enumerate(self._pending):
-            if req.req_id == req_id:
-                return self._pending.pop(i)
-        return None
+        seqs = self._ids.get(req_id)
+        return self._drop(seqs[0]) if seqs else None
+
+    def _urgent(self) -> tuple | None:
+        """Heap entry of the most urgent pending request."""
+        heap, pending = self._heap, self._pending
+        while heap and heap[0][3] not in pending:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def urgent_index(self) -> int | None:
-        """The request the next batch must contain: soonest effective
-        deadline, ties broken by arrival then id (FIFO among equals)."""
-        if not self._pending:
-            return None
-        return min(
-            range(len(self._pending)),
-            key=lambda i: (
-                self._pending[i].effective_deadline(self.max_wait),
-                self._pending[i].arrival,
-                self._pending[i].req_id,
-            ),
-        )
+        """The request the next batch must contain, as an index into
+        :attr:`pending`: soonest effective deadline, ties broken by
+        arrival then id (FIFO among equals)."""
+        top = self._urgent()
+        return None if top is None else bisect_left(self._seqs, top[3])
 
     def flush_due(self, now: float) -> bool:
         """Whether a batch must leave at time ``now``."""
@@ -286,8 +357,7 @@ class Batcher:
             return False
         if len(self._pending) >= self.max_batch:
             return True
-        urgent = self._pending[self.urgent_index()]
-        return now >= urgent.effective_deadline(self.max_wait) - self.deadline_margin
+        return now >= self._urgent()[0] - self.deadline_margin
 
     def next_wakeup(self, now: float) -> float | None:
         """Earliest future instant a flush could become due (worker
@@ -296,10 +366,7 @@ class Batcher:
             return None
         if len(self._pending) >= self.max_batch:
             return now
-        soonest = min(
-            r.effective_deadline(self.max_wait) - self.deadline_margin for r in self._pending
-        )
-        return max(soonest, now)
+        return max(self._urgent()[0] - self.deadline_margin, now)
 
     def next_batch(self, now: float, force: bool = False) -> list[Request] | None:
         """Pop and return the next batch, or ``None`` if nothing is due.
@@ -313,14 +380,23 @@ class Batcher:
             return None
         if not force and not self.flush_due(now):
             return None
-        urgent = self.urgent_index()
-        picks = self.policy.select(self._pending, urgent, self.max_batch)
-        self._validate(picks, urgent)
-        chosen = set(picks)
-        batch = [self._pending[i] for i in sorted(chosen)]
+        seqs = self._seqs
+        urgent_seq = self._urgent()[3]
+        urgent = bisect_left(seqs, urgent_seq)
+        urgent_req = self._pending[urgent_seq]
+        members = self._classes[(urgent_req.dtype, urgent_req.factor_op)]
+        queue = _Queue(self._pending.values())
+        queue.urgent = urgent
+        if len(members) == len(queue):
+            queue.classmates = range(len(queue))
+        else:
+            queue.classmates = [bisect_left(seqs, seq) for seq in members]
+        picks = self.policy.select(queue, urgent, self.max_batch)
+        self._validate(queue, picks, urgent)
+        chosen = sorted(set(picks))
+        batch = [queue[i] for i in chosen]
         tracer = current_tracer()
         if tracer:
-            urgent_req = self._pending[urgent]
             if force:
                 reason = "force"
             elif len(self._pending) >= self.max_batch:
@@ -339,7 +415,8 @@ class Batcher:
                       "pending_left": len(self._pending) - len(chosen),
                       "waited": max(now - urgent_req.arrival, 0.0)},
             )
-        self._pending = [r for i, r in enumerate(self._pending) if i not in chosen]
+        for seq in [seqs[i] for i in chosen]:
+            self._drop(seq)
         return batch
 
     def drain_all(self) -> list[list[Request]]:
@@ -349,7 +426,7 @@ class Batcher:
             batches.append(self.next_batch(now=0.0, force=True))
         return batches
 
-    def _validate(self, picks: list[int], urgent: int) -> None:
+    def _validate(self, queue: Sequence[Request], picks: list[int], urgent: int) -> None:
         name = type(self.policy).__name__
         if not picks:
             raise ServingError(f"{name} returned an empty batch")
@@ -359,11 +436,11 @@ class Batcher:
             raise ServingError(f"{name} exceeded max_batch={self.max_batch}")
         if urgent not in picks:
             raise ServingError(f"{name} starved the most urgent request")
-        if any(i < 0 or i >= len(self._pending) for i in picks):
+        if any(i < 0 or i >= len(queue) for i in picks):
             raise ServingError(f"{name} selected out-of-range indices")
-        dtypes = {self._pending[i].dtype for i in picks}
+        dtypes = {queue[i].dtype for i in picks}
         if len(dtypes) != 1:
             raise ServingError(f"{name} mixed dtypes in one batch: {sorted(map(str, dtypes))}")
-        ops = {self._pending[i].factor_op for i in picks}
+        ops = {queue[i].factor_op for i in picks}
         if len(ops) != 1:
             raise ServingError(f"{name} mixed operations in one batch: {sorted(ops)}")

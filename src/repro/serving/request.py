@@ -116,6 +116,14 @@ class Request:
     (factors come back in the response).  ``deadline`` is absolute on
     the server's wall clock (``None`` = best effort).  ``arrival`` /
     ``arrival_sim`` stamp admission on the wall and simulated clocks.
+
+    ``n`` (the matrix order), ``dtype`` and ``factor_op`` are resolved
+    once, at construction, because the batcher reads them for every
+    queued request.  ``factor_op`` is the factorization that actually
+    runs on the device: the op itself, or the base op a solve alias
+    factors through (``posv`` -> ``potrf``, ``gesv`` -> ``getrf``).
+    Batches group on ``(dtype, factor_op)``, so a potrf and a posv
+    request can share one launch.
     """
 
     req_id: int
@@ -147,29 +155,14 @@ class Request:
                 )
         elif self.rhs is not None:
             raise ArgumentError(3, f"{self.op} request must not carry a right-hand side")
-
-    @property
-    def n(self) -> int:
-        """Matrix order — the quantity the size-aware batcher groups on."""
-        return int(self.matrix.shape[0])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.matrix.dtype
+        self.n = int(m.shape[0])
+        self.dtype = m.dtype
+        self.factor_op = desc.base or desc.name
 
     @property
     def precision(self):
         """The :class:`~repro.types.Precision` of the request matrix."""
         return Precision.from_dtype(self.matrix.dtype)
-
-    @property
-    def factor_op(self) -> str:
-        """The factorization that actually runs on the device: the op
-        itself, or the base op a solve alias factors through (``posv``
-        -> ``potrf``, ``gesv`` -> ``getrf``).  Batches group on this —
-        a potrf and a posv request can share one launch."""
-        desc = get_op(self.op)
-        return desc.base or desc.name
 
     @property
     def flops(self) -> float:

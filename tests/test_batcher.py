@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.errors import ArgumentError, ServingError
 from repro.serving import (
@@ -14,7 +15,7 @@ from repro.serving import (
     SizeBucketPolicy,
     make_policy,
 )
-from repro.serving.request import Request
+from repro.serving.request import OPS, Request
 
 
 def _req(req_id, n, arrival=0.0, deadline=None, dtype=np.float64):
@@ -270,3 +271,198 @@ def test_batcher_invariants_under_random_arrivals(policy, stream, max_batch, max
         served.extend(r.req_id for r in batch)
 
     assert sorted(served) == list(range(len(stream)))  # no loss, no dup
+
+
+# ----------------------------------------------------------------------
+# The indexed Batcher against a brute-force rescan oracle.
+# ----------------------------------------------------------------------
+class _RescanBatcher:
+    """The queue as a plain list, rescanned on every call: the
+    reference the indexed Batcher must agree with."""
+
+    def __init__(self, policy, max_batch, max_wait, deadline_margin):
+        self.policy = make_policy(policy)
+        self.max_batch = max_batch
+        self.max_wait = max_wait
+        self.deadline_margin = deadline_margin
+        self.pending = []
+
+    def urgent_index(self):
+        if not self.pending:
+            return None
+        return min(
+            range(len(self.pending)),
+            key=lambda i: (
+                self.pending[i].effective_deadline(self.max_wait),
+                self.pending[i].arrival,
+                self.pending[i].req_id,
+            ),
+        )
+
+    def flush_due(self, now):
+        if not self.pending:
+            return False
+        if len(self.pending) >= self.max_batch:
+            return True
+        urgent = self.pending[self.urgent_index()]
+        return now >= urgent.effective_deadline(self.max_wait) - self.deadline_margin
+
+    def next_wakeup(self, now):
+        if not self.pending:
+            return None
+        if len(self.pending) >= self.max_batch:
+            return now
+        return max(
+            min(r.effective_deadline(self.max_wait) - self.deadline_margin for r in self.pending),
+            now,
+        )
+
+    def next_batch(self, now, force=False):
+        if not self.pending or (not force and not self.flush_due(now)):
+            return None
+        picks = set(self.policy.select(self.pending, self.urgent_index(), self.max_batch))
+        batch = [r for i, r in enumerate(self.pending) if i in picks]
+        self.pending = [r for i, r in enumerate(self.pending) if i not in picks]
+        return batch
+
+    def remove(self, req_id):
+        for i, r in enumerate(self.pending):
+            if r.req_id == req_id:
+                return self.pending.pop(i)
+        return None
+
+
+_OPS = ("potrf", "posv", "getrf", "gesv", "geqrf")
+
+
+def _mixed_req(req_id, n, op, dtype, arrival, deadline):
+    rhs = np.zeros(n, dtype=dtype) if op in ("posv", "gesv") else None
+    return Request(req_id=req_id, op=op, matrix=np.zeros((n, n), dtype=dtype), rhs=rhs,
+                   deadline=deadline, arrival=arrival)
+
+
+class _IndexedVsRescan(RuleBasedStateMachine):
+    policy = "fifo"
+
+    @initialize(max_batch=st.integers(1, 6), max_wait=st.sampled_from([0.0, 0.5, 2.0]),
+                margin=st.sampled_from([0.0, 0.25]))
+    def setup(self, max_batch, max_wait, margin):
+        self.indexed = Batcher(self.policy, max_batch, max_wait, margin)
+        self.oracle = _RescanBatcher(self.policy, max_batch, max_wait, margin)
+        self.now = 0.0
+
+    # Ids come from a small range, so they repeat and disagree with
+    # arrival order (the tie-break must rank arrival before id).
+    @rule(req_id=st.integers(0, 15), n=st.integers(1, 40), op=st.sampled_from(_OPS),
+          dtype=st.sampled_from([np.float64, np.float32]), gap=st.sampled_from([0.0, 0.1, 0.7]),
+          deadline=st.one_of(st.none(), st.sampled_from([0.0, 0.3, 1.0, 3.0])))
+    def add(self, req_id, n, op, dtype, gap, deadline):
+        self.now += gap
+        d = None if deadline is None else self.now + deadline
+        req = _mixed_req(req_id, n, op, dtype, self.now, d)
+        self.indexed.add(req)
+        self.oracle.pending.append(req)
+
+    @rule(req_id=st.integers(0, 16))
+    def cancel(self, req_id):
+        assert self.indexed.remove(req_id) is self.oracle.remove(req_id)
+
+    @rule(advance=st.sampled_from([0.0, 0.2, 1.0]), force=st.booleans())
+    def pump(self, advance, force):
+        self.now += advance
+        got = self.indexed.next_batch(self.now, force=force)
+        want = self.oracle.next_batch(self.now, force=force)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [r.req_id for r in got] == [r.req_id for r in want]
+
+    @rule()
+    def drain(self):
+        got = self.indexed.drain_all()
+        want = []
+        while self.oracle.pending:
+            want.append(self.oracle.next_batch(0.0, force=True))
+        assert [[r.req_id for r in b] for b in got] == [[r.req_id for r in b] for b in want]
+
+    @invariant()
+    def agree(self):
+        if not hasattr(self, "indexed"):
+            return
+        assert [r.req_id for r in self.indexed.pending] == [r.req_id for r in self.oracle.pending]
+        assert self.indexed.urgent_index() == self.oracle.urgent_index()
+        for now in (self.now, self.now + 0.4, self.now + 5.0):
+            assert self.indexed.flush_due(now) == self.oracle.flush_due(now)
+            assert self.indexed.next_wakeup(now) == self.oracle.next_wakeup(now)
+
+
+for _name in sorted(POLICIES):
+    _machine = type(f"Indexed_{_name.replace('-', '_')}", (_IndexedVsRescan,), {"policy": _name})
+    _case = _machine.TestCase
+    _case.settings = settings(max_examples=40, stateful_step_count=30, deadline=None)
+    globals()[f"TestIndexedBatcher_{_name.replace('-', '_')}"] = _case
+del _name, _machine, _case
+
+
+def test_max_wait_change_rekeys_the_heap():
+    b = Batcher("fifo", max_batch=10, max_wait=10.0)
+    b.add(_req(0, 8, arrival=0.0))               # effective 10.0
+    b.add(_req(1, 8, arrival=1.0, deadline=5.0))  # effective 5.0
+    assert b.urgent_index() == 1
+    b.max_wait = 1.0  # now 1.0 vs 2.0
+    assert b.urgent_index() == 0
+    assert b.next_wakeup(0.0) == 1.0
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_request_resolves_its_fields_once(op):
+    from repro.ops.registry import get_op
+
+    req = _mixed_req(0, 5, op, np.float32, 0.0, None)
+    desc = get_op(op)
+    assert req.n == req.matrix.shape[0] == 5
+    assert req.dtype == req.matrix.dtype
+    assert req.factor_op == (desc.base or desc.name)
+
+
+def test_mass_cancellation_keeps_the_queue_order():
+    # Cancelling most of a long queue leaves stale heap entries behind
+    # (and compacts them); the survivors keep their order and urgency.
+    b = Batcher("fifo", max_batch=500, max_wait=10.0)
+    for i in range(200):
+        b.add(_req(i, 8, arrival=float(i)))
+    for i in range(190):
+        assert b.remove(i).req_id == i
+    assert [r.req_id for r in b.pending] == list(range(190, 200))
+    assert b.urgent_index() == 0
+    assert b.next_wakeup(0.0) == 200.0
+    assert [r.req_id for r in b.next_batch(0.0, force=True)] == list(range(190, 200))
+    assert len(b) == 0 and b.next_wakeup(0.0) is None
+
+
+def test_compatible_of_a_non_urgent_request_scans_its_own_class():
+    # The Batcher hands the urgent request's class over with the queue;
+    # a custom policy asking about any other request must still get
+    # that request's class, exactly as from a plain list.
+    seen = {}
+
+    class Probe(BatchingPolicy):
+        name = "probe"
+
+        def select(self, pending, urgent, max_batch):
+            for i in range(len(pending)):
+                seen[i] = self.compatible(pending, i)
+            assert seen == {i: self.compatible(list(pending), i) for i in range(len(pending))}
+            return self.compatible(pending, urgent)[:max_batch]
+
+    b = Batcher(Probe(), max_batch=8, max_wait=10.0)
+    reqs = [
+        _mixed_req(0, 8, "potrf", np.float64, 0.0, None),
+        _mixed_req(1, 8, "getrf", np.float64, 1.0, None),
+        _mixed_req(2, 8, "posv", np.float64, 2.0, None),
+        _mixed_req(3, 8, "potrf", np.float32, 3.0, None),
+        _mixed_req(4, 8, "gesv", np.float64, 4.0, None),
+    ]
+    for r in reqs:
+        b.add(r)
+    assert [r.req_id for r in b.next_batch(0.0, force=True)] == [0, 2]
+    assert seen == {0: [0, 2], 1: [1, 4], 2: [0, 2], 3: [3], 4: [1, 4]}

@@ -324,6 +324,25 @@ class TestIssueOrder:
         assert _summary(b) == _summary(device._compute_launch(ordered))
 
 
+class TestFusedKeyIgnoresHowGroupsArrive:
+    def test_grouped_and_ungrouped_builds_share_one_entry(self):
+        # The optimizer's merge drops groups when one side lacks them;
+        # the launch costs the same, so it must key the same.
+        device = Device(execute_numerics=False)
+        sizes = [40, 17, 17, 5, 40]
+        batch = VBatch.allocate(device, sizes, "d")
+        order = np.array([0, 4, 1, 2, 3])
+        remaining = np.maximum(0, batch.sizes_host[order] - 8)
+        grouped = FusedPotrfStepKernel(batch, 1, 8, order, 32, etm="aggressive",
+                                       groups=grouping.grouped_first_seen(remaining))
+        plain = FusedPotrfStepKernel(batch, 1, 8, order, 32, etm="aggressive")
+        assert grouped.memo_key() == plain.memo_key()
+        assert _summary(device.prepare_launch(grouped)) == _summary(
+            device.prepare_launch(plain)
+        )
+        assert (device.cost_memo_misses, device.cost_memo_hits) == (1, 1)
+
+
 class TestInputsThatMustMiss:
     SIZES = [5, 17, 40]
 
@@ -371,8 +390,8 @@ class _OptOutKernel(Kernel):
     def launch_config(self):
         return LaunchConfig(64)
 
-    def block_works(self):
-        return [BlockWork(1e4, 1e3, count=3)]
+    def block_arrays(self):
+        return BlockWork.pack([BlockWork(1e4, 1e3, count=3)])
 
 
 class TestBoundsAndTelemetry:

@@ -200,6 +200,34 @@ class TestBlockScheduler:
         assert res.makespan >= max(d.max(), d.sum() / slots) - 1e-12
         assert res.makespan <= d.sum() / slots + d.max() + 1e-12
 
+    @given(
+        d=st.lists(st.floats(0.0, 1e-3, allow_subnormal=False), min_size=1, max_size=6),
+        c=st.lists(st.integers(0, 40), min_size=6, max_size=6),
+        slots=st.integers(1, 64),
+        force=st.sampled_from([None, "exact", "analytic"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_group_matches_the_array_path(self, d, c, slots, force):
+        # A one-group launch reduces on plain numbers; the result must
+        # be bit-identical to the general computation.
+        from repro.device.scheduler import _exact_list_schedule
+
+        d = np.array(d)
+        c = np.array(c[: len(d)], dtype=np.int64)
+        res = BlockScheduler().makespan(d, c, slots, force=force)
+        keep = c > 0
+        dk, ck = d[keep], c[keep]
+        if dk.size == 0:
+            assert (res.makespan, res.total_block_time) == (0.0, 0.0)
+            return
+        total_time, max_d = float(dk @ ck), float(dk.max())
+        if force == "analytic":
+            want = max(max_d, total_time / slots + 0.5 * (1.0 - 1.0 / slots) * max_d)
+        else:
+            want = _exact_list_schedule(dk, ck, slots)
+        assert (res.makespan, res.total_block_time) == (want, total_time)
+        assert res.exact == (force != "analytic")
+
 
 class _ToyKernel(Kernel):
     """Minimal kernel for Device tests: N identical compute blocks."""
@@ -228,17 +256,43 @@ class _ToyKernel(Kernel):
     def launch_config(self):
         return LaunchConfig(self.threads, self.shared)
 
-    def block_works(self):
-        return [
+    def block_arrays(self):
+        return BlockWork.pack([
             BlockWork(self.flops, self.bytes_, serial_iters=self.serial,
                       active_threads=self.active, count=self.nblocks)
-        ]
+        ])
 
     def run_numerics(self):
         self.ran = True
 
 
 class TestDeviceLaunch:
+    @given(
+        flops=st.floats(0.0, 1e9), bytes_=st.floats(0.0, 1e7), serial=st.floats(0.0, 64.0),
+        active=st.one_of(st.none(), st.integers(0, 1100)), threads=st.sampled_from([32, 96, 1024]),
+        etm=st.sampled_from(["classic", "aggressive"]), prec=st.sampled_from(list(Precision)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_group_on_scalars_matches_the_array_path(
+        self, flops, bytes_, serial, active, threads, etm, prec
+    ):
+        # _compute_launch evaluates a single work group on numpy scalars;
+        # the durations must equal the array evaluation bit for bit.
+        from repro.types import precision_info
+
+        dev = Device(execute_numerics=False)
+        k = _ToyKernel(nblocks=7, flops=flops, bytes_=bytes_, threads=threads, precision=prec,
+                       etm=etm, active=active, serial=serial)
+        config = k.launch_config()
+        occ = dev.spec.occupancy(config.threads_per_block, config.shared_mem_per_block)
+        *works, counts = k.block_arrays()
+        args = (occ, precision_info(prec), k, config, 7)
+        array = dev._block_durations(*works, *args)
+        scalar = dev._block_durations(*(a[0] for a in works), *args)
+        assert np.atleast_1d(scalar).tolist() == array.tolist()
+        schedule = dev.scheduler.makespan(array, counts, occ.concurrent_blocks)
+        assert dev._compute_launch(k)[1].makespan == schedule.makespan
+
     def test_launch_advances_time(self):
         dev = Device()
         rec = dev.launch(_ToyKernel())

@@ -26,8 +26,8 @@ class _ToyKernel(Kernel):
     def launch_config(self):
         return LaunchConfig(128, 0)
 
-    def block_works(self):
-        return [BlockWork(self.flops, 0.0, count=self.nblocks)]
+    def block_arrays(self):
+        return BlockWork.pack([BlockWork(self.flops, 0.0, count=self.nblocks)])
 
     def run_numerics(self):
         self.ran = True

@@ -66,11 +66,11 @@ class TestVbatchedGemm:
         k = VbatchedGemmKernel(
             [GemmTask(200, 200, 8), GemmTask(10, 10, 8)], Precision.D
         )
-        works = k.block_works()
-        total = sum(w.count for w in works)
+        *_, active, counts = k.block_arrays()
+        total = counts.sum()
         # ceil(200/64)^2 tiles per matrix x 2 matrices
         assert total == 2 * (4 * 4)
-        dead = sum(w.count for w in works if w.terminated)
+        dead = counts[active == 0].sum()
         assert dead == 16 - 1  # the small matrix has one live tile
 
     def test_empty_tasks_rejected(self):
@@ -79,18 +79,20 @@ class TestVbatchedGemm:
 
     def test_zero_size_task_all_dead(self):
         k = VbatchedGemmKernel([GemmTask(0, 0, 0), GemmTask(64, 64, 4)], Precision.D)
-        dead = sum(w.count for w in k.block_works() if w.terminated)
+        *_, active, counts = k.block_arrays()
+        dead = counts[active == 0].sum()
         assert dead == 1
 
     def test_small_tile_has_fewer_active_threads(self):
-        big = VbatchedGemmKernel([GemmTask(64, 64, 16)], Precision.D).block_works()[0]
-        small = VbatchedGemmKernel([GemmTask(8, 8, 16)], Precision.D).block_works()[0]
-        assert small.active_threads < big.active_threads
+        big = VbatchedGemmKernel([GemmTask(64, 64, 16)], Precision.D).block_arrays()[3][0]
+        small = VbatchedGemmKernel([GemmTask(8, 8, 16)], Precision.D).block_arrays()[3][0]
+        assert small < big
 
     def test_flops_accounted_exactly(self):
         m, n, k = 100, 70, 30
         kern = VbatchedGemmKernel([GemmTask(m, n, k)], Precision.D)
-        total = sum(w.flops * w.count for w in kern.block_works())
+        flops, *_, counts = kern.block_arrays()
+        total = (flops * counts).sum()
         assert total == pytest.approx(2 * m * n * k)
 
     def test_negative_dims_rejected(self):
@@ -120,9 +122,9 @@ class TestVbatchedSyrk:
 
     def test_decision_layer_kills_upper_tiles(self):
         kern = VbatchedSyrkKernel([SyrkTask(256, 16)], Precision.D)
-        works = kern.block_works()
-        live = sum(w.count for w in works if not w.terminated)
-        dead = sum(w.count for w in works if w.terminated)
+        *_, active, counts = kern.block_arrays()
+        live = counts[active != 0].sum()
+        dead = counts[active == 0].sum()
         tiles = -(-256 // kern.tiling.blk_m)
         assert live == tiles * (tiles + 1) // 2
         assert live + dead == tiles * tiles
@@ -130,12 +132,13 @@ class TestVbatchedSyrk:
     def test_flops_accounted(self):
         n, k = 120, 40
         kern = VbatchedSyrkKernel([SyrkTask(n, k)], Precision.D)
-        total = sum(w.flops * w.count for w in kern.block_works())
+        flops, *_, counts = kern.block_arrays()
+        total = (flops * counts).sum()
         assert total == pytest.approx(n * (n + 1) * k)
 
     def test_k_zero_is_cheap(self):
         kern = VbatchedSyrkKernel([SyrkTask(64, 0)], Precision.D)
-        assert sum(w.flops for w in kern.block_works()) == 0.0
+        assert kern.block_arrays()[0].sum() == 0.0
 
     def test_square_tiles_required(self):
         with pytest.raises(ValueError, match="square tiles"):
@@ -179,7 +182,8 @@ class TestVbatchedTrtri:
         kern = VbatchedTrtriDiagKernel(
             [TrtriTask(64), TrtriTask(0)], Precision.D, ib=32
         )
-        dead = sum(w.count for w in kern.block_works() if w.terminated)
+        *_, active, counts = kern.block_arrays()
+        dead = counts[active == 0].sum()
         assert dead == 2  # the zero-size task's full grid share
 
     def test_validation(self):

@@ -52,9 +52,9 @@ class TestFusedPotrfStepKernel:
         dev = Device()
         b = batch_of(dev, [5, 40])
         k = FusedPotrfStepKernel(b, step=1, nb=8, indices=np.arange(2), max_m=32)
-        works = k.block_works()
-        assert sum(w.count for w in works if w.terminated) == 1
-        assert sum(w.count for w in works if not w.terminated) == 1
+        *_, active, counts = k.block_arrays()
+        assert counts[active == 0].sum() == 1
+        assert counts[active != 0].sum() == 1
 
     def test_numerics_advance_and_finish(self):
         dev = Device()
@@ -131,7 +131,8 @@ class TestPanelPotf2Kernel:
         dev = Device()
         b = batch_of(dev, [4, 40])
         k = PanelPotf2StepKernel(b, 0, 0, 8, np.array([0, 32]), 32)
-        assert sum(w.count for w in k.block_works() if w.terminated) == 1
+        *_, active, counts = k.block_arrays()
+        assert counts[active == 0].sum() == 1
 
     def test_validation(self):
         dev = Device()

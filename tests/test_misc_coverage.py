@@ -120,8 +120,8 @@ class TestSchedulerConsistencyAtScale:
             def launch_config(self):
                 return LaunchConfig(128)
 
-            def block_works(self):
-                return [BlockWork(1e4, 1e3, count=400_000)]
+            def block_arrays(self):
+                return BlockWork.pack([BlockWork(1e4, 1e3, count=400_000)])
 
         dev = Device(execute_numerics=False)
         rec = dev.launch(Huge())

@@ -226,9 +226,12 @@ class TestLaunchProgram:
         plan.close()
         walk_plan.close()
 
-    def test_unoptimized_plan_has_no_program(self):
-        dev, plan = _timing_plan("fused")
-        assert optimize_plan(plan, "none").program is None
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_unoptimized_plan_is_lowered_at_build(self, planner):
+        # The builder lowers every barrier-free plan; "none" keeps it.
+        dev, plan = _timing_plan(planner)
+        barriers = any(isinstance(n, Barrier) for n in plan.nodes)
+        assert (optimize_plan(plan, "none").program is None) == barriers
         plan.close()
 
     def test_tracer_walks_nodes(self):

@@ -34,8 +34,8 @@ class _WorkKernel(Kernel):
     def launch_config(self):
         return LaunchConfig(self._threads)
 
-    def block_works(self):
-        return self._works
+    def block_arrays(self):
+        return BlockWork.pack(self._works)
 
 
 def _launch_time(works, etm="classic"):
