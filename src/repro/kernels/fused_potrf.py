@@ -14,6 +14,12 @@ Thread ``t`` of a block owns row ``t`` of the panel, so a matrix with
 what the two ETMs act on.  Blocks whose matrix is already finished
 terminate immediately (ETM-classic); ETM-aggressive additionally
 retires idle warps inside live blocks (§III-D1).
+
+The timing plane charges every step; the functional plane does not
+split the work the same way.  Nothing reads a matrix between the step
+launches of a fused plan, so the launch of a matrix's final step
+factors it whole (:func:`~repro.kernels.grouping.stacked_potrf`) and
+the earlier launches leave it untouched.
 """
 
 from __future__ import annotations
@@ -187,20 +193,23 @@ class FusedPotrfStepKernel(Kernel):
     def run_numerics(self) -> None:
         infos = self.batch.infos_dev.data
         j0 = self.step * self.nb
-        sizes = self.batch.sizes_host
+        sizes = self.batch.sizes_host[self.indices]
         # ETM: drop finished and already-failed matrices up front.
-        live = self.indices[(sizes[self.indices] > j0) & (infos[self.indices] == 0)]
-        if live.size == 0:
-            return
+        live = (sizes > j0) & (infos[self.indices] == 0)
         if grouping.reference_enabled():
-            for i in live:
+            for i in self.indices[live]:
                 i = int(i)
                 info = fused_step_numerics(self.batch.matrix_view(i), j0, self.nb)
                 if info != 0:
                     infos[i] = info
             return
-        views = [self.batch.matrix_view(int(i)) for i in live]
-        ret = grouping.stacked_potrf_step(views, j0, self.nb)
+        # Nothing reads a matrix between the step launches of a fused
+        # plan, so each matrix is factored whole by the launch of its
+        # final step and left untouched by the earlier ones.
+        final = self.indices[live & (sizes <= j0 + self.nb)]
+        if final.size == 0:
+            return
+        ret = grouping.stacked_potrf([self.batch.matrix_view(int(i)) for i in final], self.nb)
         bad = ret > 0
         if bad.any():
-            infos[live[bad]] = ret[bad]
+            infos[final[bad]] = ret[bad]

@@ -10,21 +10,27 @@ the batched-GEMM grouping of Jhurani & Mullowney (arXiv:1304.7053), work
 is grouped by the shape of the operands a kernel actually touches, not
 by the shape of the matrices they come from:
 
+* :func:`stacked_potrf` factors whole matrices, one stacked LAPACK
+  Cholesky per exact order.  The fused step kernel calls it at each
+  matrix's final step: nothing reads a matrix between the launches of a
+  fused plan, so the per-step arithmetic can be deferred to one call.
 * :func:`stacked_potrf_step` advances a POTRF step (history update, tile
-  factorization, panel solve) for every live matrix.  Within one step
-  every matrix with ``n - j0 >= nb`` has the same ``nb x nb`` tile and
-  ``nb x j0`` history, whatever its order, so one group per tile order
-  ``jb`` goes through stacked LAPACK (``matmul``, ``cholesky``, ``inv``)
-  and only the ragged panels below the tiles are solved per matrix.
+  factorization, panel solve) for every live matrix, for the panel and
+  naive kernels whose neighbours read the intermediate state.  Within
+  one step every matrix with ``n - j0 >= nb`` has the same ``nb x nb``
+  tile and ``nb x j0`` history, whatever its order, so one group per
+  tile order ``jb`` goes through stacked LAPACK (``matmul``,
+  ``cholesky``, ``inv``) and only the ragged panels below the tiles are
+  solved per matrix.
 * :func:`partition_buckets` splits a launch into identical-key buckets
   for the gemm/syrk/trtri kernels, whose operands are whole-shape
   compatible; :func:`bucket_gemm`, :func:`bucket_syrk` and
   :func:`batched_lower_trtri` run one bucket as a 3-D stack.
 
-Every operation of a POTRF step depends only on the matrix it works
-on, never on what else shares its group, so a Cholesky factor is
-bitwise identical alone, in any batch, or on any shard.  Every kernel
-keeps its original per-matrix loop as a *reference* path
+Every operation of a POTRF factorization or step depends only on the
+matrix it works on, never on what else shares its group, so a Cholesky
+factor is bitwise identical alone, in any batch, or on any shard.
+Every kernel keeps its original per-matrix loop as a *reference* path
 (:func:`reference_numerics` / ``set_reference_numerics``,
 ``REPRO_REFERENCE_KERNELS=1``) so the grouped path can be
 differentially tested against it.
@@ -49,6 +55,7 @@ __all__ = [
     "set_reference_numerics",
     "reference_enabled",
     "fused_step_numerics",
+    "stacked_potrf",
     "stacked_potrf_step",
     "batched_lower_trtri",
     "bucket_gemm",
@@ -166,7 +173,8 @@ def fused_step_numerics(a: np.ndarray, j0: int, nb: int) -> int:
     starting at column ``j0``.  Returns the LAPACK info (0, or the
     1-based global index of the failing pivot).  This is the reference
     the POTRF step kernels loop over, and the fallback that
-    :func:`stacked_potrf_step` hands failed matrices to.
+    :func:`stacked_potrf` and :func:`stacked_potrf_step` hand failed
+    matrices to.
     """
     n = a.shape[0]
     j1 = min(j0 + nb, n)
@@ -204,12 +212,63 @@ def _stacked_cholesky(tiles: np.ndarray) -> np.ndarray:
         return out
 
 
-@lru_cache(maxsize=128)
-def _lower_mask(n: int) -> np.ndarray:
-    """Boolean mask of the lower triangle (with diagonal) of an n x n tile."""
+@lru_cache(maxsize=16)
+def _tri(n: int) -> np.ndarray:
     mask = np.tri(n, dtype=bool)
     mask.flags.writeable = False
     return mask
+
+
+def _lower_mask(n: int) -> np.ndarray:
+    """Boolean mask of the lower triangle (with diagonal) of an n x n tile.
+
+    A corner of a cached power-of-two mask, so every order up to 1024
+    shares eleven masks.
+    """
+    return _tri(1 << (n - 1).bit_length())[:n, :n]
+
+
+def _replay_potrf(a: np.ndarray, nb: int) -> int:
+    """The reference factorization: :func:`fused_step_numerics` step by
+    step, stopping at the first failure; returns its info."""
+    for j0 in range(0, a.shape[0], nb):
+        info = fused_step_numerics(a, j0, nb)
+        if info != 0:
+            return info
+    return 0
+
+
+def stacked_potrf(views, nb: int) -> np.ndarray:
+    """Whole lower Cholesky factorizations, one stacked LAPACK call per
+    exact order.
+
+    ``views`` are square matrix views, each factored in place as the
+    ``nb``-wide steps of :func:`fused_step_numerics` would (equal up to
+    rounding).  Only the lower triangle is written back.  A matrix whose
+    factor is not finite (not positive definite; NaN or Inf in the
+    input) is instead replayed through those steps from its untouched
+    input, which yields the reference info code and partial state.
+    Returns the per-view info array (0, or the 1-based failing pivot).
+    """
+    infos = np.zeros(len(views), dtype=np.int64)
+    groups: dict[int, list[int]] = {}
+    for pos, v in enumerate(views):
+        groups.setdefault(v.shape[0], []).append(pos)
+    for n, members in groups.items():
+        if len(members) == 1:
+            stack = views[members[0]][None]  # a view: no copy
+        else:
+            stack = np.stack([views[p] for p in members])
+        factors = _stacked_cholesky(stack)
+        ok = np.isfinite(factors).all(axis=(1, 2))
+        lower = _lower_mask(n)
+        for g, p in enumerate(members):
+            if ok[g]:
+                np.copyto(views[p], factors[g], where=lower)
+            else:
+                infos[p] = _replay_potrf(views[p], nb)
+        del stack, factors  # one group's temporaries at a time
+    return infos
 
 
 def stacked_potrf_step(views, j0: int, nb: int) -> np.ndarray:

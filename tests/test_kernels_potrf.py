@@ -7,6 +7,7 @@ from repro.core.batch import VBatch
 from repro.device import Device
 from repro.errors import LaunchError
 from repro.hostblas import make_spd, make_spd_batch, potrf as host_potrf
+from repro.kernels import grouping
 from repro.kernels.aux import IMaxReduceKernel, StepSizesKernel, compute_max_size
 from repro.kernels.fused_potrf import (
     FusedPotrfStepKernel,
@@ -79,6 +80,50 @@ class TestFusedPotrfStepKernel:
             dev.launch(FusedPotrfStepKernel(b, s, 2, np.arange(1), max_m=max(1, 10 - 2 * s)))
         infos = b.download_infos()
         assert infos[0] == 8
+
+    def test_only_the_final_step_launch_touches_a_matrix(self):
+        """A matrix is factored whole by the launch of its final step
+        (``j0 < n <= j0 + nb``); earlier launches leave its whole
+        ``lda x n`` buffer untouched."""
+        dev = Device()
+        sizes, ldas, nb = [30, 12], [40, 16], 8
+        final_steps = [3, 1]
+        mats = make_spd_batch(sizes, "d", seed=3)
+        b = VBatch.allocate(dev, sizes, "d", ldas=ldas)
+        for m, a in zip(b.matrices, mats):
+            m.data[...] = -777.0  # sentinel in the padding rows
+            m.data[: a.shape[0]] = a
+        before = [m.data.copy() for m in b.matrices]
+        for s in range(4):
+            dev.launch(FusedPotrfStepKernel(b, s, nb, np.arange(2), max_m=30 - s * nb))
+            for i, (m, a) in enumerate(zip(b.matrices, mats)):
+                if s < final_steps[i]:
+                    assert np.array_equal(m.data, before[i]), (s, i)
+                    continue
+                n = a.shape[0]
+                got = m.data[:n]
+                np.testing.assert_allclose(np.tril(got), np.linalg.cholesky(a), rtol=1e-12)
+                assert np.array_equal(np.triu(got, 1), np.triu(a, 1))
+                assert np.all(m.data[n:] == -777.0)
+        assert not b.download_infos().any()
+
+    def test_failure_past_first_panel_matches_the_reference(self):
+        a = make_spd(30, "d", seed=4)
+        a[20, 20] = -5.0  # leading minor 21 fails: step j0=16
+
+        def run():
+            dev = Device()
+            b = VBatch.from_host(dev, [a.copy()])
+            for s in range(4):
+                dev.launch(FusedPotrfStepKernel(b, s, 8, np.arange(1), max_m=30 - s * 8))
+            return b.download_matrices()[0], b.download_infos()[0]
+
+        got, info = run()
+        with grouping.reference_numerics():
+            ref, ref_info = run()
+        assert info == ref_info == 21
+        assert np.array_equal(got, ref)
+        assert not np.array_equal(got, a)  # the partial factor was written
 
     def test_shared_memory_scales_with_max_m(self):
         dev = Device()

@@ -34,6 +34,13 @@ def _direct_factors(matrices, devices=None):
     return out
 
 
+def _entry_pair(value):
+    """An SPD matrix with one symmetric entry pair set to ``value``."""
+    a = make_spd(16, seed=3)
+    a[9, 5] = a[5, 9] = value
+    return a
+
+
 def _served_batches(responses, requests_by_id):
     """Reconstruct each dispatched batch in the server's launch order."""
     groups: dict[int, list] = {}
@@ -142,11 +149,15 @@ class TestDifferentialEquivalence:
             # the caller's rhs array is never mutated
             assert not np.array_equal(resp.solution, b)
 
-    def test_non_spd_request_fails_alone_not_its_batchmates(self):
-        bad = -np.eye(16)
+    @pytest.mark.parametrize(
+        "bad, rhs",
+        [(-np.eye(16), np.ones(16)), (_entry_pair(np.nan), None), (_entry_pair(np.inf), None)],
+        ids=["non-spd-posv", "nan-potrf", "inf-potrf"],
+    )
+    def test_non_spd_request_fails_alone_not_its_batchmates(self, bad, rhs):
         good = make_spd(16, seed=2)
         server = BatchServer(Device(), policy="fifo", max_batch=2)
-        f_bad = server.submit(bad, np.ones(16))
+        f_bad = server.submit(bad, rhs)
         f_good = server.submit(good)
         server.pump(force=True)
         r_bad, r_good = f_bad.result(5.0), f_good.result(5.0)

@@ -160,25 +160,38 @@ class TestBatchCompositionInvariance:
     a mixed-size batch and in a same-size batch (what keeps sharded ==
     single-device exact)."""
 
-    @pytest.mark.parametrize("n", [25, 37])  # 25: one trailing row
+    # 25: one trailing row.  poisoned: the mixed batch also holds a
+    # non-SPD matrix and a NaN matrix of the target's own order, so they
+    # share its stacked group.
+    @pytest.mark.parametrize(
+        "n, poisoned", [(25, False), (37, False), (25, True), (37, True)],
+        ids=["25", "37", "25-poisoned", "37-poisoned"],
+    )
     @pytest.mark.parametrize("precision", ["d", "z"])
     @pytest.mark.parametrize("approach", ["fused", "separated"])
-    def test_factor_is_independent_of_batch(self, approach, precision, n):
+    def test_factor_is_independent_of_batch(self, approach, precision, n, poisoned):
         target = make_spd_batch([n], precision, seed=9)[0]
         others = make_spd_batch([n, 64, 9, n, 50], precision, seed=4)
+        if poisoned:
+            non_spd, with_nan = make_spd_batch([n, n], precision, seed=5)
+            non_spd[n - 3, n - 3] = -1.0  # fails past the first panel
+            with_nan[n // 2, 1] = with_nan[1, n // 2] = np.nan
+            others += [non_spd, with_nan]
 
-        def factor_of_target(batch_mats, pos):
+        def factor_of_target(batch_mats, pos, failing=0):
             mats = [m.copy() for m in batch_mats]
             mats.insert(pos, target.copy())
             sizes = [m.shape[0] for m in mats]
-            outs, infos = factorize(
-                sizes, mats, approach, False, precision=precision, **SMALL_BLOCKS
-            )
-            assert not infos.any()
+            run = dict(precision=precision, on_error="info", **SMALL_BLOCKS)
+            outs, infos = factorize(sizes, [m.copy() for m in mats], approach, False, **run)
+            assert np.count_nonzero(infos) == failing
+            if failing:
+                _, ref_infos = factorize(sizes, mats, approach, True, **run)
+                assert infos.tolist() == ref_infos.tolist()
             return outs[pos]
 
         alone = factor_of_target([], 0)
-        mixed = factor_of_target(others, 2)
+        mixed = factor_of_target(others, 2, failing=2 if poisoned else 0)
         same = factor_of_target([others[0], others[3]], 1)
         assert np.array_equal(alone, mixed)
         assert np.array_equal(alone, same)

@@ -15,8 +15,9 @@ the same matrices: ``np.linalg.cholesky`` (potrf),
 of ``--repeat`` runs of each and their ratio.  BLAS is pinned to one
 thread.
 
-The gesvj singular values and the geqrf ``|diag R|`` are checked
-against the floor's answers, so a fast but wrong path cannot pass.
+The potrf lower factors, the gesvj singular values and the geqrf
+``|diag R|`` are checked against the floor's answers, so a fast but
+wrong path cannot pass (getrf is not checked).
 ``--max-ratio OP=X`` makes the script a gate: it exits 1 when a
 checked answer is wrong or an op's ratio is above its bound.
 """
@@ -89,20 +90,26 @@ def best_numerics_s(clock: NumericsClock, driver, mats, repeat: int):
 
 
 def answer_errors(op: str, mats, result, factors) -> list[str]:
-    """Where the timed answers disagree with LAPACK's (gesvj singular
-    values, geqrf ``|diag R|``); other ops are not checked."""
-    if op not in ("gesvj", "geqrf"):
+    """Where the timed answers disagree with LAPACK's (potrf lower
+    factors, gesvj singular values, geqrf ``|diag R|``); getrf is not
+    checked."""
+    if op == "getrf":
         return []
     errors = []
     for i, (a, f) in enumerate(zip(mats, factors)):
         n = a.shape[0]
-        if op == "gesvj":
+        if op == "potrf":
+            got, want = np.tril(f), np.linalg.cholesky(a)
+            scale = np.abs(want).max()
+        elif op == "gesvj":
             got = result.outputs["singular_values"][i, :n]
             want = np.linalg.svd(a, compute_uv=False)
+            scale = want[0]
         else:
             got = np.abs(np.diag(f))
             want = np.abs(np.diag(scipy.linalg.qr(a, mode="r")[0]))
-        if not np.allclose(got, want, rtol=1e-10, atol=1e-10 * max(want[0], 1.0)):
+            scale = want[0]
+        if not np.allclose(got, want, rtol=1e-10, atol=1e-10 * max(scale, 1.0)):
             errors.append(f"{op}: matrix {i} (n={n}) disagrees with LAPACK")
     return errors
 
