@@ -9,10 +9,10 @@ the device kernels can mirror the real MAGMA decomposition exactly.
 
 from .gemm import gemm
 from .syrk import syrk
-from .trsm import trsm
+from .trsm import stacked_substitution, stacked_trsm, trsm
 from .trtri import trtri
 from .potrf import potf2, potrf
-from .getrf import apply_pivots, getf2, getrf
+from .getrf import apply_pivots, getf2, getrf, pivot_permutation, stacked_getf2
 from .geqrf import (
     apply_q_transpose,
     build_q,
@@ -34,12 +34,16 @@ __all__ = [
     "gemm",
     "syrk",
     "trsm",
+    "stacked_substitution",
+    "stacked_trsm",
     "trtri",
     "potf2",
     "potrf",
     "getf2",
     "getrf",
     "apply_pivots",
+    "stacked_getf2",
+    "pivot_permutation",
     "geqr2",
     "geqrf",
     "larft",

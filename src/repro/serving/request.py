@@ -123,7 +123,9 @@ class Request:
     runs on the device: the op itself, or the base op a solve alias
     factors through (``posv`` -> ``potrf``, ``gesv`` -> ``getrf``).
     Batches group on ``(dtype, factor_op)``, so a potrf and a posv
-    request can share one launch.
+    request can share one launch.  A getrf, gesv, geqrf or gesvj
+    request whose matrix (or gesv right-hand side) holds NaN or Inf is
+    refused with :class:`~repro.errors.ArgumentError`.
     """
 
     req_id: int
@@ -155,6 +157,14 @@ class Request:
                 )
         elif self.rhs is not None:
             raise ArgumentError(3, f"{self.op} request must not carry a right-hand side")
+        if not desc.spd_input:
+            # Cholesky flags a NaN or Inf input with info > 0; LU, QR and
+            # the Jacobi SVD have no info code for it and would return a
+            # non-finite answer marked ok, so refuse it here.
+            if not np.isfinite(m).all():
+                raise ArgumentError(1, f"{self.op} request matrix holds NaN or Inf")
+            if self.rhs is not None and not np.isfinite(self.rhs).all():
+                raise ArgumentError(3, f"{self.op} right-hand side holds NaN or Inf")
         self.n = int(m.shape[0])
         self.dtype = m.dtype
         self.factor_op = desc.base or desc.name

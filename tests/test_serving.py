@@ -19,6 +19,8 @@ from repro.core import OpOptions, PlanCache, VBatch
 from repro.core.interface import potrf_vbatched_max
 from repro.device import Device, DeviceGroup
 from repro.errors import AdmissionError, ArgumentError, ServingError
+from repro.extensions import gesv_vbatched
+from repro.ops import run_op_vbatched
 from repro.serving import BatchServer, closed_loop
 
 
@@ -39,6 +41,26 @@ def _entry_pair(value):
     a = make_spd(16, seed=3)
     a[9, 5] = a[5, 9] = value
     return a
+
+
+def _direct_answer(op, matrix, rhs=None):
+    """``op`` on ``matrix`` alone, called directly: the factor, or the
+    solution for gesv."""
+    device = Device()
+    batch = VBatch.from_host(device, [matrix.copy()])
+    if op == "gesv":
+        solution = [rhs.copy()]
+        gesv_vbatched(device, batch, solution)
+        out = solution[0]
+    else:
+        run_op_vbatched(device, batch, None, op, OpOptions())
+        out = batch.download_matrices()[0]
+    batch.free()
+    return out
+
+
+def _general(n, seed):
+    return np.random.default_rng(seed).standard_normal((n, n))
 
 
 def _served_batches(responses, requests_by_id):
@@ -165,6 +187,50 @@ class TestDifferentialEquivalence:
         assert r_good.ok
         expected = _direct_factors([bad, good])  # same aggregated launch
         assert np.array_equal(r_good.factor, expected[1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("op", ["getrf", "gesv", "geqrf", "gesvj"])
+    def test_non_finite_request_is_refused_at_submit(self, op, value):
+        rhs = np.ones(12) if op == "gesv" else None
+        bad = _general(12, seed=1)
+        bad[3, 7] = value
+        good = _general(12, seed=2)
+        server = BatchServer(Device(), policy="fifo", max_batch=2)
+        with pytest.raises(ArgumentError, match="NaN or Inf"):
+            server.submit(bad, rhs, op=op)
+        f_good = server.submit(good, rhs, op=op)
+        server.pump(force=True)
+        resp = f_good.result(5.0)
+        assert resp.ok and resp.batch_size == 1
+        got = resp.solution if op == "gesv" else resp.factor
+        assert np.array_equal(got, _direct_answer(op, good, rhs))
+
+    def test_non_finite_gesv_rhs_is_refused_at_submit(self):
+        server = BatchServer(Device())
+        rhs = np.ones(12)
+        rhs[5] = np.nan
+        with pytest.raises(ArgumentError, match="right-hand side holds NaN"):
+            server.submit(_general(12, seed=1), rhs, op="gesv")
+        assert server.queue_depth == 0
+
+    @pytest.mark.parametrize("rhs", [np.arange(16.0), np.ones((16, 3))], ids=["1d", "2d"])
+    @pytest.mark.parametrize("kind", ["zero-column", "all-zero"])
+    def test_singular_gesv_fails_alone_not_its_batchmate(self, kind, rhs):
+        bad = np.zeros((16, 16))
+        if kind == "zero-column":
+            bad = _general(16, seed=3)
+            bad[:, 5] = 0.0
+        good = _general(16, seed=4)
+        server = BatchServer(Device(), policy="fifo", max_batch=2)
+        f_bad = server.submit(bad, rhs, op="gesv")
+        f_good = server.submit(good, rhs, op="gesv")
+        server.pump(force=True)
+        r_bad, r_good = f_bad.result(5.0), f_good.result(5.0)
+        assert r_bad.batch_id == r_good.batch_id
+        assert not r_bad.ok and r_bad.solution is None
+        assert r_bad.info == (6 if kind == "zero-column" else 1)  # the first zero pivot
+        assert r_good.ok
+        assert np.array_equal(r_good.solution, _direct_answer("gesv", good, rhs))
 
 
 class TestAsyncWorker:

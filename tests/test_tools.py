@@ -97,3 +97,26 @@ def test_ext_lapack_ratio_rejects_wrong_answers():
     ]
     with pytest.raises(SystemExit):
         tool.parse_bounds(["gesvj"])
+
+
+def test_ext_lapack_ratio_rejects_a_wrong_lu_factor():
+    tool = _load(ROOT / "tools" / "ext_lapack_ratio.py")
+    rng = np.random.default_rng(1)
+    mats = [rng.standard_normal((n, n)) for n in (6, 9)]
+    ipivs = np.zeros((2, 9), dtype=np.int64)
+    factors = []
+    for i, a in enumerate(mats):
+        lu, piv = scipy.linalg.lu_factor(a)
+        factors.append(lu)
+        ipivs[i, : len(a)] = piv + 1  # LAPACK's 1-based rows
+    result = SimpleNamespace(outputs={"ipivs": ipivs})
+    assert tool.answer_errors("getrf", mats, result, factors) == []
+    factors[1][4, 2] *= 1.0 + 1e-6  # an entry of L
+    assert tool.answer_errors("getrf", mats, result, factors) == [
+        "getrf: matrix 1 (n=9) disagrees with LAPACK"
+    ]
+    factors[1][4, 2] /= 1.0 + 1e-6
+    ipivs[0, 0] = 1 + (ipivs[0, 0] % 6)  # a wrong pivot row
+    assert tool.answer_errors("getrf", mats, result, factors) == [
+        "getrf: matrix 0 (n=6) disagrees with LAPACK"
+    ]

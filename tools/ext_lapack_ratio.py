@@ -16,8 +16,9 @@ of ``--repeat`` runs of each and their ratio.  BLAS is pinned to one
 thread.
 
 The potrf lower factors, the gesvj singular values and the geqrf
-``|diag R|`` are checked against the floor's answers, so a fast but
-wrong path cannot pass (getrf is not checked).
+``|diag R|`` are checked against the floor's answers, and every getrf
+factor must rebuild its input (``P L U`` from the factor and its
+pivots), so a fast but wrong path cannot pass.
 ``--max-ratio OP=X`` makes the script a gate: it exits 1 when a
 checked answer is wrong or an op's ratio is above its bound.
 """
@@ -89,16 +90,27 @@ def best_numerics_s(clock: NumericsClock, driver, mats, repeat: int):
     return best, result, factors
 
 
+def lu_product(factor, ipiv):
+    """``P L U`` rebuilt from a packed LU factor and its 1-based pivots."""
+    n = factor.shape[0]
+    product = (np.tril(factor, -1) + np.eye(n)) @ np.triu(factor)
+    for j in reversed(range(n)):
+        p = int(ipiv[j]) - 1
+        product[[j, p]] = product[[p, j]]
+    return product
+
+
 def answer_errors(op: str, mats, result, factors) -> list[str]:
     """Where the timed answers disagree with LAPACK's (potrf lower
-    factors, gesvj singular values, geqrf ``|diag R|``); getrf is not
-    checked."""
-    if op == "getrf":
-        return []
+    factors, gesvj singular values, geqrf ``|diag R|``) or, for getrf,
+    where ``P L U`` does not rebuild the input."""
     errors = []
     for i, (a, f) in enumerate(zip(mats, factors)):
         n = a.shape[0]
-        if op == "potrf":
+        if op == "getrf":
+            got, want = lu_product(f, result.outputs["ipivs"][i, :n]), a
+            scale = np.abs(want).max()
+        elif op == "potrf":
             got, want = np.tril(f), np.linalg.cholesky(a)
             scale = np.abs(want).max()
         elif op == "gesvj":
