@@ -42,7 +42,7 @@ import numpy as np
 from ..device.device import Device
 from ..device.topology import DeviceGroup
 from ..errors import ArgumentError
-from ..hostblas import build_q
+from ..hostblas import stacked_larft
 from ..serving.server import BatchServer
 
 __all__ = [
@@ -177,15 +177,15 @@ def compress_kernel_matrix(
     ]
     drain()
 
-    for (i, j, m, n, tile), qr, fut in zip(tiles, qr_packed, svd_futs):
-        svd = fut.result(timeout=60.0)
+    svds = [fut.result(timeout=60.0) for fut in svd_futs]
+    # A = Q R, R = U S V^T  =>  A ~= (Q U_r) S_r V_r^T
+    qus = _q_times_u(qr_packed, svds)
+    for (i, j, m, n, tile), svd, qu in zip(tiles, svds, qus):
         sigma = svd.extras["singular_values"]
         vt = svd.extras["vt"]
         rank = int(np.count_nonzero(sigma > tol * max(sigma[0], 1e-300)))
         rank = max(1, min(rank, m, n))
-        # A = Q R, R = U S V^T  =>  A ~= (Q U_r) S_r V_r^T
-        q = build_q(qr.factor, qr.extras["taus"])
-        u = (q @ svd.factor[:, :rank])[:m]
+        u = qu[:m, :rank]
         right = sigma[:rank, None] * vt[:rank, :n]
         rel = np.linalg.norm(tile - u @ right) / max(np.linalg.norm(tile), 1e-300)
         result.max_rel_error = max(result.max_rel_error, float(rel))
@@ -195,6 +195,24 @@ def compress_kernel_matrix(
         result.stored_entries += 2 * rank * (m + n)
     result.serving = server.metrics.snapshot()
     return result
+
+
+def _q_times_u(qrs, svds) -> list[np.ndarray]:
+    """``Q U`` of every tile from its QR and SVD responses: one stacked
+    compact-WY product ``U - V (T (V^T U))`` per tile order."""
+    by_order: dict[int, list[int]] = {}
+    for t, qr in enumerate(qrs):
+        by_order.setdefault(qr.factor.shape[0], []).append(t)
+    out: list = [None] * len(qrs)
+    for order, members in by_order.items():
+        packed = np.stack([qrs[t].factor for t in members])
+        t_wy = stacked_larft(packed, np.stack([qrs[t].extras["taus"] for t in members]))
+        v = np.tril(packed, -1)
+        v[:, np.arange(order), np.arange(order)] = 1.0
+        u = np.stack([svds[t].factor for t in members])
+        for t, qu in zip(members, u - v @ (t_wy @ (np.swapaxes(v, 1, 2) @ u))):
+            out[t] = qu
+    return out
 
 
 # ----------------------------------------------------------------------

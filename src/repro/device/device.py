@@ -186,9 +186,9 @@ class Device:
         """Launch a kernel asynchronously on ``stream`` (default stream).
 
         ``run_numerics=False`` commits the launch to the simulated clock
-        but defers the functional plane to the caller (the plan
-        executor's thread-pool path runs ``kernel.run_numerics()``
-        itself); ``None`` follows ``self.execute_numerics``.
+        but leaves the functional plane to the caller (a sharded run
+        launches its shards this way and runs the numerics once over
+        the whole batch); ``None`` follows ``self.execute_numerics``.
         """
         stream = stream or self.default_stream
         occ, schedule, total_blocks = self.prepare_launch(kernel)

@@ -7,11 +7,11 @@ the device's shared SM-area constraint, cross-stream dependency edges
 become event waits, and :class:`~repro.core.plan.Barrier` nodes drain
 streams back to the host.
 
-:func:`execute_concurrently` runs one plan per device at the same time
-(thread-per-device), which is what gives a
-:class:`~repro.device.topology.DeviceGroup` its multi-GPU overlap: each
-simulated device advances its own clock independently, so the group's
-makespan is the slowest shard, not the sum.
+:func:`execute_concurrently` runs one plan per device, one after
+another on the calling thread.  Each simulated device advances its own
+clock, so a :class:`~repro.device.topology.DeviceGroup`'s makespan is
+the slowest shard, not the sum: device concurrency lives on the clocks,
+and host threads would only add GIL contention.
 
 Execution is the stack's richest tracing site: with a tracer active
 (:func:`repro.observability.trace.current_tracer`) every kernel launch
@@ -25,12 +25,12 @@ falsy check per plan plus one per node.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from copy import copy
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import PlanError, PlanExecutionError
-from ..observability.trace import Track, current_tracer, propagating
+from ..observability.trace import Track, current_tracer
 
 __all__ = [
     "ExecutionStats",
@@ -61,7 +61,6 @@ class ExecutionStats:
     streams_used: int = 0
     event_waits: int = 0
     events_recorded: int = 0
-    parallel_numerics: int = 0
 
     def count(self, tag: str) -> int:
         return self.by_tag.get(tag, 0)
@@ -82,7 +81,6 @@ class ExecutionStats:
         self.streams_used += other.streams_used
         self.event_waits += other.event_waits
         self.events_recorded += other.events_recorded
-        self.parallel_numerics += other.parallel_numerics
         for tag, count in other.by_tag.items():
             self.by_tag[tag] = self.by_tag.get(tag, 0) + count
 
@@ -231,10 +229,13 @@ class LaunchProgram:
         )
         return cls(tuple((s, w, tuple(k), r) for s, w, k, r in segments), stats)
 
-    def replay(self, device) -> ExecutionStats:
+    def replay(self, device, run_numerics: bool | None = None) -> ExecutionStats:
         """Launch every segment on ``device``; logical streams other than
-        0 get fresh streams, as in :meth:`PlanExecutor.execute`."""
+        0 get fresh streams, as in :meth:`PlanExecutor.execute`.
+        ``run_numerics`` is passed to every :meth:`Device.launch`."""
         launch = device.launch
+        if run_numerics is not None:
+            launch = partial(launch, run_numerics=run_numerics)
         streams = {0: device.default_stream}
         events = {}  # node index -> its stream's frontier after it
         for sid, waits, kernels, record in self.segments:
@@ -262,26 +263,18 @@ class PlanExecutor:
     execution (matching the per-run stream sets the eager drivers used),
     created lazily on first use.
 
-    When the plan optimizer recorded independent launch runs in
-    ``plan.meta["optimizer"]["parallel_groups"]`` and the device
-    executes numerics, the executor fans each group's ``run_numerics``
-    calls out to a thread pool (``max_workers``, capped by the device
-    spec's ``hardware_queues``) and joins them before the first
-    dependent node.  Group members touch disjoint matrices by
-    construction, so the results are bit-identical to serial execution;
-    the simulated clock always advances serially in node order.
-
     A lowered plan (``plan.program``, a :class:`LaunchProgram`: every
     plan without barriers) is replayed instead of walked, unless a
-    tracer is active or parallel groups apply: both need the walk.
+    tracer is active: the trace spans need the walk.
     """
 
-    def __init__(self, device, max_workers: int | None = None):
+    def __init__(self, device):
         self.device = device
-        queues = int(getattr(getattr(device, "spec", None), "hardware_queues", 1) or 1)
-        self.max_workers = queues if max_workers is None else min(int(max_workers), queues)
 
-    def execute(self, plan) -> ExecutionStats:
+    def execute(self, plan, run_numerics: bool | None = None) -> ExecutionStats:
+        """Launch ``plan`` on the device; ``run_numerics`` is passed to
+        every :meth:`~repro.device.device.Device.launch` (``False``
+        commits the simulated clock only)."""
         from ..core.plan import AuxLaunch, Barrier, KernelLaunch
 
         if plan.closed:
@@ -291,31 +284,13 @@ class PlanExecutor:
 
         device = self.device
         tracer = current_tracer()
+        if plan.program is not None and not tracer:
+            return plan.program.replay(device, run_numerics)
         streams = {0: device.default_stream}
         nodes = plan.nodes
         # Stamped on every kernel span so trace analysis can attribute
         # stream time per operation in mixed-op (serving) traces.
         plan_op = plan.meta.get("op")
-
-        # Parallel-numerics bookkeeping (optimizer-annotated plans only).
-        group_of: dict[int, int] = {}
-        group_last: dict[int, int] = {}
-        if device.execute_numerics and self.max_workers > 1:
-            for gid, members in enumerate(
-                plan.meta.get("optimizer", {}).get("parallel_groups", ())
-            ):
-                if len(members) > 1:
-                    for index in members:
-                        group_of[index] = gid
-                    group_last[gid] = max(members)
-        if plan.program is not None and not tracer and not group_of:
-            return plan.program.replay(device)
-        pool = None
-        pending: list = []
-
-        def drain():
-            while pending:
-                pending.pop(0).result()
         # A node needs an event only when a *later, other-stream* node
         # depends on it; same-stream order is the queue's job.
         needs_event = {
@@ -328,135 +303,105 @@ class PlanExecutor:
         stats = ExecutionStats()
         used_streams: set[int] = set()
 
-        try:
-            for node in nodes:
-                if isinstance(node, Barrier):
-                    drain()
-                    barrier_from = device.host_time
-                    scope = node.streams if node.streams is not None else sorted(streams)
-                    for sid in scope:
-                        stream = streams.get(sid)
-                        if stream is not None:
-                            stream.synchronize()
-                    device.synchronize()
-                    stats.barriers += 1
-                    if tracer:
-                        tracer.add_span(
-                            "barrier", Track.for_host(device),
-                            barrier_from, device.host_time, cat="barrier",
-                            args={"node": node.index},
-                        )
-                    continue
-                if not isinstance(node, KernelLaunch):  # pragma: no cover - guarded by validate()
-                    raise PlanError(f"unknown plan node type: {type(node).__name__}")
-                stream = streams.get(node.stream)
-                if stream is None:
-                    stream = streams[node.stream] = device.create_stream()
-                for dep in node.deps:
-                    if nodes[dep].stream != node.stream:
-                        blocked_from = stream.ready_time
-                        stream.wait_event(events[dep])
-                        stats.event_waits += 1
-                        if tracer and stream.ready_time > blocked_from:
-                            tracer.add_span(
-                                "wait", Track.for_stream(device, node.stream),
-                                blocked_from, stream.ready_time, cat="wait",
-                                args={"node": node.index, "on": dep},
-                            )
-                gid = group_of.get(node.index)
-                if gid is None:
-                    # A group's numerics may only overlap nodes proven
-                    # independent of it (its own members and floating
-                    # aux launches); anything else joins first.
-                    if pending and not isinstance(node, AuxLaunch):
-                        drain()
-                    record = device.launch(node.kernel, stream=stream)
-                else:
-                    if pool is None:
-                        pool = ThreadPoolExecutor(max_workers=self.max_workers)
-                    record = device.launch(node.kernel, stream=stream, run_numerics=False)
-                    pending.append(pool.submit(node.kernel.run_numerics))
-                    stats.parallel_numerics += 1
-                    if node.index == group_last[gid]:
-                        drain()
-                stats.launches += 1
-                used_streams.add(node.stream)
-                if isinstance(node, AuxLaunch):
-                    stats.aux_launches += 1
-                stats.by_tag[node.tag] = stats.by_tag.get(node.tag, 0) + 1
-                if node.index in needs_event:
-                    events[node.index] = stream.record_event()
-                    stats.events_recorded += 1
+        for node in nodes:
+            if isinstance(node, Barrier):
+                barrier_from = device.host_time
+                scope = node.streams if node.streams is not None else sorted(streams)
+                for sid in scope:
+                    stream = streams.get(sid)
+                    if stream is not None:
+                        stream.synchronize()
+                device.synchronize()
+                stats.barriers += 1
                 if tracer:
-                    span_args = {
-                        "node": node.index,
-                        "blocks": record.blocks,
-                        "utilization": round(record.schedule.utilization, 4),
-                    }
-                    if plan_op is not None:
-                        span_args["op"] = plan_op
                     tracer.add_span(
-                        record.kernel_name, Track.for_stream(device, node.stream),
-                        record.start, record.end, cat=node.tag,
-                        args=span_args,
+                        "barrier", Track.for_host(device),
+                        barrier_from, device.host_time, cat="barrier",
+                        args={"node": node.index},
                     )
-            drain()
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+                continue
+            if not isinstance(node, KernelLaunch):  # pragma: no cover - guarded by validate()
+                raise PlanError(f"unknown plan node type: {type(node).__name__}")
+            stream = streams.get(node.stream)
+            if stream is None:
+                stream = streams[node.stream] = device.create_stream()
+            for dep in node.deps:
+                if nodes[dep].stream != node.stream:
+                    blocked_from = stream.ready_time
+                    stream.wait_event(events[dep])
+                    stats.event_waits += 1
+                    if tracer and stream.ready_time > blocked_from:
+                        tracer.add_span(
+                            "wait", Track.for_stream(device, node.stream),
+                            blocked_from, stream.ready_time, cat="wait",
+                            args={"node": node.index, "on": dep},
+                        )
+            record = device.launch(node.kernel, stream=stream, run_numerics=run_numerics)
+            stats.launches += 1
+            used_streams.add(node.stream)
+            if isinstance(node, AuxLaunch):
+                stats.aux_launches += 1
+            stats.by_tag[node.tag] = stats.by_tag.get(node.tag, 0) + 1
+            if node.index in needs_event:
+                events[node.index] = stream.record_event()
+                stats.events_recorded += 1
+            if tracer:
+                span_args = {
+                    "node": node.index,
+                    "blocks": record.blocks,
+                    "utilization": round(record.schedule.utilization, 4),
+                }
+                if plan_op is not None:
+                    span_args["op"] = plan_op
+                tracer.add_span(
+                    record.kernel_name, Track.for_stream(device, node.stream),
+                    record.start, record.end, cat=node.tag,
+                    args=span_args,
+                )
 
         stats.streams_used = len(used_streams)
         return stats
 
 
-def execute_concurrently(plans, max_workers: int | None = None) -> list[ExecutionStats]:
-    """Execute one plan per device concurrently; returns per-plan stats.
+def execute_concurrently(plans, run_numerics: bool | None = None) -> list[ExecutionStats]:
+    """Execute one plan per device; returns per-plan stats.
 
-    Every plan must target a distinct device — two threads advancing one
-    simulated clock would race.  Order of the result list matches the
-    order of ``plans``.  Each worker runs under a copy of the caller's
-    context, so an active tracer (and its open span) propagates into
-    the per-device threads and shard kernel spans nest correctly.
+    The plans run one after another on the calling thread, in list
+    order.  Each advances only its own device's clock, so in simulated
+    time they overlap: the group's makespan is the slowest device, not
+    the sum.  Every plan must target a distinct device, and the result
+    list matches the order of ``plans``.  Running on the caller's
+    thread, shard kernel spans nest under the caller's open span.
+    ``run_numerics`` is passed to every launch (see
+    :meth:`PlanExecutor.execute`).
 
     A failing plan raises :class:`~repro.errors.PlanExecutionError`
     carrying the plan's index and device name (the first failure in
     plan order; the original exception is chained), after every other
-    plan has finished — no shard is abandoned mid-flight.
+    plan has run — no shard is abandoned mid-flight.  With more than
+    one plan the error's ``partial`` holds each plan's stats (``None``
+    for the failed ones).
     """
-
-    def _fail(index: int, exc: BaseException, partial=None):
-        device = plans[index].device
-        raise PlanExecutionError(
-            index, getattr(device, "name", "device"), exc, partial=partial
-        ) from exc
-
     plans = list(plans)
     devices = [id(p.device) for p in plans]
     if len(set(devices)) != len(devices):
         raise PlanError("concurrent execution requires one plan per distinct device")
-    if not plans:
-        return []
-    if len(plans) == 1:
+    results = []
+    first_failure = None
+    for index, plan in enumerate(plans):
         try:
-            return [PlanExecutor(plans[0].device).execute(plans[0])]
+            results.append(PlanExecutor(plan.device).execute(plan, run_numerics))
         except Exception as exc:
-            _fail(0, exc)
-    with ThreadPoolExecutor(max_workers=max_workers or len(plans)) as pool:
-        futures = [
-            pool.submit(propagating(PlanExecutor(p.device).execute), p) for p in plans
-        ]
-        results = []
-        first_failure = None
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                if first_failure is None:
-                    first_failure = (index, exc)
-                results.append(None)
-        if first_failure is not None:
-            # The error carries the surviving shards' stats so a
-            # retrying caller can account work already done (and merge
-            # the retry idempotently — see LaunchStats.merge(key=...)).
-            _fail(*first_failure, partial=results)
-        return results
+            if first_failure is None:
+                first_failure = (index, exc)
+            results.append(None)
+    if first_failure is not None:
+        index, exc = first_failure
+        # The error carries the surviving shards' stats so a retrying
+        # caller can account work already done (and merge the retry
+        # idempotently — see LaunchStats.merge(key=...)).
+        raise PlanExecutionError(
+            index, getattr(plans[index].device, "name", "device"), exc,
+            partial=results if len(plans) > 1 else None,
+        ) from exc
+    return results

@@ -27,10 +27,9 @@ every one of its methods is a no-op, so the disabled-tracing fast path
 costs one context-variable read per instrumented operation and the
 bit-identical timing tests keep pinning.
 
-Cross-thread propagation (the executor's thread-per-device fan-out)
-uses :func:`propagating` to capture the submitting thread's context —
-active tracer *and* current span — so per-shard kernel spans nest under
-the dispatching span.
+Cross-thread propagation uses :func:`propagating` to capture the
+submitting thread's context — active tracer *and* current span — so
+spans recorded on a worker thread nest under the submitting span.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ def propagating(fn):
     ``ThreadPoolExecutor`` workers do not inherit context variables;
     wrapping the submitted callable keeps the active tracer and the
     open span visible inside the pool thread (each wrapper owns a
-    private context copy, so concurrent shards do not collide).
+    private context copy, so concurrent workers do not collide).
     """
     ctx = contextvars.copy_context()
 

@@ -13,9 +13,10 @@ built.
 
 Placement is a parameter, not a separate driver:
 
-* a :class:`~repro.device.topology.DeviceGroup` shards the batch with
-  the *op's own* flop model weighing the partition and runs per-shard
-  plans concurrently (:func:`run_op_sharded`);
+* a :class:`~repro.device.topology.DeviceGroup` shards the batch's
+  simulated time with the *op's own* flop model weighing the partition
+  (per-shard plans on per-device clocks) and runs the numerics once
+  over the whole batch (:func:`run_op_sharded`);
 * a :class:`~repro.device.hetero.HeteroGroup` places size strata on
   its members by earliest predicted finish and runs them in one
   virtual-time loop (:func:`run_op_hetero`).  What each member's model
@@ -24,10 +25,11 @@ Placement is a parameter, not a separate driver:
   (other ops take their crossover and a flop-ratio-rescaled bid), and
   the CPU member, whose numerics are host POTRF, bids on POTRF only.
 
-Per-shard planner outputs (``taus``, ``ipivs``, singular values ...)
-are scattered back into batch-global containers, so results are
-placement-independent at the caller exactly like the factors
-themselves.
+Planner outputs (``taus``, ``ipivs``, singular values ...) come back
+in batch-global containers: a sharded numerics-on run's functional plan
+covers the whole batch, and hetero chunk (or timing-only shard) outputs
+are scattered back, so results are placement-independent at the caller
+exactly like the factors themselves.
 """
 
 from __future__ import annotations
@@ -141,15 +143,16 @@ def _raise_failures(op_desc: Operation, batch: VBatch, infos: np.ndarray) -> Non
         )
 
 
-def _scatter_outputs(acc: dict, shard_outputs: dict, idx: np.ndarray, k: int, max_n: int):
-    """Fold one shard plan's output containers into batch-global ones.
+def _scatter_outputs(acc: dict, part_outputs: dict, idx: np.ndarray, k: int, max_n: int):
+    """Fold one shard plan's or hetero chunk's output containers into
+    batch-global ones.
 
-    2-D arrays scatter rows (left-aligned — shard planners size columns
-    by the shard's own ``max_n``), 1-D arrays scatter elements, dicts
+    2-D arrays scatter rows (left-aligned — part planners size columns
+    by the part's own ``max_n``), 1-D arrays scatter elements, dicts
     (per-matrix ragged results like ``vt``) remap local keys to source
     indices.
     """
-    for name, val in shard_outputs.items():
+    for name, val in part_outputs.items():
         if isinstance(val, dict):
             dest = acc.setdefault(name, {})
             for local, item in val.items():
@@ -310,14 +313,13 @@ def run_op_sharded(
 ) -> OpResult:
     """Run one op across a device group and merge the results.
 
-    The source batch stays authoritative: each shard is materialized
-    on its device (values copied over when numerics are live), the
-    shards run concurrently, and factors, info codes and planner
-    outputs are gathered back into batch-global containers.  The
-    partition is weighed by the op's own flop model; ``elapsed`` is the
-    slowest shard — the multi-GPU makespan — while flops cover the
-    whole batch, so ``result.gflops`` reports the group's aggregate
-    rate.
+    Each shard is materialized on its device and its plan commits its
+    launches with numerics off, shard after shard on the calling thread;
+    ``elapsed`` is the slowest shard — the multi-GPU makespan — while
+    flops cover the whole batch, so ``result.gflops`` reports the
+    group's aggregate rate.  Then one functional pass over the source
+    batch computes the factors, infos and outputs: the single-device
+    answer, batch-global by construction.
     """
     from ..device.executor import execute_concurrently
 
@@ -346,7 +348,9 @@ def run_op_sharded(
         dev.synchronize()
     starts = {id(dev): dev.host_time for dev, _, _, _, _ in shards}
     try:
-        exec_stats = execute_concurrently([plan for _, _, _, plan, _ in shards])
+        exec_stats = execute_concurrently(
+            [plan for _, _, _, plan, _ in shards], run_numerics=False
+        )
     except BaseException as exc:
         partial = getattr(exc, "partial", None)
         if partial:
@@ -354,7 +358,7 @@ def run_op_sharded(
             # retrying caller (the serving fleet) accounts attempt-1
             # work once, then merges the retry under the same key.
             salvaged = LaunchStats(devices_used=0)
-            for (dev, _, _, plan, cache_hit), es in zip(shards, partial):
+            for (_, _, _, plan, cache_hit), es in zip(shards, partial):
                 if es is None:
                     continue
                 salvaged.merge(stats_from_execution(plan, es, cache_hit))
@@ -365,6 +369,9 @@ def run_op_sharded(
             release_sub_batch(plan, shard_batch, plan_cache)
         raise
 
+    numerics = batch.device.execute_numerics and all(
+        dev.execute_numerics for dev, _, _, _, _ in shards
+    )
     elapsed = 0.0
     infos = np.zeros(k, dtype=np.int64)
     outputs: dict = {}
@@ -373,12 +380,15 @@ def run_op_sharded(
         for (dev, idx, shard_batch, plan, cache_hit), es in zip(shards, exec_stats):
             elapsed = max(elapsed, dev.synchronize() - starts[id(dev)])
             merged.merge(stats_from_execution(plan, es, cache_hit))
-            _scatter_outputs(outputs, plan.meta.get("outputs", {}), idx, k, max_n)
             if dev.execute_numerics:
-                infos[idx] = shard_batch.download_infos()
-                for local, j in enumerate(idx):
-                    batch.matrix_view(int(j))[...] = shard_batch.matrix_view(local)
+                shard_batch.download_infos()  # charged; the values come from the pass
+            if not numerics:  # unfilled containers, for the batch-global shapes
+                _scatter_outputs(outputs, plan.meta.get("outputs", {}), idx, k, max_n)
             release_sub_batch(plan, shard_batch, plan_cache)
+
+    if numerics:
+        with tracer.span("shard-numerics", Track("topology", "sharder"), cat="shard"):
+            outputs, infos = _run_numerics(batch, max_n, op_desc, options, approach)
 
     return OpResult(
         op=op_desc.name,
@@ -391,6 +401,26 @@ def run_op_sharded(
         outputs=outputs,
         meta={"op": op_desc.name, "planner": approach, "shards": len(shards)},
     )
+
+
+def _run_numerics(batch, max_n, op_desc, options, approach) -> tuple[dict, np.ndarray]:
+    """Run the numerics of an uncached plan over ``batch`` in node order,
+    with no launch; returns its outputs and the infos.  Unoptimized: the
+    optimizer only reshapes the timing plane, and its cost probes would
+    touch the device's cost memo."""
+    from ..core.plan import KernelLaunch
+
+    plan, _ = plan_op(
+        batch.device, batch, max_n, op_desc, with_level(options, "none"), approach
+    )
+    try:
+        for node in plan.nodes:
+            if isinstance(node, KernelLaunch):
+                node.kernel.run_numerics()
+        outputs = dict(plan.meta.get("outputs", {}))
+    finally:
+        plan.close()
+    return outputs, batch.infos_dev.data.copy()
 
 
 def run_op_hetero(
@@ -406,8 +436,8 @@ def run_op_hetero(
     Deterministic virtual-time loop: the member with the earliest clock
     runs (or steals) the next chunk; chunks execute one at a time per
     member with a synchronize at each boundary, so member clocks are
-    real simulated finish times, not estimates.  Results gather back
-    into the source batch exactly as the homogeneous sharded path does;
+    real simulated finish times, not estimates.  Each member runs its
+    chunk's numerics and the results gather back into the source batch;
     ``elapsed`` is the slowest member's busy span (the group makespan).
 
     Only members whose model covers the op take part (the CPU member

@@ -287,52 +287,3 @@ class TestPlanExecutionError:
         from repro.errors import PlanExecutionError
 
         assert issubclass(PlanExecutionError, PlanError)
-
-
-class TestParallelNumerics:
-    """Optimizer-marked bucket groups run their numerics on a pool."""
-
-    def _grouped_plan(self, dev, count=3):
-        pb = PlanBuilder(dev)
-        kernels = [_ToyKernel() for _ in range(count)]
-        for i, k in enumerate(kernels):
-            pb.launch(k, stream=1 + i)
-        plan = pb.build()
-        plan.meta["optimizer"] = {"parallel_groups": [list(range(count))]}
-        return plan, kernels
-
-    def test_group_numerics_run_on_pool(self):
-        dev = Device()
-        plan, kernels = self._grouped_plan(dev)
-        stats = PlanExecutor(dev, max_workers=4).execute(plan)
-        assert stats.parallel_numerics == 3
-        assert all(k.ran for k in kernels)
-
-    def test_single_worker_stays_serial(self):
-        dev = Device()
-        plan, kernels = self._grouped_plan(dev)
-        stats = PlanExecutor(dev, max_workers=1).execute(plan)
-        assert stats.parallel_numerics == 0
-        assert all(k.ran for k in kernels)
-
-    def test_timing_mode_ignores_groups(self):
-        dev = Device(execute_numerics=False)
-        plan, kernels = self._grouped_plan(dev)
-        stats = PlanExecutor(dev).execute(plan)
-        assert stats.parallel_numerics == 0
-
-    def test_max_workers_capped_by_hardware_queues(self):
-        dev = Device()
-        ex = PlanExecutor(dev, max_workers=10_000)
-        assert ex.max_workers == dev.spec.hardware_queues
-
-    def test_group_failure_propagates(self):
-        dev = Device()
-        pb = PlanBuilder(dev)
-        kernels = [_ToyKernel(), _FailingKernel(), _ToyKernel()]
-        for i, k in enumerate(kernels):
-            pb.launch(k, stream=1 + i)
-        plan = pb.build()
-        plan.meta["optimizer"] = {"parallel_groups": [[0, 1, 2]]}
-        with pytest.raises(ValueError, match="synthetic numerics failure"):
-            PlanExecutor(dev, max_workers=4).execute(plan)

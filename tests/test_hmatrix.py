@@ -6,11 +6,13 @@ import pytest
 from repro.apps.hmatrix import (
     _kernel_matrix,
     _mixed_stream,
+    _q_times_u,
     _ragged_clusters,
     check_hmatrix_acceptance,
     compress_kernel_matrix,
 )
 from repro.errors import ArgumentError
+from repro.hostblas import build_q, stacked_geqrf
 from repro.serving import BatchServer
 
 
@@ -39,6 +41,20 @@ class TestProblemConstruction:
             counts[op] += 1
             assert 64 <= m.shape[0] <= 96  # the windowing-ratio band
         assert counts["geqrf"] > counts["potrf"] > counts["gesvj"] > 0
+
+
+def test_stacked_q_times_u_matches_build_q_for_mixed_tile_orders():
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(4)
+    qrs, svds = [], []
+    for order in (5, 12, 5, 8, 12, 12, 3):
+        packed, taus = stacked_geqrf(rng.standard_normal((1, order, order)))
+        qrs.append(SimpleNamespace(factor=packed[0], extras={"taus": taus[0]}))
+        svds.append(SimpleNamespace(factor=rng.standard_normal((order, order))))
+    for qr, svd, qu in zip(qrs, svds, _q_times_u(qrs, svds)):
+        want = build_q(qr.factor, qr.extras["taus"]) @ svd.factor
+        np.testing.assert_allclose(qu, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCompression:
