@@ -89,6 +89,8 @@ class MatrixBatch:
         r, c = int(self.rows_host[i]), int(self.cols_host[i])
         return self.matrices[i].data[:r, :c]
 
+    __getitem__ = view  # an operand container (repro.device.kernel.operand)
+
     def download(self) -> list[np.ndarray]:
         out = []
         for i, m in enumerate(self.matrices):

@@ -4,7 +4,9 @@ Every routine follows the paper's two-interface scheme implicitly: the
 maxima the kernels need are taken from the host dimension mirrors
 (matching the expert interface; the metadata also lives on the device
 per §III-A).  Dimension conformance is validated per matrix with
-LAPACK-style argument indices.
+LAPACK-style argument indices.  Each routine names its operands
+``(slot, i, ALL, ALL)`` against its own containers, which it binds at
+launch: ``(a, b, c)``, ``(a, c)``, ``(a, b)`` or ``(a,)``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import flops as _flops
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import ALL, BlockWork, Kernel, LaunchConfig, operand
 from ..errors import ArgumentError
 from ..hostblas import trsm as host_trsm, trtri as host_trtri
 from ..kernels.gemm import GemmTask, VbatchedGemmKernel
@@ -61,7 +63,6 @@ def gemm_vbatched(
     if not (a.batch_count == b.batch_count == c.batch_count):
         raise ArgumentError(5, "batch counts disagree")
 
-    numerics = device.execute_numerics
     tasks = []
     total = 0.0
     for i in range(a.batch_count):
@@ -75,15 +76,12 @@ def gemm_vbatched(
         total += _flops.gemm_flops(am, bn, ak, a.precision)
         tasks.append(
             GemmTask(
-                m=am, n=bn, k=ak,
-                a=a.view(i) if numerics else None,
-                b=b.view(i) if numerics else None,
-                c=c.view(i) if numerics else None,
+                m=am, n=bn, k=ak, a=(0, i, ALL, ALL), b=(1, i, ALL, ALL), c=(2, i, ALL, ALL),
                 transa=ta, transb=tb, alpha=alpha, beta=beta,
             )
         )
     t0 = device.synchronize()
-    device.launch(VbatchedGemmKernel(tasks, a.precision))
+    device.launch(VbatchedGemmKernel(tasks, a.precision), operands=(a, b, c))
     return BlasRunResult(device.synchronize() - t0, total)
 
 
@@ -106,7 +104,6 @@ def syrk_vbatched(
     if a.batch_count != c.batch_count:
         raise ArgumentError(5, "batch counts disagree")
 
-    numerics = device.execute_numerics
     tasks = []
     total = 0.0
     for i in range(a.batch_count):
@@ -119,14 +116,12 @@ def syrk_vbatched(
         total += _flops.syrk_flops(cn, ak, a.precision)
         tasks.append(
             SyrkTask(
-                n=cn, k=ak,
-                a=a.view(i) if numerics else None,
-                c=c.view(i) if numerics else None,
+                n=cn, k=ak, a=(0, i, ALL, ALL), c=(1, i, ALL, ALL),
                 alpha=alpha, beta=beta, uplo=u, trans=t,
             )
         )
     t0 = device.synchronize()
-    device.launch(VbatchedSyrkKernel(tasks, a.precision))
+    device.launch(VbatchedSyrkKernel(tasks, a.precision), operands=(a, c))
     return BlasRunResult(device.synchronize() - t0, total)
 
 
@@ -143,7 +138,7 @@ class _FlexTrsmKernel(Kernel):
 
     def __init__(self, items, precision, side, uplo, trans, diag, alpha, max_rows):
         super().__init__()
-        self.items = items  # (na, m, n, a_view, b_view)
+        self.items = items  # (na, m, n, a_ref, b_ref)
         self._prec = Precision(precision)
         self._info = precision_info(self._prec)
         self.side, self.uplo, self.trans, self.diag = side, uplo, trans, diag
@@ -184,11 +179,14 @@ class _FlexTrsmKernel(Kernel):
             )
         return BlockWork.pack(works)
 
-    def run_numerics(self) -> None:
-        for na, m, n, a_view, b_view in self.items:
-            if m == 0 or n == 0 or b_view is None:
+    def run_numerics(self, operands) -> None:
+        for na, m, n, a_ref, b_ref in self.items:
+            if m == 0 or n == 0:
                 continue
-            host_trsm(self.side, self.uplo, self.trans, self.diag, self.alpha, a_view, b_view)
+            host_trsm(
+                self.side, self.uplo, self.trans, self.diag, self.alpha,
+                operand(operands, a_ref), operand(operands, b_ref),
+            )
 
 
 def trsm_vbatched(
@@ -214,7 +212,6 @@ def trsm_vbatched(
     if a.batch_count != b.batch_count:
         raise ArgumentError(7, "batch counts disagree")
 
-    numerics = device.execute_numerics
     items = []
     total = 0.0
     max_rows = 1
@@ -228,13 +225,11 @@ def trsm_vbatched(
             raise ArgumentError(7, f"matrix {i}: A order {na}, B needs {need}")
         total += _flops.trsm_flops(m, n, "left" if s == "l" else "right", a.precision)
         max_rows = max(max_rows, m)
-        items.append((
-            na, m, n,
-            a.view(i) if numerics else None,
-            b.view(i) if numerics else None,
-        ))
+        items.append((na, m, n, (0, i, ALL, ALL), (1, i, ALL, ALL)))
     t0 = device.synchronize()
-    device.launch(_FlexTrsmKernel(items, a.precision, s, u, t, d, alpha, max_rows))
+    device.launch(
+        _FlexTrsmKernel(items, a.precision, s, u, t, d, alpha, max_rows), operands=(a, b)
+    )
     return BlasRunResult(device.synchronize() - t0, total)
 
 
@@ -246,7 +241,7 @@ class _FullTrtriKernel(Kernel):
 
     def __init__(self, items, precision, uplo, diag, max_rows):
         super().__init__()
-        self.items = items  # (n, view)
+        self.items = items  # (n, ref)
         self._prec = Precision(precision)
         self._info = precision_info(self._prec)
         self.uplo, self.diag = uplo, diag
@@ -283,11 +278,11 @@ class _FullTrtriKernel(Kernel):
             )
         return BlockWork.pack(works)
 
-    def run_numerics(self) -> None:
-        for n, view in self.items:
-            if n == 0 or view is None:
+    def run_numerics(self, operands) -> None:
+        for n, ref in self.items:
+            if n == 0:
                 continue
-            host_trtri(self.uplo, self.diag, view)
+            host_trtri(self.uplo, self.diag, operand(operands, ref))
 
 
 def trtri_vbatched(device, uplo: str, diag: str, a: MatrixBatch) -> BlasRunResult:
@@ -297,7 +292,6 @@ def trtri_vbatched(device, uplo: str, diag: str, a: MatrixBatch) -> BlasRunResul
         raise ArgumentError(2, f"uplo must be l/u, got {uplo!r}")
     if d not in ("n", "u"):
         raise ArgumentError(3, f"diag must be n/u, got {diag!r}")
-    numerics = device.execute_numerics
     items = []
     total = 0.0
     max_rows = 1
@@ -308,7 +302,7 @@ def trtri_vbatched(device, uplo: str, diag: str, a: MatrixBatch) -> BlasRunResul
                                    f"{a.rows_host[i]}x{a.cols_host[i]}")
         total += _flops.trtri_flops(n, a.precision)
         max_rows = max(max_rows, n)
-        items.append((n, a.view(i) if numerics else None))
+        items.append((n, (0, i, ALL, ALL)))
     t0 = device.synchronize()
-    device.launch(_FullTrtriKernel(items, a.precision, u, d, max_rows))
+    device.launch(_FullTrtriKernel(items, a.precision, u, d, max_rows), operands=(a,))
     return BlasRunResult(device.synchronize() - t0, total)

@@ -116,6 +116,8 @@ class VBatch:
         n = int(self.sizes_host[i])
         return self.matrices[i].data[:n, :n]
 
+    __getitem__ = matrix_view  # an operand container (repro.device.kernel.operand)
+
     def download_infos(self) -> np.ndarray:
         """Fetch the per-matrix LAPACK info array to the host."""
         return self.device.download(self.infos_dev)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..device.kernel import BATCH
 from ..errors import ArgumentError
 from ..kernels.aux import StepSizesKernel
 from ..kernels.gemm import GemmTask, GemmTiling, VbatchedGemmKernel
@@ -62,22 +63,20 @@ class BlasStepDriver:
         nb = self.nb if self.nb is not None else (16 if max_n <= 64 else 32)
         stats = BlasStepRunStats()
         sizes = batch.sizes_host
-        k_count = batch.batch_count
-        numerics = self.device.execute_numerics
-        pb = PlanBuilder(self.device, batch)
+        precision = batch.precision
+        k_count = len(sizes)
+        pb = PlanBuilder(self.device)
 
         try:
             remaining_dev = pb.workspace((k_count,), np.int64)
             panel_dev = pb.workspace((k_count,), np.int64)
             stats_dev = pb.workspace((2,), np.int64)
-            inv_ws = pb.workspace((k_count, nb, nb), batch.matrices[0].dtype)
+            pb.operand_workspace((k_count, nb, nb), batch.matrices[0].dtype)
 
             steps = -(-max_n // nb)
             for s in range(steps):
                 offset = s * nb
-                pb.aux(
-                    StepSizesKernel(batch.sizes_dev, offset, nb, remaining_dev, panel_dev, stats_dev)
-                )
+                pb.aux(StepSizesKernel(sizes, offset, nb, remaining_dev, panel_dev, stats_dev))
                 stats.aux_launches += 1
                 stats.steps += 1
 
@@ -97,28 +96,23 @@ class BlasStepDriver:
                         if jb == 0:
                             tasks.append(GemmTask(0, 0, 0))
                             continue
-                        if numerics:
-                            a = batch.matrix_view(i)
-                            tasks.append(
-                                GemmTask(
-                                    m=m_i, n=jb, k=offset,
-                                    a=a[offset:, :offset],
-                                    b=a[offset : offset + jb, :offset],
-                                    c=a[offset:, offset : offset + jb],
-                                    transb="c", alpha=-1.0, beta=1.0,
-                                )
+                        below, history = slice(offset, None), slice(0, offset)
+                        tasks.append(
+                            GemmTask(
+                                m=m_i, n=jb, k=offset,
+                                a=(BATCH, i, below, history),
+                                b=(BATCH, i, slice(offset, offset + jb), history),
+                                c=(BATCH, i, below, slice(offset, offset + jb)),
+                                transb="c", alpha=-1.0, beta=1.0,
                             )
-                        else:
-                            tasks.append(GemmTask(m=m_i, n=jb, k=offset))
-                    update = VbatchedGemmKernel(
-                        tasks, batch.precision, self.tiling, label="panel_update"
-                    )
+                        )
+                    update = VbatchedGemmKernel(tasks, precision, self.tiling, label="panel_update")
                     update.matrix_indices = tuple(range(len(tasks)))
                     pb.launch(update, tag="gemm")
                     stats.gemm_launches += 1
 
                 # 2) Diagonal tile: generic global-memory potf2.
-                pb.launch(NaivePotf2Kernel(batch, offset, jbs, max_jb), tag="potf2")
+                pb.launch(NaivePotf2Kernel(precision, offset, jbs, max_jb), tag="potf2")
                 stats.potf2_launches += 1
 
                 # 3) Rows below the tile: trtri + gemm sweep.
@@ -129,23 +123,11 @@ class BlasStepDriver:
                     if jb == 0 or m_below <= 0:
                         items.append(TrsmPanelItem(0, 0))
                         continue
-                    if numerics:
-                        a = batch.matrix_view(i)
-                        j1 = offset + jb
-                        items.append(
-                            TrsmPanelItem(
-                                m=m_below, jb=jb,
-                                l11=a[offset:j1, offset:j1],
-                                b=a[j1:, offset:j1],
-                                inv_ws=inv_ws.data[i, :jb, :jb],
-                            )
-                        )
-                    else:
-                        items.append(TrsmPanelItem(m=m_below, jb=jb))
+                    items.append(TrsmPanelItem(m_below, jb, offset))
                 if any(it.m > 0 for it in items):
                     with pb.tagged("trsm"):
                         stats.trsm_launches += vbatched_trsm_panel(
-                            pb, items, batch.precision, self.ib, self.tiling
+                            pb, items, precision, self.ib, self.tiling
                         )
         except BaseException:
             pb.abandon()
@@ -157,7 +139,7 @@ class BlasStepDriver:
 
         plan = self.plan(batch, max_n)
         try:
-            PlanExecutor(self.device).execute(plan)
+            PlanExecutor(self.device).execute(plan, batch)
         finally:
             plan.close()
         return plan.run_stats

@@ -78,7 +78,7 @@ def potrf_batched_fixed_run(
 
     plan = plan_potrf_fixed(device, batch, n, approach, nb, panel_nb)
     try:
-        PlanExecutor(device).execute(plan)
+        PlanExecutor(device).execute(plan, batch)
     finally:
         plan.close()
     stats = plan.run_stats

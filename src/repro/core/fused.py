@@ -98,8 +98,8 @@ class _FusedEmitter:
     per plan; one launch config (block bound checked) and memo-key
     prefix are shared per distinct ``max_m``."""
 
-    def __init__(self, batch, precision, nb: int, etm: str):
-        self.batch = batch
+    def __init__(self, sizes, precision, nb: int, etm: str):
+        self.sizes = sizes
         self.precision = precision
         self.nb = nb
         self.etm = etm
@@ -118,7 +118,7 @@ class _FusedEmitter:
         config, prefix = shape
         key = FusedPotrfStepKernel.byte_key(prefix, fused_cost_bytes(step, self.nb, ms, counts))
         return FusedPotrfStepKernel(
-            self.batch, step, self.nb, indices, max_m, self.etm, (ms, counts),
+            self.sizes, self.precision, step, self.nb, indices, max_m, self.etm, (ms, counts),
             info=self.info, config=config, memo_key=key,
         )
 
@@ -221,8 +221,9 @@ class FusedDriver:
         nb = self.nb or default_fused_nb(max_n, precision)
         window = self.window_width or max(nb, _WARP)
         steps = -(-max_n // nb)
-        k = batch.batch_count
-        pb = PlanBuilder(self.device, batch)
+        sizes = batch.sizes_host
+        k = len(sizes)
+        pb = PlanBuilder(self.device)
         try:
             # Device workspaces for the per-step auxiliary kernel; the
             # plan owns them (cached re-executions reuse them) and the
@@ -233,15 +234,14 @@ class FusedDriver:
             if self.sorting:
                 # Merge small windows up to roughly the device's block
                 # capacity so no sub-launch wastes whole waves.
-                launches = _sorted_launches(batch.sizes_host, steps, nb, window, min_count=256)
+                launches = _sorted_launches(sizes, steps, nb, window, min_count=256)
             else:
-                launches = _unsorted_launches(batch.sizes_host, steps, nb, max_n)
-            emit = _FusedEmitter(batch, precision, nb, self.etm)
-            sizes_dev = batch.sizes_dev
+                launches = _unsorted_launches(sizes, steps, nb, max_n)
+            emit = _FusedEmitter(sizes, precision, nb, self.etm)
             aux_key = None
             for s, step_launches in enumerate(launches):
                 aux = StepSizesKernel(
-                    sizes_dev, s * nb, nb, remaining_dev, panel_dev, stats_dev, memo_key=aux_key
+                    sizes, s * nb, nb, remaining_dev, panel_dev, stats_dev, memo_key=aux_key
                 )
                 aux_key = aux.memo_key()  # one size vector: every step costs the same
                 pb.aux(aux)
@@ -264,7 +264,7 @@ class FusedDriver:
 
         plan = self.plan(batch, max_n)
         try:
-            PlanExecutor(self.device).execute(plan)
+            PlanExecutor(self.device).execute(plan, batch)
         finally:
             plan.close()
         return plan.run_stats

@@ -263,8 +263,7 @@ def _shrink_kernel(kernel):
     share kernel objects.
     """
     if isinstance(kernel, FusedPotrfStepKernel):
-        sizes = np.asarray(kernel.batch.sizes_host)
-        remaining = sizes[kernel.indices] - kernel.step * kernel.nb
+        remaining = kernel.sizes[kernel.indices] - kernel.step * kernel.nb
         live = remaining > 0
         dead = int(len(kernel.indices) - live.sum())
         if not dead:
@@ -272,7 +271,8 @@ def _shrink_kernel(kernel):
         if not live.any():
             return None, dead
         shrunk = FusedPotrfStepKernel(
-            kernel.batch,
+            kernel.sizes,
+            kernel.precision,
             kernel.step,
             kernel.nb,
             kernel.indices[live],
@@ -356,7 +356,7 @@ def _coalesce_key(w: _Work):
     if isinstance(k, FusedPotrfStepKernel):
         cfg = k.launch_config()
         return (
-            "fused", id(k.batch), k.step, k.nb, k.etm_mode,
+            "fused", k.step, k.nb, k.etm_mode,
             cfg.threads_per_block, cfg.shared_mem_per_block, w.node.tag, w.stream,
         )
     if isinstance(k, VbatchedSyrkKernel):
@@ -383,7 +383,8 @@ def _merge_kernels(a, b):
         if a.groups is not None and b.groups is not None:
             groups = _merge_grouped(a.groups, b.groups)
         merged = FusedPotrfStepKernel(
-            a.batch,
+            a.sizes,
+            a.precision,
             a.step,
             a.nb,
             np.concatenate([a.indices, b.indices]),

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import flops as _flops
+from ..device.kernel import BATCH
 from ..errors import ArgumentError
 from ..kernels.potf2 import PanelPotf2StepKernel
 from ..kernels.syrk import SyrkTask, VbatchedSyrkKernel
@@ -72,64 +73,47 @@ def plan_partial_potrf(
 
     max_k = int(k_cols.max(initial=0))
     stats = {"potf2": 0, "trsm": 0, "syrk": 0}
-    numerics = device.execute_numerics
     sizes = batch.sizes_host
-    pb = PlanBuilder(device, batch)
+    precision = batch.precision
+    pb = PlanBuilder(device)
     if max_k == 0:
         return pb.build(run_stats=stats, meta={"planner": "partial", "max_k": 0})
 
     try:
-        nb = inner_nb or default_fused_nb(max_k, batch.precision)
+        nb = inner_nb or default_fused_nb(max_k, precision)
 
         # 1) Pivot blocks: the fused panel kernel sweeps each matrix's
         #    leading k_i x k_i block (tile-local history == global history
         #    at offset 0).
         for t in range(-(-max_k // nb)):
             pb.launch(
-                PanelPotf2StepKernel(batch, 0, t, nb, k_cols, max_k, etm="aggressive"),
+                PanelPotf2StepKernel(precision, 0, t, nb, k_cols, max_k, etm="aggressive"),
                 tag="potf2",
             )
             stats["potf2"] += 1
 
         # 2) L21 := A21 L11^{-H} for the rows below each pivot block.
-        inv_ws = pb.workspace((batch.batch_count, max_k, max_k), batch.matrices[0].dtype)
+        pb.operand_workspace((len(sizes), max_k, max_k), batch.matrices[0].dtype)
         items = []
-        for i in range(batch.batch_count):
-            k = int(k_cols[i])
-            m_below = int(sizes[i]) - k
-            if k == 0 or m_below <= 0:
-                items.append(TrsmPanelItem(0, 0))
-                continue
-            if numerics:
-                a = batch.matrix_view(i)
-                items.append(
-                    TrsmPanelItem(
-                        m=m_below, jb=k,
-                        l11=a[:k, :k], b=a[k:, :k],
-                        inv_ws=inv_ws.data[i, :k, :k],
-                    )
-                )
-            else:
-                items.append(TrsmPanelItem(m=m_below, jb=k))
+        for n, k in zip(sizes.tolist(), k_cols.tolist()):
+            m_below = n - k
+            items.append(TrsmPanelItem(m_below, k) if k and m_below > 0 else TrsmPanelItem(0, 0))
         if any(it.m > 0 for it in items):
             with pb.tagged("trsm"):
-                stats["trsm"] = vbatched_trsm_panel(pb, items, batch.precision, ib)
+                stats["trsm"] = vbatched_trsm_panel(pb, items, precision, ib)
 
         # 3) Schur complement: A22 -= L21 L21^H (decision-layer syrk).
         tasks = []
-        for i in range(batch.batch_count):
-            k = int(k_cols[i])
-            trail = int(sizes[i]) - k
-            if k == 0 or trail <= 0:
+        for i, (n, k) in enumerate(zip(sizes.tolist(), k_cols.tolist())):
+            if k == 0 or n - k <= 0:
                 tasks.append(SyrkTask(0, 0))
                 continue
-            if numerics:
-                a = batch.matrix_view(i)
-                tasks.append(SyrkTask(n=trail, k=k, a=a[k:, :k], c=a[k:, k:]))
-            else:
-                tasks.append(SyrkTask(n=trail, k=k))
+            trail = slice(k, None)
+            tasks.append(
+                SyrkTask(n=n - k, k=k, a=(BATCH, i, trail, slice(0, k)), c=(BATCH, i, trail, trail))
+            )
         if any(t.n > 0 for t in tasks):
-            schur = VbatchedSyrkKernel(tasks, batch.precision)
+            schur = VbatchedSyrkKernel(tasks, precision)
             schur.matrix_indices = tuple(range(len(tasks)))
             pb.launch(schur, tag="syrk")
             stats["syrk"] = 1
@@ -161,12 +145,14 @@ def partial_potrf_vbatched(
         t0 = device.synchronize()
         if len(plan) == 0:
             return PartialPotrfResult(0.0, 0.0, np.zeros(batch.batch_count, np.int64), stats)
-        PlanExecutor(device).execute(plan)
+        PlanExecutor(device).execute(plan, batch)
         elapsed = device.synchronize() - t0
     finally:
         plan.close()
-    numerics = device.execute_numerics
-    infos = batch.download_infos() if numerics else np.zeros(batch.batch_count, np.int64)
+    if device.execute_numerics:
+        infos = batch.download_infos()
+    else:
+        infos = np.zeros(batch.batch_count, np.int64)
     total = float(
         sum(
             _partial_flops(int(n), int(k), batch.precision)

@@ -20,12 +20,11 @@ on the same logical stream are implicitly ordered by the stream's
 in-order queue; cross-stream edges are realized with events, and
 :class:`Barrier` nodes join streams back to the host.
 
-Plans built against a batch with live numerics (kernels holding views
-into that batch's device arrays) are *bound* to it; :class:`PlanCache`
-only re-serves such a plan for the identical batch object.  Timing-only
-plans (``execute_numerics=False``) depend on nothing but the size
-vector, so repeated sweeps over equal-size batches — the figure
-harness's hot path — skip planning and grouping entirely.
+A plan holds shapes, never data: planners read the batch's sizes and
+precision, and the batch binds at execute time
+(``PlanExecutor.execute(plan, batch)``) as the ``(batch, workspace)``
+operands of every launch (:meth:`LaunchPlan.operands`).  One plan
+serves every batch of its shape, so :class:`PlanCache` keys on shape.
 """
 
 from __future__ import annotations
@@ -121,14 +120,13 @@ class Barrier(PlanNode):
 class LaunchPlan:
     """An executable DAG of launches plus the resources it owns.
 
+    It keeps no reference to the batch it was planned from.
     ``workspaces`` are pool blocks acquired at plan time; they stay
     alive for the plan's lifetime (a cached plan re-executes against the
     same workspace memory) and return to the pool on :meth:`close`.
-    ``bound_numerics`` records whether node kernels hold live views into
-    ``batch_ref``'s device arrays — the cache-invalidation bit.
-    ``owns_batch`` additionally makes :meth:`close` free ``batch_ref``:
-    set by callers (the sharded driver) that materialized a batch solely
-    to back this plan, so cache eviction releases its device memory.
+    ``workspace`` is the one the kernels name as operand slot
+    ``WORKSPACE``.  The ``meta["outputs"]`` containers (``taus``,
+    ``ipivs``, ...) are the plan's too, refilled by every execution.
     ``program`` is the lowered form of ``nodes`` (a
     :class:`~repro.device.executor.LaunchProgram`), which the executor
     replays instead of walking the nodes.  :meth:`PlanBuilder.build`
@@ -139,9 +137,7 @@ class LaunchPlan:
     device: object
     nodes: list[PlanNode] = field(default_factory=list)
     workspaces: list[object] = field(default_factory=list)
-    batch_ref: object = None
-    bound_numerics: bool = False
-    owns_batch: bool = False
+    workspace: object = None
     run_stats: object = None
     meta: dict = field(default_factory=dict)
     program: object = None
@@ -169,16 +165,18 @@ class LaunchPlan:
             if isinstance(node, KernelLaunch) and node.kernel is None:
                 raise PlanError(f"node {node.index} is a launch without a kernel")
 
+    def operands(self, batch) -> tuple:
+        """The containers every launch binds: ``(batch, workspace)``."""
+        return (batch, None if self.workspace is None else self.workspace.data)
+
     def close(self) -> None:
-        """Release owned workspaces (and batch) back to the device (idempotent)."""
+        """Release owned workspaces back to the device (idempotent)."""
         if self.closed:
             return
         self.closed = True
         for ws in self.workspaces:
             self.device.pool.release(ws)
         self.workspaces.clear()
-        if self.owns_batch and self.batch_ref is not None:
-            self.batch_ref.free()
 
 
 class PlanBuilder:
@@ -189,11 +187,11 @@ class PlanBuilder:
     builder) work unchanged against either target.
     """
 
-    def __init__(self, device, batch=None):
+    def __init__(self, device):
         self.device = device
-        self.batch = batch
         self._nodes: list[PlanNode] = []
         self._workspaces: list[object] = []
+        self._workspace = None
         self._tag: str | None = None
         self._built = False
 
@@ -251,8 +249,16 @@ class PlanBuilder:
         self._workspaces.append(ws)
         return ws
 
+    def operand_workspace(self, shape, dtype):
+        """Acquire the plan-owned block its kernels name as operand slot
+        ``WORKSPACE`` (one per plan)."""
+        if self._workspace is not None:
+            raise PlanError("a plan has one operand workspace")
+        self._workspace = self.workspace(shape, dtype)
+        return self._workspace
+
     # -- lifecycle ------------------------------------------------------
-    def build(self, run_stats=None, meta=None, bound_numerics: bool | None = None) -> LaunchPlan:
+    def build(self, run_stats=None, meta=None) -> LaunchPlan:
         """Validate the nodes into a :class:`LaunchPlan`, lowered to a
         replayable program when it has no barriers."""
         from ..device.executor import LaunchProgram
@@ -264,10 +270,7 @@ class PlanBuilder:
             device=self.device,
             nodes=self._nodes,
             workspaces=self._workspaces,
-            batch_ref=self.batch,
-            bound_numerics=(
-                self.device.execute_numerics if bound_numerics is None else bound_numerics
-            ),
+            workspace=self._workspace,
             run_stats=run_stats,
             meta=meta or {},
         )
@@ -316,13 +319,13 @@ class PlanCache:
 
     The key covers the device, planner label, options fingerprint and
     the batch's size/lda/precision fingerprint — everything a planner
-    reads.  A hit additionally requires the plan not to be *bound* to a
-    different batch's numerics (see :class:`LaunchPlan`); a bound plan
-    requested for a new batch object counts as a miss and is replaced.
+    reads.  Plans are shape-only (see :class:`LaunchPlan`), so a hit
+    serves any batch of that shape.
 
-    The cache is thread-safe: one instance may be shared by the serving
-    worker loop and the per-device dispatch threads of a
-    :class:`~repro.device.topology.DeviceGroup`.  An internal reentrant
+    Every execution reuses a plan's workspaces and outputs, so one plan
+    must never run twice at once.  Keys lead with ``id(device)`` and one
+    thread drives a device, so it never does, even across fleet replicas
+    that share a cache.  The cache itself is thread-safe: a reentrant
     lock guards the LRU map and the hit/miss counters but is never held
     across ``build()``: :meth:`get_or_build` registers a per-key
     in-flight build instead, so requests for the same key wait for one
@@ -378,13 +381,10 @@ class PlanCache:
             str(optimize), int(streams), batch_fingerprint(batch),
         )
 
-    def get(self, key: tuple, batch=None) -> LaunchPlan | None:
+    def get(self, key: tuple) -> LaunchPlan | None:
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
-                self.misses += 1
-                return None
-            if plan.bound_numerics and batch is not None and plan.batch_ref is not batch:
                 self.misses += 1
                 return None
             self._plans.move_to_end(key)
@@ -412,8 +412,10 @@ class PlanCache:
                     )
             return plan
 
-    def get_or_build(self, key: tuple, batch, build) -> LaunchPlan:
+    def get_or_build(self, key: tuple, device, build) -> LaunchPlan:
         """Serve a cached plan or call ``build()`` (counted) and store it.
+
+        ``device`` (the key's) names the lookup's trace track.
 
         With a tracer active the lookup outcome becomes a
         ``plan-cache-hit`` / ``plan-cache-miss`` instant and the build
@@ -425,7 +427,7 @@ class PlanCache:
             with self._lock:
                 pending = self._building.get(key)
                 if pending is None:
-                    plan = self.get(key, batch)
+                    plan = self.get(key)
                     if plan is not None:
                         if tracer:
                             tracer.instant(
@@ -435,12 +437,11 @@ class PlanCache:
                     self.planner_calls += 1
                     done = self._building[key] = threading.Event()
                     break
-            # Another thread is building this key: wait, then look again
-            # (its plan is a hit unless bound to a different batch).
+            # Another thread is building this key: wait, then look again.
             pending.wait()
         try:
             if tracer:
-                track = _cache_track(getattr(batch, "device", None))
+                track = _cache_track(device)
                 tracer.instant("plan-cache-miss", track, cat="plan-cache")
                 t0 = tracer.wall_clock()
                 plan = self.put(key, build())

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..device.kernel import BATCH
 from ..errors import ArgumentError
 from ..kernels import grouping
 from ..kernels.aux import StepSizesKernel
@@ -86,25 +87,23 @@ class SeparatedDriver:
         inner_nb = self.inner_nb or default_fused_nb(NB, batch.precision)
         stats = SeparatedRunStats()
         sizes = batch.sizes_host
-        k = batch.batch_count
-        numerics = self.device.execute_numerics
-        pb = PlanBuilder(self.device, batch)
+        precision = batch.precision
+        k = len(sizes)
+        pb = PlanBuilder(self.device)
 
         try:
             remaining_dev = pb.workspace((k,), np.int64)
             panel_dev = pb.workspace((k,), np.int64)
             stats_dev = pb.workspace((2,), np.int64)
             # trsm workspace: inverted diagonal blocks of every panel.
-            inv_ws = pb.workspace((k, NB, NB), batch.matrices[0].dtype)
+            pb.operand_workspace((k, NB, NB), batch.matrices[0].dtype)
 
             steps = -(-max_n // NB)
             for s in range(steps):
                 offset = s * NB
                 # Metadata for the downstream kernels stays on the device;
                 # the host shapes launches from the interface max (§III-F).
-                pb.aux(
-                    StepSizesKernel(batch.sizes_dev, offset, NB, remaining_dev, panel_dev, stats_dev)
-                )
+                pb.aux(StepSizesKernel(sizes, offset, NB, remaining_dev, panel_dev, stats_dev))
                 stats.aux_launches += 1
                 if max_n - offset <= 0:
                     break
@@ -124,7 +123,7 @@ class SeparatedDriver:
                         # the buckets directly.
                         pb.launch(
                             PanelPotf2StepKernel(
-                                batch, offset, t, inner_nb, jbs, max_jb, etm="aggressive",
+                                precision, offset, t, inner_nb, jbs, max_jb, etm="aggressive",
                                 groups=grouping.grouped_first_seen(
                                     np.maximum(0, jbs - t * inner_nb)
                                 ),
@@ -133,36 +132,17 @@ class SeparatedDriver:
                         )
                         stats.potf2_launches += 1
                 else:
-                    stats.potf2_launches += self._naive_panel(
-                        pb, batch, offset, jbs, max_jb, inv_ws, numerics
-                    )
+                    stats.potf2_launches += self._naive_panel(pb, precision, offset, jbs, max_jb)
 
                 # 2) Triangular solve for the rows below each tile.
-                items = []
-                for i in range(k):
-                    jb = jb_list[i]
-                    m_below = rem_list[i] - jb
-                    if jb <= 0:
-                        items.append(TrsmPanelItem(0, 0))
-                        continue
-                    if numerics:
-                        a = batch.matrix_view(i)
-                        j1 = offset + jb
-                        items.append(
-                            TrsmPanelItem(
-                                m=max(0, m_below),
-                                jb=jb,
-                                l11=a[offset:j1, offset:j1],
-                                b=a[j1 : offset + rem_list[i], offset:j1],
-                                inv_ws=inv_ws.data[i, :jb, :jb],
-                            )
-                        )
-                    else:
-                        items.append(TrsmPanelItem(m=max(0, m_below), jb=jb))
+                items = [
+                    TrsmPanelItem(max(0, rem - jb), jb, offset) if jb > 0 else TrsmPanelItem(0, 0)
+                    for jb, rem in zip(jb_list, rem_list)
+                ]
                 if any(it.jb > 0 and it.m > 0 for it in items):
                     with pb.tagged("trsm"):
                         stats.trsm_launches += vbatched_trsm_panel(
-                            pb, items, batch.precision, self.ib, self.tiling
+                            pb, items, precision, self.ib, self.tiling
                         )
 
                 # 3) Trailing update: C -= B B^H on what remains.
@@ -173,19 +153,15 @@ class SeparatedDriver:
                     if jb <= 0 or n_trail <= 0:
                         tasks.append(SyrkTask(0, 0))
                         continue
-                    if numerics:
-                        a = batch.matrix_view(i)
-                        j1 = offset + jb
-                        tasks.append(
-                            SyrkTask(
-                                n=n_trail,
-                                k=jb,
-                                a=a[j1:, offset:j1],
-                                c=a[j1:, j1:],
-                            )
+                    trail = slice(offset + jb, None)
+                    tasks.append(
+                        SyrkTask(
+                            n=n_trail,
+                            k=jb,
+                            a=(BATCH, i, trail, slice(offset, offset + jb)),
+                            c=(BATCH, i, trail, trail),
                         )
-                    else:
-                        tasks.append(SyrkTask(n=n_trail, k=jb))
+                    )
                 if any(t.n > 0 for t in tasks):
                     if self.syrk_mode == "streamed":
                         # cuBLAS-style alternative: one kernel per matrix,
@@ -193,14 +169,14 @@ class SeparatedDriver:
                         # host barrier before the next step's aux launch.
                         live = [(i, t) for i, t in enumerate(tasks) if t.n > 0]
                         for slot, (i, task) in enumerate(live):
-                            kernel = VbatchedSyrkKernel([task], batch.precision, self.tiling)
+                            kernel = VbatchedSyrkKernel([task], precision, self.tiling)
                             kernel.name = f"streamed_syrk:{kernel._info.name}"
                             kernel.matrix_indices = (i,)
                             pb.launch(kernel, stream=1 + slot % self.syrk_streams, tag="syrk")
                         stats.syrk_launches += len(live)
                         pb.barrier()
                     else:
-                        kernel = VbatchedSyrkKernel(tasks, batch.precision, self.tiling)
+                        kernel = VbatchedSyrkKernel(tasks, precision, self.tiling)
                         kernel.matrix_indices = tuple(range(len(tasks)))
                         pb.launch(kernel, tag="syrk")
                         stats.syrk_launches += 1
@@ -216,12 +192,12 @@ class SeparatedDriver:
 
         plan = self.plan(batch, max_n)
         try:
-            PlanExecutor(self.device).execute(plan)
+            PlanExecutor(self.device).execute(plan, batch)
         finally:
             plan.close()
         return plan.run_stats
 
-    def _naive_panel(self, pb, batch, offset, jbs, max_jb, inv_ws, numerics) -> int:
+    def _naive_panel(self, pb, precision, offset, jbs, max_jb) -> int:
         """Pre-fusion tile factorization: generic potf2 + gemm + trsm.
 
         Sweeps the ``jb x jb`` diagonal tiles in ``ib``-wide sub-steps,
@@ -231,7 +207,7 @@ class SeparatedDriver:
         """
         ib = self.ib
         launches = 0
-        k_count = batch.batch_count
+        k_count = len(jbs)
         for t in range(-(-max_jb // ib)):
             local = t * ib
             sub_jbs = np.clip(jbs - local, 0, ib)
@@ -248,26 +224,24 @@ class SeparatedDriver:
                     if width == 0:
                         tasks.append(GemmTask(0, 0, 0))
                         continue
-                    if numerics:
-                        a = batch.matrix_view(i)
-                        tasks.append(
-                            GemmTask(
-                                m=rows, n=width, k=local,
-                                a=a[col0 : offset + int(jbs[i]), offset:col0],
-                                b=a[col0 : col0 + width, offset:col0],
-                                c=a[col0 : offset + int(jbs[i]), col0 : col0 + width],
-                                transb="c", alpha=-1.0, beta=1.0,
-                            )
+                    below = slice(col0, offset + int(jbs[i]))
+                    history = slice(offset, col0)
+                    tasks.append(
+                        GemmTask(
+                            m=rows, n=width, k=local,
+                            a=(BATCH, i, below, history),
+                            b=(BATCH, i, slice(col0, col0 + width), history),
+                            c=(BATCH, i, below, slice(col0, col0 + width)),
+                            transb="c", alpha=-1.0, beta=1.0,
                         )
-                    else:
-                        tasks.append(GemmTask(m=rows, n=width, k=local))
+                    )
                 pb.launch(
-                    VbatchedGemmKernel(tasks, batch.precision, self.tiling, label="panel_update"),
+                    VbatchedGemmKernel(tasks, precision, self.tiling, label="panel_update"),
                     tag="potf2",
                 )
                 launches += 1
 
-            pb.launch(NaivePotf2Kernel(batch, col0, sub_jbs, int(sub_jbs.max())), tag="potf2")
+            pb.launch(NaivePotf2Kernel(precision, col0, sub_jbs, int(sub_jbs.max())), tag="potf2")
             launches += 1
 
             # Tile-local trsm for panel rows below the ib sub-tile.
@@ -278,20 +252,8 @@ class SeparatedDriver:
                 if width == 0 or rows_below == 0:
                     items.append(TrsmPanelItem(0, 0))
                     continue
-                if numerics:
-                    a = batch.matrix_view(i)
-                    c1 = col0 + width
-                    items.append(
-                        TrsmPanelItem(
-                            m=rows_below, jb=width,
-                            l11=a[col0:c1, col0:c1],
-                            b=a[c1 : offset + int(jbs[i]), col0:c1],
-                            inv_ws=inv_ws.data[i, :width, :width],
-                        )
-                    )
-                else:
-                    items.append(TrsmPanelItem(m=rows_below, jb=width))
+                items.append(TrsmPanelItem(rows_below, width, col0))
             if any(it.m > 0 for it in items):
                 with pb.tagged("potf2"):
-                    launches += vbatched_trsm_panel(pb, items, batch.precision, ib, self.tiling)
+                    launches += vbatched_trsm_panel(pb, items, precision, ib, self.tiling)
         return launches

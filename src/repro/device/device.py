@@ -181,14 +181,16 @@ class Device:
     # ------------------------------------------------------------------
     def launch(
         self, kernel: Kernel, stream: Stream | None = None,
-        run_numerics: bool | None = None,
+        run_numerics: bool | None = None, operands: tuple = (),
     ) -> LaunchRecord:
         """Launch a kernel asynchronously on ``stream`` (default stream).
 
-        ``run_numerics=False`` commits the launch to the simulated clock
-        but leaves the functional plane to the caller (a sharded run
-        launches its shards this way and runs the numerics once over
-        the whole batch); ``None`` follows ``self.execute_numerics``.
+        ``operands`` are the containers the kernel's numerics run on
+        (:mod:`repro.device.kernel`).  ``run_numerics=False`` commits the
+        launch to the simulated clock but leaves the functional plane to
+        the caller (a sharded run launches its shards this way and runs
+        the numerics once over the whole batch); ``None`` follows
+        ``self.execute_numerics``.
         """
         stream = stream or self.default_stream
         occ, schedule, total_blocks = self.prepare_launch(kernel)
@@ -218,7 +220,7 @@ class Device:
         self.launches.append(record)
 
         if self.execute_numerics and run_numerics is not False:
-            kernel.run_numerics()
+            kernel.run_numerics(operands)
         return record
 
     # ------------------------------------------------------------------

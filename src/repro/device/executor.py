@@ -229,13 +229,16 @@ class LaunchProgram:
         )
         return cls(tuple((s, w, tuple(k), r) for s, w, k, r in segments), stats)
 
-    def replay(self, device, run_numerics: bool | None = None) -> ExecutionStats:
+    def replay(self, device, operands: tuple = (), run_numerics: bool | None = None) -> ExecutionStats:
         """Launch every segment on ``device``; logical streams other than
         0 get fresh streams, as in :meth:`PlanExecutor.execute`.
-        ``run_numerics`` is passed to every :meth:`Device.launch`."""
+        ``operands`` and ``run_numerics`` are passed to every
+        :meth:`Device.launch`."""
         launch = device.launch
         if run_numerics is not None:
             launch = partial(launch, run_numerics=run_numerics)
+        if operands:
+            launch = partial(launch, operands=operands)
         streams = {0: device.default_stream}
         events = {}  # node index -> its stream's frontier after it
         for sid, waits, kernels, record in self.segments:
@@ -271,10 +274,11 @@ class PlanExecutor:
     def __init__(self, device):
         self.device = device
 
-    def execute(self, plan, run_numerics: bool | None = None) -> ExecutionStats:
-        """Launch ``plan`` on the device; ``run_numerics`` is passed to
-        every :meth:`~repro.device.device.Device.launch` (``False``
-        commits the simulated clock only)."""
+    def execute(self, plan, batch=None, run_numerics: bool | None = None) -> ExecutionStats:
+        """Launch ``plan`` on the device over ``batch`` (any batch of its
+        shape); ``run_numerics`` is passed to every
+        :meth:`~repro.device.device.Device.launch` (``False`` commits
+        the simulated clock only and needs no batch)."""
         from ..core.plan import AuxLaunch, Barrier, KernelLaunch
 
         if plan.closed:
@@ -284,8 +288,9 @@ class PlanExecutor:
 
         device = self.device
         tracer = current_tracer()
+        operands = () if run_numerics is False else plan.operands(batch)
         if plan.program is not None and not tracer:
-            return plan.program.replay(device, run_numerics)
+            return plan.program.replay(device, operands, run_numerics)
         streams = {0: device.default_stream}
         nodes = plan.nodes
         # Stamped on every kernel span so trace analysis can attribute
@@ -336,7 +341,7 @@ class PlanExecutor:
                             blocked_from, stream.ready_time, cat="wait",
                             args={"node": node.index, "on": dep},
                         )
-            record = device.launch(node.kernel, stream=stream, run_numerics=run_numerics)
+            record = device.launch(node.kernel, stream, run_numerics, operands)
             stats.launches += 1
             used_streams.add(node.stream)
             if isinstance(node, AuxLaunch):
@@ -372,7 +377,7 @@ def execute_concurrently(plans, run_numerics: bool | None = None) -> list[Execut
     the sum.  Every plan must target a distinct device, and the result
     list matches the order of ``plans``.  Running on the caller's
     thread, shard kernel spans nest under the caller's open span.
-    ``run_numerics`` is passed to every launch (see
+    ``run_numerics`` is passed to every launch; no batch is bound (see
     :meth:`PlanExecutor.execute`).
 
     A failing plan raises :class:`~repro.errors.PlanExecutionError`
@@ -390,7 +395,7 @@ def execute_concurrently(plans, run_numerics: bool | None = None) -> list[Execut
     first_failure = None
     for index, plan in enumerate(plans):
         try:
-            results.append(PlanExecutor(plan.device).execute(plan, run_numerics))
+            results.append(PlanExecutor(plan.device).execute(plan, run_numerics=run_numerics))
         except Exception as exc:
             if first_failure is None:
                 first_failure = (index, exc)

@@ -9,10 +9,15 @@ A simulated kernel describes itself in two planes:
   slots.  A kernel with a few groups writes them as :class:`BlockWork`
   records and returns :meth:`BlockWork.pack`; one with many builds the
   arrays directly.
-* ``run_numerics()`` — the *functional plane*: the actual NumPy math the
-  kernel performs on device arrays.  Tests always execute it; figure
-  sweeps may disable it (``Device(execute_numerics=False)``) since the
-  timing plane never reads matrix values.
+* ``run_numerics(operands)`` — the *functional plane*: the actual NumPy
+  math the kernel performs on the containers the launch binds (a plan's
+  ``(batch, workspace)``, a BLAS routine's ``(a, b, c)``).  Tests always
+  execute it; figure sweeps may disable it (``Device(execute_numerics=False)``)
+  since the timing plane never reads matrix values.
+
+A kernel holds shapes, never data: a task names each operand
+``(slot, i, rows, cols)`` (:func:`operand`), so one planned kernel runs
+on any batch of its shape.
 
 ``cost_key()`` digests exactly what the timing plane reads, so the
 device can serve a launch's cost from its memo without building
@@ -30,12 +35,24 @@ import numpy as np
 
 from ..types import Precision
 
-__all__ = ["LaunchConfig", "BlockWork", "Kernel", "EtmMode", "array_key", "int64_bytes", "key_prefix"]
+__all__ = ["LaunchConfig", "BlockWork", "Kernel", "EtmMode", "array_key", "int64_bytes", "key_prefix",
+           "ALL", "BATCH", "WORKSPACE", "operand"]
 
 
 EtmMode = str  # "classic" | "aggressive"
 
 _ETM_MODES = ("classic", "aggressive")
+
+BATCH, WORKSPACE = 0, 1  # the operand slots a plan binds
+ALL = slice(None)  # a whole-axis operand window
+
+
+def operand(operands, ref) -> np.ndarray:
+    """The ``rows x cols`` window of matrix ``i`` in ``operands[slot]``
+    (any container whose ``[i]`` is that matrix) that ``ref = (slot, i,
+    rows, cols)`` names."""
+    slot, i, rows, cols = ref
+    return operands[slot][i][rows, cols]
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -284,8 +301,8 @@ class Kernel(abc.ABC):
         followed by the kernel's byte :meth:`cost_key`."""
         return (cls, prefix + cost)
 
-    def run_numerics(self) -> None:
-        """Functional plane: perform the kernel's math on device arrays.
+    def run_numerics(self, operands) -> None:
+        """Functional plane: perform the kernel's math on ``operands``.
 
         Default is a no-op for kernels that only move metadata.
         """

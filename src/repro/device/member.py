@@ -332,7 +332,7 @@ class GpuMember(ComputeMember):
         op: str = "potrf",
     ) -> ChunkRun:
         from ..core.driver import stats_from_execution
-        from ..ops.driver import plan_op, release_sub_batch, sub_batch
+        from ..ops.driver import plan_op, sub_batch
         from ..ops.registry import get_op
         from .executor import PlanExecutor
 
@@ -349,7 +349,7 @@ class GpuMember(ComputeMember):
         )
         start = dev.synchronize()
         try:
-            exec_stats = PlanExecutor(dev).execute(plan)
+            exec_stats = PlanExecutor(dev).execute(plan, chunk_batch)
             elapsed = dev.synchronize() - start
             stats = stats_from_execution(plan, exec_stats, cache_hit)
             outputs = dict(plan.meta.get("outputs", {}))
@@ -360,7 +360,9 @@ class GpuMember(ComputeMember):
             else:
                 infos = np.zeros(idx.size, dtype=np.int64)
         finally:
-            release_sub_batch(plan, chunk_batch, plan_cache)
+            if plan_cache is None:
+                plan.close()
+            chunk_batch.free()
         return ChunkRun(
             member=self.name,
             kind="gpu",

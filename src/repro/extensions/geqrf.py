@@ -61,10 +61,11 @@ def plan_geqrf(
 
     k = batch.batch_count
     sizes = batch.sizes_host
-    info = precision_info(batch.precision)
+    precision = batch.precision
+    info = precision_info(precision)
     taus = np.zeros((k, max_n), dtype=info.dtype)
     stats = OpRunStats()
-    pb = PlanBuilder(device, batch)
+    pb = PlanBuilder(device)
     try:
         taus_dev = pb.workspace((k, max_n), info.dtype)  # noqa: F841 — residency
         remaining_dev = pb.workspace((k,), np.int64)
@@ -75,13 +76,11 @@ def plan_geqrf(
             # Whole-matrix panels: one geqr2 launch per size window.
             order = sorted_order(sizes) if sorting else None
             stats.steps = 1
-            pb.aux(
-                StepSizesKernel(batch.sizes_dev, 0, max_n, remaining_dev, panel_dev, stats_dev)
-            )
+            pb.aux(StepSizesKernel(sizes, 0, max_n, remaining_dev, panel_dev, stats_dev))
             jbs = sizes.astype(np.int64)
             if order is None:
                 with pb.tagged("panel"):
-                    pb.launch(PanelGeqr2Kernel(batch, 0, jbs, taus, {}, max_n))
+                    pb.launch(PanelGeqr2Kernel(sizes, precision, 0, jbs, taus, {}, max_n))
             else:
                 windows = partition_windows(sizes, order, 0, panel_nb, _WINDOW_MIN_COUNT)
                 stats.window_launches_max = len(windows)
@@ -89,7 +88,8 @@ def plan_geqrf(
                     with pb.tagged("panel"):
                         pb.launch(
                             PanelGeqr2Kernel(
-                                batch, 0, jbs, taus, {}, win.max_m, indices=win.indices
+                                sizes, precision, 0, jbs, taus, {}, win.max_m,
+                                indices=win.indices,
                             )
                         )
         else:
@@ -97,9 +97,7 @@ def plan_geqrf(
             for s in range(-(-max_n // panel_nb)):
                 offset = s * panel_nb
                 pb.aux(
-                    StepSizesKernel(
-                        batch.sizes_dev, offset, panel_nb, remaining_dev, panel_dev, stats_dev
-                    )
+                    StepSizesKernel(sizes, offset, panel_nb, remaining_dev, panel_dev, stats_dev)
                 )
                 max_rows = max_n - offset
                 stats.steps += 1
@@ -108,7 +106,9 @@ def plan_geqrf(
                 t_store: dict[int, np.ndarray] = {}
 
                 with pb.tagged("panel"):
-                    pb.launch(PanelGeqr2Kernel(batch, offset, jbs, taus, t_store, max_rows))
+                    pb.launch(
+                        PanelGeqr2Kernel(sizes, precision, offset, jbs, taus, t_store, max_rows)
+                    )
 
                 # Block-reflector application: modeled as the two dominant
                 # gemm launches of larfb (W = V^H C, then C -= V (T^H W));
@@ -127,10 +127,10 @@ def plan_geqrf(
                     gemm2.append(GemmTask(m=m, n=ncols, k=jb))
                 if any(t.m > 0 for t in gemm1):
                     with pb.tagged("gemm"):
-                        pb.launch(VbatchedGemmKernel(gemm1, batch.precision, label="larfb_w"))
+                        pb.launch(VbatchedGemmKernel(gemm1, precision, label="larfb_w"))
                         pb.launch(
                             LarfbUpdateGemmKernel(
-                                gemm2, batch, offset, jbs, t_store, taus, label="larfb_c"
+                                gemm2, precision, offset, jbs, t_store, taus, label="larfb_c"
                             )
                         )
     except BaseException:

@@ -43,7 +43,7 @@ class SvdState:
 
     ``v_store`` holds each matrix's accumulated rotation product ``V``;
     after the finalize launch ``vt_store[i]`` is the sorted ``V^T`` and
-    ``sigma`` the descending singular values.  Bound to the plan like
+    ``sigma`` the descending singular values.  Owned by the plan like
     the QR ``taus`` array: a cached plan re-fills the same storage.
     """
 
@@ -54,16 +54,15 @@ class SvdState:
     sweeps_done: np.ndarray = None
     tol: float = 1.0e-10
 
-    def reset(self, batch: VBatch) -> None:
-        """Re-arm for a (re-)execution: fresh ``V`` accumulators."""
-        info = precision_info(batch.precision)
+    def reset(self, sizes: np.ndarray) -> None:
+        """Re-arm for a (re-)execution: fresh ``V`` accumulators for
+        matrices of order ``sizes``."""
         self.sigma[...] = 0.0
         self.vt_store.clear()
         self.converged[...] = False
         self.sweeps_done[...] = 0
-        for i in range(batch.batch_count):
-            n = int(batch.sizes_host[i])
-            self.v_store[i] = np.eye(n, dtype=info.dtype)
+        for i, n in enumerate(sizes.tolist()):
+            self.v_store[i] = np.eye(n, dtype=self.sigma.dtype)
 
 
 class _SvdResetKernel(SvdConvergenceKernel):
@@ -74,14 +73,14 @@ class _SvdResetKernel(SvdConvergenceKernel):
     plan's re-execution starts from scratch.
     """
 
-    def __init__(self, batch, state: SvdState):
-        super().__init__(batch.batch_count, batch.precision)
-        self.batch = batch
+    def __init__(self, sizes: np.ndarray, precision, state: SvdState):
+        super().__init__(len(sizes), precision)
+        self.sizes = sizes
         self.state = state
         self.name = "svd_state_reset"
 
-    def run_numerics(self) -> None:
-        self.state.reset(self.batch)
+    def run_numerics(self, operands) -> None:
+        self.state.reset(self.sizes)
 
 
 def plan_gesvj(
@@ -112,22 +111,23 @@ def plan_gesvj(
 
     k = batch.batch_count
     sizes = batch.sizes_host
-    info = precision_info(batch.precision)
+    precision = batch.precision
+    info = precision_info(precision)
     state = SvdState(
         sigma=np.zeros((k, max_n), dtype=info.dtype),
         converged=np.zeros(k, dtype=bool),
         sweeps_done=np.zeros(k, dtype=np.int64),
         tol=tol,
     )
-    state.reset(batch)
+    state.reset(sizes)
     stats = OpRunStats(steps=sweeps, sweeps=sweeps)
     order = sorted_order(sizes) if sorting else None
-    pb = PlanBuilder(device, batch)
+    pb = PlanBuilder(device)
     try:
         flags_dev = pb.workspace((k,), np.int64)  # noqa: F841 — residency
         sigma_dev = pb.workspace((k, max_n), info.dtype)  # noqa: F841 — residency
 
-        pb.aux(_SvdResetKernel(batch, state))
+        pb.aux(_SvdResetKernel(sizes, precision, state))
         windows = (
             partition_windows(sizes, order, 0, panel_nb, _WINDOW_MIN_COUNT)
             if order is not None
@@ -136,20 +136,20 @@ def plan_gesvj(
         if windows is not None:
             stats.window_launches_max = len(windows)
         for sweep in range(sweeps):
-            pb.aux(SvdConvergenceKernel(k, batch.precision))
+            pb.aux(SvdConvergenceKernel(k, precision))
             if windows is None:
                 with pb.tagged("sweep"):
-                    pb.launch(JacobiSweepKernel(batch, sweep, state, max_n))
+                    pb.launch(JacobiSweepKernel(sizes, precision, sweep, state, max_n))
             else:
                 for win in windows:
                     with pb.tagged("sweep"):
                         pb.launch(
                             JacobiSweepKernel(
-                                batch, sweep, state, win.max_m, indices=win.indices
+                                sizes, precision, sweep, state, win.max_m, indices=win.indices
                             )
                         )
         with pb.tagged("panel"):
-            pb.launch(SvdFinalizeKernel(batch, state, max_n))
+            pb.launch(SvdFinalizeKernel(sizes, precision, state, max_n))
     except BaseException:
         pb.abandon()
         raise

@@ -7,7 +7,7 @@ The driver is a *pure planner*: :func:`plan_getrf` emits a
   pivoted panel factorization, row interchanges, ``U12`` solve, and a
   trailing update that reuses
   :class:`~repro.kernels.gemm.VbatchedGemmKernel` "out of the box"
-  (its tasks carry the numerics as views).
+  (its tasks name their operand windows).
 * **fused** — one whole-matrix ``getf2`` launch per implicit-sorting
   size window: with the panel spanning every column there is nothing
   left to swap, solve or update.
@@ -24,6 +24,7 @@ import numpy as np
 from ..core.batch import VBatch
 from ..core.plan import LaunchPlan, PlanBuilder
 from ..core.sorting import partition_windows, sorted_order
+from ..device.kernel import BATCH
 from ..errors import ArgumentError
 from ..kernels.aux import StepSizesKernel
 from ..kernels.gemm import GemmTask, VbatchedGemmKernel
@@ -57,10 +58,10 @@ def plan_getrf(
 
     k = batch.batch_count
     sizes = batch.sizes_host
+    precision = batch.precision
     ipivs = np.zeros((k, max_n), dtype=np.int64)
-    numerics = device.execute_numerics
     stats = OpRunStats()
-    pb = PlanBuilder(device, batch)
+    pb = PlanBuilder(device)
     try:
         ipivs_dev = pb.workspace((k, max_n), np.int64)  # noqa: F841 — residency
         remaining_dev = pb.workspace((k,), np.int64)
@@ -70,13 +71,11 @@ def plan_getrf(
         if approach == "fused":
             order = sorted_order(sizes) if sorting else None
             stats.steps = 1
-            pb.aux(
-                StepSizesKernel(batch.sizes_dev, 0, max_n, remaining_dev, panel_dev, stats_dev)
-            )
+            pb.aux(StepSizesKernel(sizes, 0, max_n, remaining_dev, panel_dev, stats_dev))
             jbs = sizes.astype(np.int64)
             if order is None:
                 with pb.tagged("panel"):
-                    pb.launch(PanelGetf2Kernel(batch, 0, jbs, ipivs, max_n))
+                    pb.launch(PanelGetf2Kernel(sizes, precision, 0, jbs, ipivs, max_n))
             else:
                 windows = partition_windows(sizes, order, 0, panel_nb, _WINDOW_MIN_COUNT)
                 stats.window_launches_max = len(windows)
@@ -84,7 +83,7 @@ def plan_getrf(
                     with pb.tagged("panel"):
                         pb.launch(
                             PanelGetf2Kernel(
-                                batch, 0, jbs, ipivs, win.max_m, indices=win.indices
+                                sizes, precision, 0, jbs, ipivs, win.max_m, indices=win.indices
                             )
                         )
         else:
@@ -92,9 +91,7 @@ def plan_getrf(
             for s in range(-(-max_n // panel_nb)):
                 offset = s * panel_nb
                 pb.aux(
-                    StepSizesKernel(
-                        batch.sizes_dev, offset, panel_nb, remaining_dev, panel_dev, stats_dev
-                    )
+                    StepSizesKernel(sizes, offset, panel_nb, remaining_dev, panel_dev, stats_dev)
                 )
                 max_rows = max_n - offset
                 stats.steps += 1
@@ -102,12 +99,14 @@ def plan_getrf(
                 jbs = np.minimum(remaining, panel_nb)
 
                 with pb.tagged("panel"):
-                    pb.launch(PanelGetf2Kernel(batch, offset, jbs, ipivs, max_rows))
+                    pb.launch(PanelGetf2Kernel(sizes, precision, offset, jbs, ipivs, max_rows))
                 with pb.tagged("swap"):
-                    pb.launch(RowSwapKernel(batch, offset, jbs, ipivs, max_rows))
+                    pb.launch(RowSwapKernel(sizes, precision, offset, jbs, ipivs, max_rows))
                 with pb.tagged("trsm"):
                     pb.launch(
-                        LeftTrsmKernel(batch, offset, jbs, max_rows, uplo="l", diag="u")
+                        LeftTrsmKernel(
+                            sizes, precision, offset, jbs, max_rows, uplo="l", diag="u"
+                        )
                     )
 
                 tasks = []
@@ -118,21 +117,17 @@ def plan_getrf(
                     if jb == 0 or trail <= 0:
                         tasks.append(GemmTask(0, 0, 0))
                         continue
-                    if numerics:
-                        a = batch.matrix_view(i)
-                        j1 = offset + jb
-                        tasks.append(
-                            GemmTask(
-                                m=trail, n=trail, k=jb,
-                                a=a[j1:, offset:j1], b=a[offset:j1, j1:], c=a[j1:, j1:],
-                                alpha=-1.0, beta=1.0,
-                            )
+                    panel, rest = slice(offset, offset + jb), slice(offset + jb, None)
+                    tasks.append(
+                        GemmTask(
+                            m=trail, n=trail, k=jb,
+                            a=(BATCH, i, rest, panel), b=(BATCH, i, panel, rest),
+                            c=(BATCH, i, rest, rest), alpha=-1.0, beta=1.0,
                         )
-                    else:
-                        tasks.append(GemmTask(m=trail, n=trail, k=jb))
+                    )
                 if any(t.m > 0 for t in tasks):
                     with pb.tagged("gemm"):
-                        pb.launch(VbatchedGemmKernel(tasks, batch.precision, label="lu_update"))
+                        pb.launch(VbatchedGemmKernel(tasks, precision, label="lu_update"))
     except BaseException:
         pb.abandon()
         raise

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import flops as _flops
-from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
+from ..device.kernel import BATCH, BlockWork, Kernel, LaunchConfig, array_key
 from ..hostblas import (
     apply_pivots,
     geqr2,
@@ -93,31 +93,32 @@ class OpRunStats:
 class _PanelKernelBase(Kernel):
     """Shared scaffolding: one thread block per matrix, grouped works.
 
-    ``indices`` restricts the launch to a subset of the batch (one block
-    per listed matrix) — the implicit-sorting planners pass a size
-    window so sub-launches carry no dead blocks; ``None`` covers the
+    ``sizes``/``precision`` are the batch's shape (the batch binds at
+    launch).  ``indices`` restricts the launch to a subset of the batch
+    (one block per listed matrix) — the implicit-sorting planners pass a
+    size window so sub-launches carry no dead blocks; ``None`` covers the
     whole batch, matching the ETM launches.
     """
 
     compute_efficiency = 0.50
     etm_mode = "aggressive"
 
-    def __init__(self, batch, max_rows: int, indices: np.ndarray | None = None):
+    def __init__(self, sizes, precision, max_rows: int, indices: np.ndarray | None = None):
         super().__init__()
         if max_rows <= 0:
             raise ValueError(f"max_rows must be positive, got {max_rows}")
-        self.batch = batch
+        self.sizes = sizes
         self.max_rows = int(max_rows)
-        self._info = precision_info(batch.precision)
+        self._info = precision_info(precision)
         if indices is None:
-            self.indices = np.arange(batch.batch_count, dtype=np.int64)
+            self.indices = np.arange(len(sizes), dtype=np.int64)
         else:
             self.indices = np.asarray(indices, dtype=np.int64)
             self.matrix_indices = tuple(int(i) for i in self.indices)
 
     @property
     def precision(self) -> Precision:
-        return self.batch.precision
+        return self._info.precision
 
     def launch_config(self) -> LaunchConfig:
         threads = min(1024, -(-self.max_rows // _WARP) * _WARP)
@@ -131,8 +132,7 @@ class _PanelKernelBase(Kernel):
     def _panel_key(self, positions) -> tuple:
         """Cost key of a panel launch: offset plus the panel widths and
         matrix orders at ``positions``, in issue order."""
-        sizes = self.batch.sizes_host
-        return (self.offset, array_key(self.jbs[positions]), array_key(sizes[positions]))
+        return (self.offset, array_key(self.jbs[positions]), array_key(self.sizes[positions]))
 
     def _grouped(self, per_matrix) -> tuple[np.ndarray, ...]:
         groups: dict[tuple, int] = {}
@@ -172,9 +172,9 @@ class PanelGetf2Kernel(_PanelKernelBase):
     gives the stack's bits without its copy and finiteness check.
     """
 
-    def __init__(self, batch, offset: int, jbs: np.ndarray, ipivs: np.ndarray, max_rows: int,
-                 indices: np.ndarray | None = None):
-        super().__init__(batch, max_rows, indices)
+    def __init__(self, sizes, precision, offset: int, jbs: np.ndarray, ipivs: np.ndarray,
+                 max_rows: int, indices: np.ndarray | None = None):
+        super().__init__(sizes, precision, max_rows, indices)
         if offset < 0:
             raise ValueError(f"offset cannot be negative, got {offset}")
         self.offset = offset
@@ -192,7 +192,7 @@ class PanelGetf2Kernel(_PanelKernelBase):
         for i in self.indices:
             i = int(i)
             jb = int(self.jbs[i])
-            m = max(0, int(self.batch.sizes_host[i]) - self.offset)
+            m = max(0, int(self.sizes[i]) - self.offset)
             if jb == 0 or m == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue
@@ -204,14 +204,15 @@ class PanelGetf2Kernel(_PanelKernelBase):
             ))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         j0 = self.offset
         stacked = not (reference_enabled() or self.precision.is_complex)
         groups: dict[tuple[int, int], list[int]] = {}
         for i in self.indices:
             i = int(i)
             jb = int(self.jbs[i])
-            m = int(self.batch.sizes_host[i]) - j0
+            m = int(self.sizes[i]) - j0
             if jb == 0 or m <= 0:
                 continue
             if stacked:
@@ -219,12 +220,12 @@ class PanelGetf2Kernel(_PanelKernelBase):
                 key = (_order_class(m), 0 if jb == m else jb)
                 groups.setdefault(key, []).append(i)
             else:
-                self._factor_one(i, jb)
+                self._factor_one(batch, i, jb)
         for members in groups.values():
             if len(members) == 1:
-                self._factor_one(members[0], int(self.jbs[members[0]]))
+                self._factor_one(batch, members[0], int(self.jbs[members[0]]))
                 continue
-            panels = [self.batch.matrix_view(i)[j0:, j0 : j0 + int(self.jbs[i])] for i in members]
+            panels = [batch.matrix_view(i)[j0:, j0 : j0 + int(self.jbs[i])] for i in members]
             rows = max(p.shape[0] for p in panels)
             cols = max(p.shape[1] for p in panels)
             stack = np.zeros((len(members), rows, cols), dtype=self._info.dtype)
@@ -238,21 +239,21 @@ class PanelGetf2Kernel(_PanelKernelBase):
                 m, jb = panel.shape
                 if finite[g]:
                     panel[...] = stack[g, :m, :jb]
-                    self._record(i, jb, ipivs[g, :jb], int(infos[g]))
+                    self._record(batch, i, jb, ipivs[g, :jb], int(infos[g]))
                 else:
-                    self._factor_one(i, jb)
+                    self._factor_one(batch, i, jb)
             del stack, panels, ipivs, infos
 
-    def _factor_one(self, i: int, jb: int) -> None:
+    def _factor_one(self, batch, i: int, jb: int) -> None:
         """The reference: :func:`~repro.hostblas.getf2` on one panel."""
         j0 = self.offset
         piv = np.zeros(jb, dtype=np.int64)
-        info = getf2(self.batch.matrix_view(i)[j0:, j0 : j0 + jb], piv)
-        self._record(i, jb, piv, info)
+        info = getf2(batch.matrix_view(i)[j0:, j0 : j0 + jb], piv)
+        self._record(batch, i, jb, piv, info)
 
-    def _record(self, i: int, jb: int, piv: np.ndarray, info: int) -> None:
+    def _record(self, batch, i: int, jb: int, piv: np.ndarray, info: int) -> None:
         """Store a panel's pivots (as global rows) and its info code."""
-        infos = self.batch.infos_dev.data
+        infos = batch.infos_dev.data
         if info != 0 and infos[i] == 0:
             infos[i] = self.offset + info
         self.ipivs[i, self.offset : self.offset + jb] = self.offset + piv
@@ -270,8 +271,9 @@ class RowSwapKernel(_PanelKernelBase):
     compute_efficiency = 1.0
     etm_mode = "classic"
 
-    def __init__(self, batch, offset: int, jbs: np.ndarray, ipivs: np.ndarray, max_rows: int):
-        super().__init__(batch, max_rows)
+    def __init__(self, sizes, precision, offset: int, jbs: np.ndarray, ipivs: np.ndarray,
+                 max_rows: int):
+        super().__init__(sizes, precision, max_rows)
         self.offset = offset
         self.jbs = np.asarray(jbs, dtype=np.int64)
         self.ipivs = ipivs
@@ -285,7 +287,7 @@ class RowSwapKernel(_PanelKernelBase):
         per = []
         for i, jb in enumerate(self.jbs):
             jb = int(jb)
-            n = int(self.batch.sizes_host[i])
+            n = int(self.sizes[i])
             if jb == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue
@@ -293,15 +295,16 @@ class RowSwapKernel(_PanelKernelBase):
             per.append((0.0, 2.0 * jb * max(0, n - jb) * elem, float(jb), min(n, 256)))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         j0 = self.offset
         reference = reference_enabled()
         for i, jb in enumerate(self.jbs):
             jb = int(jb)
-            n = int(self.batch.sizes_host[i])
+            n = int(self.sizes[i])
             if jb == 0 or n - j0 <= 0:
                 continue
-            a = self.batch.matrix_view(i)
+            a = batch.matrix_view(i)
             if not reference:
                 perm = _row_order(self.ipivs[i, j0 : j0 + jb], j0, n - j0)
                 if perm is None:
@@ -335,9 +338,9 @@ class LeftTrsmKernel(_PanelKernelBase):
     compute_efficiency = 0.75
     etm_mode = "classic"
 
-    def __init__(self, batch, offset: int, jbs: np.ndarray, max_rows: int,
+    def __init__(self, sizes, precision, offset: int, jbs: np.ndarray, max_rows: int,
                  uplo: str = "l", diag: str = "u"):
-        super().__init__(batch, max_rows)
+        super().__init__(sizes, precision, max_rows)
         self.offset = offset
         self.jbs = np.asarray(jbs, dtype=np.int64)
         self.uplo = uplo
@@ -353,7 +356,7 @@ class LeftTrsmKernel(_PanelKernelBase):
         per = []
         for i, jb in enumerate(self.jbs):
             jb = int(jb)
-            n = int(self.batch.sizes_host[i])
+            n = int(self.sizes[i])
             ncols = max(0, n - self.offset - jb)
             if jb == 0 or ncols == 0:
                 per.append((0.0, 0.0, 0.0, 0))
@@ -366,25 +369,26 @@ class LeftTrsmKernel(_PanelKernelBase):
             ))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         j0 = self.offset
         stacked = not (reference_enabled() or self.precision.is_complex)
         groups: dict[tuple[int, int], list[int]] = {}
         for i, jb in enumerate(self.jbs):
             jb = int(jb)
-            n = int(self.batch.sizes_host[i])
+            n = int(self.sizes[i])
             j1 = j0 + jb
             if jb == 0 or n - j1 <= 0:
                 continue
             if stacked:
                 groups.setdefault((jb, n - j1), []).append(i)
             else:
-                a = self.batch.matrix_view(i)
+                a = batch.matrix_view(i)
                 host_trsm("l", self.uplo, "n", self.diag, 1.0,
                           a[j0:j1, j0:j1], a[j0:j1, j1:])
         for (jb, _), members in groups.items():
             j1 = j0 + jb
-            views = [self.batch.matrix_view(i)[j0:j1] for i in members]
+            views = [batch.matrix_view(i)[j0:j1] for i in members]
             rhs = np.stack([v[:, j1:] for v in views])
             stacked_substitution(np.stack([v[:, j0:j1] for v in views]), rhs,
                                  lower=self.uplo == "l", unit=self.diag == "u")
@@ -401,9 +405,9 @@ class PanelGeqr2Kernel(_PanelKernelBase):
     folded in (its flops are ``jb^2 m``-ish, charged here).
     """
 
-    def __init__(self, batch, offset: int, jbs: np.ndarray, taus: np.ndarray,
+    def __init__(self, sizes, precision, offset: int, jbs: np.ndarray, taus: np.ndarray,
                  t_store: dict, max_rows: int, indices: np.ndarray | None = None):
-        super().__init__(batch, max_rows, indices)
+        super().__init__(sizes, precision, max_rows, indices)
         self.offset = offset
         self.jbs = np.asarray(jbs, dtype=np.int64)
         self.taus = taus
@@ -420,7 +424,7 @@ class PanelGeqr2Kernel(_PanelKernelBase):
         for i in self.indices:
             i = int(i)
             jb = int(self.jbs[i])
-            m = max(0, int(self.batch.sizes_host[i]) - self.offset)
+            m = max(0, int(self.sizes[i]) - self.offset)
             if jb == 0 or m == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue
@@ -428,25 +432,26 @@ class PanelGeqr2Kernel(_PanelKernelBase):
             per.append((flops * w, 2.0 * m * jb * elem, 3.0 * jb, m))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         j0 = self.offset
         groups: dict[tuple[int, int], list[int]] = {}
         for i in self.indices:
             i = int(i)
             jb = int(self.jbs[i])
-            m = int(self.batch.sizes_host[i]) - j0
+            m = int(self.sizes[i]) - j0
             if jb == 0 or m <= 0:
                 continue
             if reference_enabled() or self.precision.is_complex:
                 # Complex panels stay on the host reference too: LAPACK's
                 # larfg makes a real beta where geqr2's is complex.
-                panel = self.batch.matrix_view(i)[j0:, j0 : j0 + jb]
+                panel = batch.matrix_view(i)[j0:, j0 : j0 + jb]
                 geqr2(panel, self.taus[i, j0 : j0 + jb])
                 self.t_store[i] = larft(panel, self.taus[i, j0 : j0 + jb])
             else:
                 groups.setdefault((m, jb), []).append(i)
         for (_, jb), members in groups.items():
-            panels = [self.batch.matrix_view(i)[j0:, j0 : j0 + jb] for i in members]
+            panels = [batch.matrix_view(i)[j0:, j0 : j0 + jb] for i in members]
             packed, taus = stacked_geqrf(np.stack(panels))
             ts = stacked_larft(packed, taus)
             for g, (i, panel) in enumerate(zip(members, panels)):
@@ -466,24 +471,24 @@ class LarfbUpdateGemmKernel(VbatchedGemmKernel):
     host after the launches.
     """
 
-    def __init__(self, tasks, batch, offset: int, jbs: np.ndarray,
+    def __init__(self, tasks, precision, offset: int, jbs: np.ndarray,
                  t_store: dict, taus: np.ndarray, label: str = "larfb_c"):
-        super().__init__(tasks, batch.precision, label=label)
-        self.batch = batch
+        super().__init__(tasks, precision, label=label)
         self.offset = int(offset)
         self.jbs = np.asarray(jbs, dtype=np.int64)
         self.t_store = t_store
         self.taus = taus
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
         from ..hostblas import apply_q_transpose
 
+        batch = operands[BATCH]
         for i, jb in enumerate(self.jbs):
             jb = int(jb)
-            n = int(self.batch.sizes_host[i])
+            n = int(batch.sizes_host[i])
             if jb == 0 or n - self.offset - jb <= 0:
                 continue
-            a = self.batch.matrix_view(i)
+            a = batch.matrix_view(i)
             apply_q_transpose(
                 a[self.offset :, self.offset : self.offset + jb],
                 self.t_store[i],
@@ -512,22 +517,22 @@ class JacobiSweepKernel(_PanelKernelBase):
     matrix row-cyclically (:func:`~repro.hostblas.jacobi_sweep`).
     """
 
-    def __init__(self, batch, sweep: int, state, max_rows: int,
+    def __init__(self, sizes, precision, sweep: int, state, max_rows: int,
                  indices: np.ndarray | None = None):
-        super().__init__(batch, max_rows, indices)
+        super().__init__(sizes, precision, max_rows, indices)
         self.sweep = int(sweep)
         self.state = state
         self.name = f"vbatched_jacobi_sweep:{self._info.name}"
 
     def cost_key(self) -> tuple:
-        return (self.max_rows, array_key(self.batch.sizes_host[self.indices]))
+        return (self.max_rows, array_key(self.sizes[self.indices]))
 
     def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
         for i in self.indices:
-            n = int(self.batch.sizes_host[int(i)])
+            n = int(self.sizes[int(i)])
             if n <= 1:
                 # A 1x1 problem needs no rotations; the block terminates.
                 per.append((0.0, 0.0, 0.0, 0))
@@ -543,32 +548,33 @@ class JacobiSweepKernel(_PanelKernelBase):
             ))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         st = self.state
         classes: dict[int, list[int]] = {}
         for i in self.indices:
             i = int(i)
-            n = int(self.batch.sizes_host[i])
+            n = int(self.sizes[i])
             if n == 0 or st.converged[i]:
                 continue
             if n == 1:
                 st.converged[i] = True
                 continue
             if reference_enabled():
-                self._record(i, jacobi_sweep(self.batch.matrix_view(i), st.v_store[i], st.tol))
+                self._record(i, jacobi_sweep(batch.matrix_view(i), st.v_store[i], st.tol))
             else:
                 classes.setdefault(_jacobi_order_class(n), []).append(i)
         for order, members in classes.items():
             a = np.zeros((len(members), order, order), dtype=self._info.dtype)
             v = np.zeros_like(a)
             for g, i in enumerate(members):
-                n = int(self.batch.sizes_host[i])
-                a[g, :n, :n] = self.batch.matrix_view(i)
+                n = int(self.sizes[i])
+                a[g, :n, :n] = batch.matrix_view(i)
                 v[g, :n, :n] = st.v_store[i]
             rotations = stacked_jacobi_sweep(a, v, st.tol)
             for g, i in enumerate(members):
-                n = int(self.batch.sizes_host[i])
-                self.batch.matrix_view(i)[...] = a[g, :n, :n]
+                n = int(self.sizes[i])
+                batch.matrix_view(i)[...] = a[g, :n, :n]
                 st.v_store[i][...] = v[g, :n, :n]
                 self._record(i, int(rotations[g]))
 
@@ -627,20 +633,19 @@ class SvdFinalizeKernel(_PanelKernelBase):
     descending, and writes the transposed ``V`` out.
     """
 
-    def __init__(self, batch, state, max_rows: int):
-        super().__init__(batch, max_rows)
+    def __init__(self, sizes, precision, state, max_rows: int):
+        super().__init__(sizes, precision, max_rows)
         self.state = state
         self.name = f"vbatched_svd_finalize:{self._info.name}"
 
     def cost_key(self) -> tuple:
-        return (self.max_rows, array_key(self.batch.sizes_host[: self.batch.batch_count]))
+        return (self.max_rows, array_key(self.sizes))
 
     def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
-        for i in range(self.batch.batch_count):
-            n = int(self.batch.sizes_host[i])
+        for n in self.sizes.tolist():
             if n == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue
@@ -649,13 +654,13 @@ class SvdFinalizeKernel(_PanelKernelBase):
             per.append((3.0 * n * n * w, 6.0 * n * n * elem, 3.0, min(n, self.max_rows)))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         st = self.state
-        for i in range(self.batch.batch_count):
-            n = int(self.batch.sizes_host[i])
+        for i, n in enumerate(self.sizes.tolist()):
             if n == 0:
                 continue
-            a = self.batch.matrix_view(i)
+            a = batch.matrix_view(i)
             v = st.v_store[i]
             s = np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
             order = np.argsort(-s, kind="stable")
@@ -671,7 +676,8 @@ class SvdFinalizeKernel(_PanelKernelBase):
 class _FusedSolveKernel(_PanelKernelBase):
     """Shared scaffolding of the fused solves: one RHS view per matrix.
 
-    The functional plane stacks the factors and right-hand sides of
+    Launched eagerly, it holds the caller's RHS views; the factored
+    batch binds at launch.  The functional plane stacks the factors and right-hand sides of
     each ``(n, nrhs)`` group and solves them through
     :func:`~repro.hostblas.stacked_trsm`, which blocks at 32 columns and
     works slice by slice: a solution is bitwise the same alone, in any
@@ -679,32 +685,32 @@ class _FusedSolveKernel(_PanelKernelBase):
     to rounding).
     """
 
-    def __init__(self, batch, rhs_views: list, max_rows: int):
-        super().__init__(batch, max_rows)
-        if len(rhs_views) != batch.batch_count:
+    def __init__(self, sizes, precision, rhs_views: list, max_rows: int):
+        super().__init__(sizes, precision, max_rows)
+        if len(rhs_views) != len(sizes):
             raise ValueError("one RHS view per matrix required")
         self.rhs_views = rhs_views
 
     def cost_key(self) -> tuple:
         """Matrix orders and RHS counts."""
-        count = self.batch.batch_count
+        count = len(self.sizes)
         nrhs = np.fromiter((_nrhs(r) for r in self.rhs_views), dtype=np.int64, count=count)
-        return (array_key(self.batch.sizes_host[:count]), nrhs.tobytes())
+        return (array_key(self.sizes), nrhs.tobytes())
 
-    def _operands(self):
+    def _systems(self, batch):
         """``(i, A_i, B_i)`` for every matrix with a right-hand side,
         ``B_i`` the RHS view as ``(n, nrhs)``."""
         for i, rhs in enumerate(self.rhs_views):
-            if rhs is not None and int(self.batch.sizes_host[i]) > 0:
-                yield i, self.batch.matrix_view(i), rhs if rhs.ndim == 2 else rhs[:, None]
+            if rhs is not None and int(self.sizes[i]) > 0:
+                yield i, batch.matrix_view(i), rhs if rhs.ndim == 2 else rhs[:, None]
 
-    def _stacked_solve(self, solve) -> None:
+    def _stacked_solve(self, batch, solve) -> None:
         """Run ``solve(members, A, B)`` on each ``(n, nrhs)`` group's
         stacked factors ``A`` and right-hand sides ``B``; ``B`` is
         written back to the RHS views."""
         groups: dict[tuple[int, int], list] = {}
-        for operands in self._operands():
-            groups.setdefault(operands[2].shape, []).append(operands)
+        for system in self._systems(batch):
+            groups.setdefault(system[2].shape, []).append(system)
         for group in groups.values():
             b = np.stack([b2d for _, _, b2d in group])
             solve([i for i, _, _ in group], np.stack([a for _, a, _ in group]), b)
@@ -721,8 +727,8 @@ class FusedGetrsKernel(_FusedSolveKernel):
     fused potrs kernel.
     """
 
-    def __init__(self, batch, rhs_views: list, ipivs: np.ndarray, max_rows: int):
-        super().__init__(batch, rhs_views, max_rows)
+    def __init__(self, sizes, precision, rhs_views: list, ipivs: np.ndarray, max_rows: int):
+        super().__init__(sizes, precision, rhs_views, max_rows)
         self.ipivs = ipivs
         self.name = f"fused_getrs:{self._info.name}"
 
@@ -730,9 +736,8 @@ class FusedGetrsKernel(_FusedSolveKernel):
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
-        for i in range(self.batch.batch_count):
-            n = int(self.batch.sizes_host[i])
-            nrhs = _nrhs(self.rhs_views[i])
+        for n, rhs in zip(self.sizes.tolist(), self.rhs_views):
+            nrhs = _nrhs(rhs)
             if n == 0 or nrhs == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue
@@ -741,9 +746,10 @@ class FusedGetrsKernel(_FusedSolveKernel):
             per.append((flops, (n * n + 3.0 * n * nrhs) * elem, 2.0 * n, n))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         if reference_enabled():
-            for i, a, b2d in self._operands():
+            for i, a, b2d in self._systems(batch):
                 apply_pivots(b2d, self.ipivs[i, : a.shape[0]])
                 host_trsm("l", "l", "n", "u", 1.0, a, b2d)
                 host_trsm("l", "u", "n", "n", 1.0, a, b2d)
@@ -758,7 +764,7 @@ class FusedGetrsKernel(_FusedSolveKernel):
             stacked_trsm(lu, b, lower=True, unit=True)
             stacked_trsm(lu, b, lower=False, unit=False)
 
-        self._stacked_solve(getrs)
+        self._stacked_solve(batch, getrs)
 
 
 class FusedPotrsKernel(_FusedSolveKernel):
@@ -769,17 +775,16 @@ class FusedPotrsKernel(_FusedSolveKernel):
     the fused factorization kernel.
     """
 
-    def __init__(self, batch, rhs_views: list, max_rows: int):
-        super().__init__(batch, rhs_views, max_rows)
+    def __init__(self, sizes, precision, rhs_views: list, max_rows: int):
+        super().__init__(sizes, precision, rhs_views, max_rows)
         self.name = f"fused_potrs:{self._info.name}"
 
     def block_arrays(self) -> tuple[np.ndarray, ...]:
         w = self._info.flop_weight
         elem = self._info.bytes_per_element
         per = []
-        for i in range(self.batch.batch_count):
-            n = int(self.batch.sizes_host[i])
-            nrhs = _nrhs(self.rhs_views[i])
+        for n, rhs in zip(self.sizes.tolist(), self.rhs_views):
+            nrhs = _nrhs(rhs)
             if n == 0 or nrhs == 0:
                 per.append((0.0, 0.0, 0.0, 0))
                 continue
@@ -787,9 +792,10 @@ class FusedPotrsKernel(_FusedSolveKernel):
             per.append((flops, (n * n + 2.0 * n * nrhs) * elem, 2.0 * n, n))
         return self._grouped(per)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
         if reference_enabled():
-            for _, a, b2d in self._operands():
+            for _, a, b2d in self._systems(batch):
                 host_trsm("l", "l", "n", "n", 1.0, a, b2d)
                 host_trsm("l", "l", "c", "n", 1.0, a, b2d)
             return
@@ -798,4 +804,4 @@ class FusedPotrsKernel(_FusedSolveKernel):
             stacked_trsm(l, b, lower=True, unit=False)
             stacked_trsm(np.swapaxes(l, 1, 2).conj(), b, lower=False, unit=False)
 
-        self._stacked_solve(potrs)
+        self._stacked_solve(batch, potrs)

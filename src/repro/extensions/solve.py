@@ -53,7 +53,8 @@ def potrs_vbatched(device, batch: VBatch, rhs: list[np.ndarray | None]) -> Potrs
         max_rows = max(max_rows, n)
 
     t0 = device.synchronize()
-    device.launch(FusedPotrsKernel(batch, list(rhs), max_rows))
+    kernel = FusedPotrsKernel(batch.sizes_host, batch.precision, list(rhs), max_rows)
+    device.launch(kernel, operands=(batch,))
     elapsed = device.synchronize() - t0
     return PotrsResult(elapsed=elapsed, total_flops=total)
 
@@ -84,6 +85,7 @@ def getrs_vbatched(
         max_rows = max(max_rows, n)
 
     t0 = device.synchronize()
-    device.launch(FusedGetrsKernel(batch, list(rhs), ipivs, max_rows))
+    kernel = FusedGetrsKernel(batch.sizes_host, batch.precision, list(rhs), ipivs, max_rows)
+    device.launch(kernel, operands=(batch,))
     elapsed = device.synchronize() - t0
     return PotrsResult(elapsed=elapsed, total_flops=total)

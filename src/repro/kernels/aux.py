@@ -60,7 +60,7 @@ class IMaxReduceKernel(Kernel):
             )
         ])
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
         self.result_dev.data[0] = self.values_dev.data.max()
 
 
@@ -74,17 +74,19 @@ class StepSizesKernel(Kernel):
 
     writing both to device arrays, plus device scalars for the max
     remaining size and the count of still-active matrices (what the
-    driver downloads to shape the next launches).
+    driver downloads to shape the next launches).  ``sizes`` is the
+    batch's size vector: the plan's shape, which the kernel reads as
+    the hardware reads the device copy.
     """
 
     name = "aux:step_sizes"
 
-    def __init__(self, sizes_dev, offset: int, nb: int, remaining_dev, panel_dev, stats_dev,
-                 *, memo_key: tuple | None = None):
+    def __init__(self, sizes: np.ndarray, offset: int, nb: int, remaining_dev, panel_dev,
+                 stats_dev, *, memo_key: tuple | None = None):
         super().__init__()
         if offset < 0 or nb <= 0:
             raise ValueError(f"invalid offset={offset} nb={nb}")
-        self.sizes_dev = sizes_dev
+        self.sizes = sizes
         self.offset = offset
         self.nb = nb
         self.remaining_dev = remaining_dev
@@ -102,10 +104,10 @@ class StepSizesKernel(Kernel):
         return _STEP_CONFIG
 
     def cost_key(self) -> bytes:
-        return _COUNT.pack(math.prod(self.sizes_dev.shape))
+        return _COUNT.pack(len(self.sizes))
 
     def block_arrays(self) -> tuple[np.ndarray, ...]:
-        n = int(np.prod(self.sizes_dev.shape))
+        n = len(self.sizes)
         blocks = max(1, -(-n // _THREADS))
         per_block = min(n, _THREADS)
         return BlockWork.pack([
@@ -117,9 +119,8 @@ class StepSizesKernel(Kernel):
             )
         ])
 
-    def run_numerics(self) -> None:
-        sizes = self.sizes_dev.data
-        remaining = np.maximum(0, sizes - self.offset)
+    def run_numerics(self, operands) -> None:
+        remaining = np.maximum(0, self.sizes - self.offset)
         self.remaining_dev.data[...] = remaining
         self.panel_dev.data[...] = np.minimum(remaining, self.nb)
         self.stats_dev.data[0] = remaining.max()

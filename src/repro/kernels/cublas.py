@@ -67,7 +67,7 @@ class SingleGemmKernel(Kernel):
         active = max(1, round(t.threads * (em * en) / (t.blk_m * t.blk_n)))
         return BlockWork.pack([BlockWork(flops, bytes_, active_threads=active, count=tiles)])
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
         if self.c is None or self.m == 0 or self.n == 0:
             return
         host_gemm("n", self.transb, self.alpha, self.a, self.b, self.beta, self.c)
@@ -121,7 +121,7 @@ class SinglePotf2Kernel(Kernel):
             )
         ])
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
         if self.a is None:
             return
         info = host_potf2(self.a, "l")

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import LaunchError
 from ..types import Precision, precision_info
-from ..device.kernel import Kernel, LaunchConfig, int64_bytes
+from ..device.kernel import BATCH, Kernel, LaunchConfig, int64_bytes
 from . import grouping
 from .grouping import fused_step_numerics
 
@@ -80,8 +80,10 @@ class FusedPotrfStepKernel(Kernel):
 
     Parameters
     ----------
-    batch:
-        The :class:`~repro.core.batch.VBatch` being factorized.
+    sizes, precision:
+        The shape of the batch being factorized: its matrix orders and
+        precision.  The batch itself binds at launch (operand slot
+        ``BATCH``).
     step:
         Zero-based panel index; the panel starts at column ``step*nb``.
     nb:
@@ -105,7 +107,7 @@ class FusedPotrfStepKernel(Kernel):
         memo entry however it was built.
     info, config, memo_key:
         Optional values a planner emitting many launches resolved once:
-        the batch precision's info, the launch config for ``max_m``
+        the precision's info, the launch config for ``max_m``
         (:func:`fused_launch_config`) and the memo key
         (:meth:`~repro.device.kernel.Kernel.byte_key`).  Derived here
         when omitted.
@@ -114,8 +116,9 @@ class FusedPotrfStepKernel(Kernel):
     #: Shared-memory-bound FMA loop: well below a register-tiled gemm.
     compute_efficiency = 0.70
 
-    def __init__(self, batch, step: int, nb: int, indices: np.ndarray, max_m: int,
-                 etm: str = "classic", groups: tuple[np.ndarray, np.ndarray] | None = None,
+    def __init__(self, sizes: np.ndarray, precision, step: int, nb: int, indices: np.ndarray,
+                 max_m: int, etm: str = "classic",
+                 groups: tuple[np.ndarray, np.ndarray] | None = None,
                  *, info=None, config: LaunchConfig | None = None, memo_key: tuple | None = None):
         self.etm_mode = etm
         super().__init__()
@@ -125,14 +128,14 @@ class FusedPotrfStepKernel(Kernel):
             raise ValueError(f"step cannot be negative, got {step}")
         if max_m <= 0:
             raise ValueError(f"max_m must be positive, got {max_m}")
-        self.batch = batch
+        self.sizes = sizes
         self.step = step
         self.nb = nb
         self.indices = np.asarray(indices, dtype=np.int64)
         self.max_m = int(max_m)
         self.groups = groups
         if info is None:
-            info = precision_info(batch.precision)
+            info = precision_info(precision)
         self._info = info
         self.name = f"fused_potrf:{info.name}:nb{nb}"
         if config is None:
@@ -151,7 +154,7 @@ class FusedPotrfStepKernel(Kernel):
         """The launch's ``(remaining rows, block counts)`` in issue order."""
         if self.groups is not None:
             return self.groups
-        remaining = np.maximum(0, self.batch.sizes_host[self.indices] - self.step * self.nb)
+        remaining = np.maximum(0, self.sizes[self.indices] - self.step * self.nb)
         return grouping.grouped_first_seen(remaining)
 
     def cost_key(self) -> bytes:
@@ -159,9 +162,6 @@ class FusedPotrfStepKernel(Kernel):
         return fused_cost_bytes(self.step, self.nb, ms, counts)
 
     # ------------------------------------------------------------------
-    def _remaining(self, i: int) -> int:
-        return max(0, int(self.batch.sizes_host[i]) - self.step * self.nb)
-
     def block_arrays(self) -> tuple[np.ndarray, ...]:
         """One block per covered matrix, grouped by remaining rows."""
         w = self._info.flop_weight
@@ -190,16 +190,17 @@ class FusedPotrfStepKernel(Kernel):
         # terminates at once (ETM).
         return flops * w, bytes_, serial, m, np.asarray(counts, dtype=np.int64)
 
-    def run_numerics(self) -> None:
-        infos = self.batch.infos_dev.data
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
+        infos = batch.infos_dev.data
         j0 = self.step * self.nb
-        sizes = self.batch.sizes_host[self.indices]
+        sizes = self.sizes[self.indices]
         # ETM: drop finished and already-failed matrices up front.
         live = (sizes > j0) & (infos[self.indices] == 0)
         if grouping.reference_enabled():
             for i in self.indices[live]:
                 i = int(i)
-                info = fused_step_numerics(self.batch.matrix_view(i), j0, self.nb)
+                info = fused_step_numerics(batch.matrix_view(i), j0, self.nb)
                 if info != 0:
                     infos[i] = info
             return
@@ -209,7 +210,7 @@ class FusedPotrfStepKernel(Kernel):
         final = self.indices[live & (sizes <= j0 + self.nb)]
         if final.size == 0:
             return
-        ret = grouping.stacked_potrf([self.batch.matrix_view(int(i)) for i in final], self.nb)
+        ret = grouping.stacked_potrf([batch.matrix_view(int(i)) for i in final], self.nb)
         bad = ret > 0
         if bad.any():
             infos[final[bad]] = ret[bad]

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..hostblas import gemm as host_gemm
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import BlockWork, Kernel, LaunchConfig, operand
 from . import grouping
 
 __all__ = ["GemmTiling", "GemmTask", "VbatchedGemmKernel"]
@@ -63,16 +63,17 @@ class GemmTiling:
 class GemmTask:
     """One matrix's gemm: ``C[m x n] += alpha * op(A)[m x k] @ op(B)[k x n]``.
 
-    ``a``/``b``/``c`` are NumPy views into device arrays (or ``None``
-    in timing-only mode); ``m``/``n``/``k`` alone drive the cost.
+    ``a``/``b``/``c`` name operands ``(slot, i, rows, cols)``
+    (:func:`~repro.device.kernel.operand`; no ``c``: no numerics);
+    ``m``/``n``/``k`` alone drive the cost.
     """
 
     m: int
     n: int
     k: int
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
-    c: np.ndarray | None = None
+    a: tuple | None = None
+    b: tuple | None = None
+    c: tuple | None = None
     transa: str = "n"
     transb: str = "n"
     alpha: complex = 1.0
@@ -194,13 +195,14 @@ class VbatchedGemmKernel(Kernel):
             works.append(BlockWork(0.0, 0.0, active_threads=0, count=dead))
         return BlockWork.pack(works)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
         live = [t for t in self.tasks if t.m and t.n and t.c is not None]
         if not live:
             return
         if grouping.reference_enabled():
             for t in live:
-                host_gemm(t.transa, t.transb, t.alpha, t.a, t.b, t.beta, t.c)
+                a, b, c = (operand(operands, ref) for ref in (t.a, t.b, t.c))
+                host_gemm(t.transa, t.transb, t.alpha, a, b, t.beta, c)
             return
         # Same (m, n, k) and flags -> shape-compatible operand stacks.
         buckets = grouping.partition_buckets(
@@ -211,15 +213,16 @@ class VbatchedGemmKernel(Kernel):
             t0 = tasks[0]
             # A lone task takes the stacked path too: its result must not
             # depend on whether the rest of the batch shares its shape.
-            c = np.stack([t.c for t in tasks])
+            outs = [operand(operands, t.c) for t in tasks]
+            c = np.stack(outs)
             grouping.bucket_gemm(
-                np.stack([t.a for t in tasks]),
-                np.stack([t.b for t in tasks]),
+                np.stack([operand(operands, t.a) for t in tasks]),
+                np.stack([operand(operands, t.b) for t in tasks]),
                 c,
                 t0.transa,
                 t0.transb,
                 t0.alpha,
                 t0.beta,
             )
-            for t, slab in zip(tasks, c):
-                t.c[...] = slab
+            for out, slab in zip(outs, c):
+                out[...] = slab

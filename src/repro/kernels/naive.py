@@ -16,7 +16,7 @@ import numpy as np
 from .. import flops as _flops
 from ..hostblas import potf2 as host_potf2
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
+from ..device.kernel import BATCH, BlockWork, Kernel, LaunchConfig, array_key
 from . import grouping
 
 __all__ = ["NaivePotf2Kernel"]
@@ -36,22 +36,21 @@ class NaivePotf2Kernel(Kernel):
     compute_efficiency = 0.25
     serial_latency_scale = 24.0
 
-    def __init__(self, batch, offset: int, jbs: np.ndarray, max_jb: int):
+    def __init__(self, precision, offset: int, jbs: np.ndarray, max_jb: int):
         super().__init__()
         if offset < 0:
             raise ValueError(f"offset cannot be negative, got {offset}")
         if max_jb <= 0:
             raise ValueError(f"max_jb must be positive, got {max_jb}")
-        self.batch = batch
         self.offset = offset
         self.jbs = np.asarray(jbs, dtype=np.int64)
         self.max_jb = int(max_jb)
-        self._info = precision_info(batch.precision)
+        self._info = precision_info(precision)
         self.name = f"naive_potf2:{self._info.name}"
 
     @property
     def precision(self) -> Precision:
-        return self.batch.precision
+        return self._info.precision
 
     def launch_config(self) -> LaunchConfig:
         threads = min(1024, -(-self.max_jb // _WARP) * _WARP)
@@ -84,25 +83,26 @@ class NaivePotf2Kernel(Kernel):
             )
         return BlockWork.pack(works)
 
-    def _tile(self, i: int, jb: int) -> np.ndarray:
-        return self.batch.matrix_view(i)[
+    def _tile(self, batch, i: int, jb: int) -> np.ndarray:
+        return batch.matrix_view(i)[
             self.offset : self.offset + jb, self.offset : self.offset + jb
         ]
 
-    def run_numerics(self) -> None:
-        infos = self.batch.infos_dev.data
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
+        infos = batch.infos_dev.data
         live = np.flatnonzero((self.jbs > 0) & (infos[: len(self.jbs)] == 0))
         if live.size == 0:
             return
         if grouping.reference_enabled():
             for i in live:
                 i = int(i)
-                info = host_potf2(self._tile(i, int(self.jbs[i])), "l")
+                info = host_potf2(self._tile(batch, i, int(self.jbs[i])), "l")
                 if info != 0:
                     infos[i] = self.offset + info
             return
         # One step as wide as the widest tile is a whole unblocked potf2.
-        tiles = [self._tile(int(i), int(self.jbs[i])) for i in live]
+        tiles = [self._tile(batch, int(i), int(self.jbs[i])) for i in live]
         ret = grouping.stacked_potrf_step(tiles, 0, int(self.jbs[live].max()))
         bad = ret > 0
         if bad.any():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig, array_key
+from ..device.kernel import BATCH, BlockWork, Kernel, LaunchConfig, array_key
 from . import grouping
 from .fused_potrf import fused_shared_mem_bytes
 from .grouping import fused_step_numerics
@@ -28,12 +28,13 @@ class PanelPotf2StepKernel(Kernel):
 
     Parameters mirror :class:`FusedPotrfStepKernel`, with ``offset`` the
     tile's global column origin and ``jbs`` the per-matrix tile orders
-    (``min(NB, n_i - offset)``, zero for finished matrices).
+    (``min(NB, n_i - offset)``, zero for finished matrices), which are
+    all the shape it needs.
     """
 
     compute_efficiency = 0.70  # same inner loop as the fused kernel
 
-    def __init__(self, batch, offset: int, inner_step: int, nb: int,
+    def __init__(self, precision, offset: int, inner_step: int, nb: int,
                  jbs: np.ndarray, max_jb: int, etm: str = "aggressive",
                  groups: tuple[np.ndarray, np.ndarray] | None = None):
         self.etm_mode = etm
@@ -44,7 +45,6 @@ class PanelPotf2StepKernel(Kernel):
             )
         if max_jb <= 0:
             raise ValueError(f"max_jb must be positive, got {max_jb}")
-        self.batch = batch
         self.offset = offset
         self.inner_step = inner_step
         self.nb = nb
@@ -53,7 +53,7 @@ class PanelPotf2StepKernel(Kernel):
         # Pre-grouped (remaining, counts) handed down by the driver;
         # None -> derive from jbs at launch time.
         self.groups = groups
-        self._info = precision_info(batch.precision)
+        self._info = precision_info(precision)
         self.name = f"vbatched_potf2:{self._info.name}"
         threads = min(1024, -(-self.max_jb // _WARP) * _WARP)
         self._config = LaunchConfig(
@@ -67,7 +67,7 @@ class PanelPotf2StepKernel(Kernel):
 
     @property
     def precision(self) -> Precision:
-        return self.batch.precision
+        return self._info.precision
 
     def launch_config(self) -> LaunchConfig:
         return self._config
@@ -110,12 +110,13 @@ class PanelPotf2StepKernel(Kernel):
                 )
         return BlockWork.pack(works)
 
-    def _tile(self, i: int, jb: int) -> np.ndarray:
-        return self.batch.matrix_view(i)[self.offset : self.offset + jb,
-                                         self.offset : self.offset + jb]
+    def _tile(self, batch, i: int, jb: int) -> np.ndarray:
+        return batch.matrix_view(i)[self.offset : self.offset + jb,
+                                    self.offset : self.offset + jb]
 
-    def run_numerics(self) -> None:
-        infos = self.batch.infos_dev.data
+    def run_numerics(self, operands) -> None:
+        batch = operands[BATCH]
+        infos = batch.infos_dev.data
         local = self.inner_step * self.nb
         live = np.flatnonzero((self.jbs > local) & (infos[: len(self.jbs)] == 0))
         if live.size == 0:
@@ -123,11 +124,11 @@ class PanelPotf2StepKernel(Kernel):
         if grouping.reference_enabled():
             for i in live:
                 i = int(i)
-                info = fused_step_numerics(self._tile(i, int(self.jbs[i])), local, self.nb)
+                info = fused_step_numerics(self._tile(batch, i, int(self.jbs[i])), local, self.nb)
                 if info != 0:
                     infos[i] = self.offset + info
             return
-        tiles = [self._tile(int(i), int(self.jbs[i])) for i in live]
+        tiles = [self._tile(batch, int(i), int(self.jbs[i])) for i in live]
         ret = grouping.stacked_potrf_step(tiles, local, self.nb)
         bad = ret > 0
         if bad.any():

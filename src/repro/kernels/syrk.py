@@ -18,7 +18,7 @@ import numpy as np
 
 from ..hostblas import syrk as host_syrk
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import BlockWork, Kernel, LaunchConfig, operand
 from . import grouping
 from .gemm import GemmTiling, _merged_works
 
@@ -32,12 +32,13 @@ class SyrkTask:
     ``trans='n'`` takes ``A`` as ``n x k``; ``trans='t'``/``'c'`` as
     ``k x n``.  Only the ``uplo`` triangle of ``C`` is touched.  The
     factorization drivers use the default lower/'n' rank-k subtraction.
+    ``a``/``c`` name operands as in :class:`~repro.kernels.gemm.GemmTask`.
     """
 
     n: int
     k: int
-    a: np.ndarray | None = None
-    c: np.ndarray | None = None
+    a: tuple | None = None
+    c: tuple | None = None
     alpha: complex = -1.0
     beta: complex = 1.0
     uplo: str = "l"
@@ -117,13 +118,14 @@ class VbatchedSyrkKernel(Kernel):
             works.append(BlockWork(0.0, 0.0, active_threads=0, count=dead))
         return BlockWork.pack(works)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
         live = [t for t in self.tasks if t.n and t.c is not None]
         if not live:
             return
         if grouping.reference_enabled():
             for t in live:
-                host_syrk(t.uplo, t.trans, t.alpha, t.a, t.beta, t.c)
+                a, c = operand(operands, t.a), operand(operands, t.c)
+                host_syrk(t.uplo, t.trans, t.alpha, a, t.beta, c)
             return
         buckets = grouping.partition_buckets(
             [(t.n, t.k, t.alpha, t.beta, t.uplo, t.trans) for t in live]
@@ -131,15 +133,17 @@ class VbatchedSyrkKernel(Kernel):
         for bucket in buckets:
             tasks = [live[p] for p in bucket.positions]
             t0 = tasks[0]
+            outs = [operand(operands, t.c) for t in tasks]
             if len(tasks) == 1:
-                host_syrk(t0.uplo, t0.trans, t0.alpha, t0.a, t0.beta, t0.c)
+                host_syrk(t0.uplo, t0.trans, t0.alpha, operand(operands, t0.a), t0.beta, outs[0])
                 continue
-            c = np.stack([t.c for t in tasks])
+            c = np.stack(outs)
             grouping.bucket_syrk(
-                np.stack([t.a for t in tasks]), c, t0.uplo, t0.trans, t0.alpha, t0.beta
+                np.stack([operand(operands, t.a) for t in tasks]), c, t0.uplo, t0.trans,
+                t0.alpha, t0.beta,
             )
-            for t, slab in zip(tasks, c):
-                t.c[...] = slab
+            for out, slab in zip(outs, c):
+                out[...] = slab
 
 
 class StreamedSyrkLauncher:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ..device.kernel import BATCH, WORKSPACE
 from ..types import Precision
 from .gemm import GemmTask, GemmTiling, VbatchedGemmKernel
 from .trtri import TrtriTask, VbatchedTrtriDiagKernel
@@ -26,16 +25,15 @@ __all__ = ["TrsmPanelItem", "vbatched_trsm_panel"]
 class TrsmPanelItem:
     """One matrix's panel solve: ``B[m x jb] := B @ L11^{-H}``.
 
-    ``l11``/``b``/``inv_ws`` are device-array views (``None`` in
-    timing-only mode); ``inv_ws`` is a ``jb x jb`` workspace receiving
-    the inverted diagonal blocks.
+    The matrix is the item's position in the panel's item list.
+    ``L11`` starts at row and column ``offset``, ``B`` is the ``m`` rows
+    below it, and the inverted diagonal blocks go to that matrix's
+    leading ``jb x jb`` window of the ``WORKSPACE`` container.
     """
 
     m: int
     jb: int
-    l11: np.ndarray | None = None
-    b: np.ndarray | None = None
-    inv_ws: np.ndarray | None = None
+    offset: int = 0
 
     def __post_init__(self):
         if self.m < 0 or self.jb < 0:
@@ -65,9 +63,16 @@ def vbatched_trsm_panel(
     # Positions in `items` are batch indices; annotate every launch so
     # the plan optimizer knows which matrices each one touches.
     live_indices = tuple(i for i, it in enumerate(items) if it.jb > 0)
-
+    # Per live item: matrix index, item, L11's origin, B's rows.
+    live_items = [
+        (i, it, it.offset, slice(it.offset + it.jb, it.offset + it.jb + it.m))
+        for i, it in zip(live_indices, live)
+    ]
     launches = 0
-    trtri_tasks = [TrtriTask(it.jb, it.l11, it.inv_ws) for it in live]
+    trtri_tasks = []
+    for i, it, o, _ in live_items:
+        l11, inv = slice(o, o + it.jb), slice(0, it.jb)
+        trtri_tasks.append(TrtriTask(it.jb, (BATCH, i, l11, l11), (WORKSPACE, i, inv, inv)))
     trtri = VbatchedTrtriDiagKernel(trtri_tasks, precision, ib)
     trtri.matrix_indices = live_indices
     device.launch(trtri)
@@ -81,23 +86,17 @@ def vbatched_trsm_panel(
         # columns to their left (skipped for the first block).
         if c0 > 0:
             tasks = []
-            for it in live:
+            for i, it, o, rows in live_items:
                 c1 = min(c0 + ib, it.jb)
-                width = max(0, c1 - c0)
-                rows = it.m if width > 0 else 0
-                tasks.append(
-                    GemmTask(
-                        m=rows,
-                        n=width,
-                        k=c0 if width > 0 else 0,
-                        a=None if it.b is None else it.b[:, :c0],
-                        b=None if it.l11 is None else it.l11[c0:c1, :c0],
-                        c=None if it.b is None else it.b[:, c0:c1],
-                        transb="c",
-                        alpha=-1.0,
-                        beta=1.0,
-                    )
-                )
+                if c1 <= c0:
+                    tasks.append(GemmTask(0, 0, 0))
+                    continue
+                left, block = slice(o, o + c0), slice(o + c0, o + c1)
+                tasks.append(GemmTask(
+                    m=it.m, n=c1 - c0, k=c0, a=(BATCH, i, rows, left),
+                    b=(BATCH, i, block, left), c=(BATCH, i, rows, block),
+                    transb="c", alpha=-1.0, beta=1.0,
+                ))
             update = VbatchedGemmKernel(tasks, precision, tiling, label="trsm_update")
             update.matrix_indices = live_indices
             device.launch(update)
@@ -105,23 +104,16 @@ def vbatched_trsm_panel(
 
         # Solve step: multiply by the inverted diagonal block.
         tasks = []
-        for it in live:
+        for i, it, o, rows in live_items:
             c1 = min(c0 + ib, it.jb)
-            width = max(0, c1 - c0)
-            rows = it.m if width > 0 else 0
-            tasks.append(
-                GemmTask(
-                    m=rows,
-                    n=width,
-                    k=width,
-                    a=None if it.b is None else it.b[:, c0:c1],
-                    b=None if it.inv_ws is None else it.inv_ws[c0:c1, c0:c1],
-                    c=None if it.b is None else it.b[:, c0:c1],
-                    transb="c",
-                    alpha=1.0,
-                    beta=0.0,
-                )
-            )
+            if c1 <= c0:
+                tasks.append(GemmTask(0, 0, 0))
+                continue
+            b, inv = (BATCH, i, rows, slice(o + c0, o + c1)), slice(c0, c1)
+            tasks.append(GemmTask(
+                m=it.m, n=c1 - c0, k=c1 - c0, a=b, b=(WORKSPACE, i, inv, inv), c=b,
+                transb="c", alpha=1.0, beta=0.0,
+            ))
         solve = VbatchedGemmKernel(tasks, precision, tiling, label="trsm_solve")
         solve.matrix_indices = live_indices
         device.launch(solve)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..hostblas import trtri as host_trtri
 from ..types import Precision, precision_info
-from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..device.kernel import BlockWork, Kernel, LaunchConfig, operand
 from . import grouping
 from .gemm import _merged_works
 
@@ -22,14 +22,14 @@ __all__ = ["VbatchedTrtriDiagKernel", "TrtriTask"]
 class TrtriTask:
     """Diagonal-block inversion for one matrix's ``jb x jb`` triangle.
 
-    ``tri`` is the NumPy view of the triangle (or ``None`` in
-    timing-only mode); ``inv_out`` receives the inverted diagonal
-    blocks (a workspace the follow-up gemms consume).
+    ``tri`` names the triangle and ``inv_out`` the window receiving the
+    inverted diagonal blocks (a workspace the follow-up gemms consume),
+    as :class:`~repro.kernels.gemm.GemmTask` operands.
     """
 
     __slots__ = ("jb", "tri", "inv_out")
 
-    def __init__(self, jb: int, tri: np.ndarray | None = None, inv_out: np.ndarray | None = None):
+    def __init__(self, jb: int, tri: tuple | None = None, inv_out: tuple | None = None):
         if jb < 0:
             raise ValueError(f"jb cannot be negative, got {jb}")
         self.jb = jb
@@ -90,19 +90,20 @@ class VbatchedTrtriDiagKernel(Kernel):
             works.append(BlockWork(0.0, 0.0, active_threads=0, count=dead))
         return BlockWork.pack(works)
 
-    def run_numerics(self) -> None:
+    def run_numerics(self, operands) -> None:
         live = [t for t in self.tasks if t.jb and t.tri is not None]
         if not live:
             return
+        tris = [operand(operands, t.tri) for t in live]
+        invs = [operand(operands, t.inv_out) for t in live]
         if grouping.reference_enabled():
-            for task in live:
-                inv = task.inv_out
+            for task, tri, inv in zip(live, tris, invs):
                 for j0 in range(0, task.jb, self.ib):
                     j1 = min(j0 + self.ib, task.jb)
                     # Must be an explicit copy: the factor itself stays
                     # intact, only the workspace receives the inverse
                     # (ascontiguousarray would alias contiguous slices).
-                    block = task.tri[j0:j1, j0:j1].copy()
+                    block = tri[j0:j1, j0:j1].copy()
                     host_trtri("l", "n", block, nb=self.ib)
                     inv[j0:j1, j0:j1] = np.tril(block)
             return
@@ -111,11 +112,11 @@ class VbatchedTrtriDiagKernel(Kernel):
         # A lone task takes the same stacked path, so its bits do not
         # depend on what else shares the launch.
         for bucket in grouping.partition_buckets([t.jb for t in live]):
-            tasks = [live[p] for p in bucket.positions]
-            jb = tasks[0].jb
+            positions = bucket.positions
+            jb = live[positions[0]].jb
             for j0 in range(0, jb, self.ib):
                 j1 = min(j0 + self.ib, jb)
-                stack = np.stack([t.tri[j0:j1, j0:j1] for t in tasks])
+                stack = np.stack([tris[p][j0:j1, j0:j1] for p in positions])
                 inv = grouping.batched_lower_trtri(stack)
-                for t, blk in zip(tasks, inv):
-                    t.inv_out[j0:j1, j0:j1] = blk
+                for p, blk in zip(positions, inv):
+                    invs[p][j0:j1, j0:j1] = blk

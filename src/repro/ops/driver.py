@@ -15,8 +15,9 @@ Placement is a parameter, not a separate driver:
 
 * a :class:`~repro.device.topology.DeviceGroup` shards the batch's
   simulated time with the *op's own* flop model weighing the partition
-  (per-shard plans on per-device clocks) and runs the numerics once
-  over the whole batch (:func:`run_op_sharded`);
+  (per-shard plans on per-device clocks, over payload-free shard
+  batches) and runs the numerics once over the whole batch
+  (:func:`run_op_sharded`);
 * a :class:`~repro.device.hetero.HeteroGroup` places size strata on
   its members by earliest predicted finish and runs them in one
   virtual-time loop (:func:`run_op_hetero`).  What each member's model
@@ -24,6 +25,10 @@ Placement is a parameter, not a separate driver:
   POTRF picks its approach by cost-model argmin and work-steals
   (other ops take their crossover and a flop-ratio-rescaled bid), and
   the CPU member, whose numerics are host POTRF, bids on POTRF only.
+
+Plans are shape-only (:mod:`repro.core.plan`): each execution binds
+the batch it runs on, so a ``plan_cache`` re-serves a plan to every
+batch of its shape, the sharded functional pass included.
 
 Planner outputs (``taus``, ``ipivs``, singular values ...) come back
 in batch-global containers: a sharded numerics-on run's functional plan
@@ -63,8 +68,10 @@ class OpResult:
     result (``op`` names the solve) covers factor + solve in
     ``elapsed`` and ``total_flops`` and splits the time in
     ``meta["factor_elapsed"]``/``meta["solve_elapsed"]``.  With a
-    ``plan_cache`` the single-device output arrays belong to the cached
-    plan — a later re-serve of the same plan refreshes them in place.
+    ``plan_cache`` the output arrays of a single-device or sharded run
+    belong to the cached plan: the next run of any batch of the same
+    shape refills them in place, so a caller that keeps them copies
+    them first (as ``BatchServer`` does per response).
     """
 
     op: str
@@ -122,7 +129,7 @@ def plan_op(
         device, batch, max_n, approach, options,
         optimize=options.optimize, op=op_desc.name,
     )
-    plan = plan_cache.get_or_build(key, batch, build)
+    plan = plan_cache.get_or_build(key, device, build)
     return plan, not built
 
 
@@ -242,7 +249,7 @@ def _run_single(device, batch, max_n, op_desc, options, approach, plan_cache) ->
     plan, cache_hit = plan_op(device, batch, max_n, op_desc, options, approach, plan_cache)
     try:
         t0 = device.synchronize()
-        exec_stats = PlanExecutor(device).execute(plan)
+        exec_stats = PlanExecutor(device).execute(plan, batch)
         elapsed = device.synchronize() - t0
         launch_stats = stats_from_execution(plan, exec_stats, cache_hit)
         outputs = dict(plan.meta.get("outputs", {}))
@@ -268,38 +275,29 @@ def _run_single(device, batch, max_n, op_desc, options, approach, plan_cache) ->
     )
 
 
-def sub_batch(batch: VBatch, idx: np.ndarray, dev) -> VBatch:
-    """``batch[idx]`` materialized on ``dev`` for one shard or chunk.
+def sub_batch(batch: VBatch, idx: np.ndarray, dev, payload: bool = True) -> VBatch:
+    """``batch[idx]`` on ``dev`` for one hetero chunk or shard.
 
-    Values are copied over only when both sides execute numerics; a
-    timing-only shard just needs the sizes and leading dimensions.
+    When both sides execute numerics, each matrix pays its host-to-device
+    copy; the values come along only with ``payload`` (a hetero chunk,
+    whose member runs the numerics), not for a shard, whose launches
+    leave the numerics to one pass over the source batch.  A timing-only
+    side just needs the sizes and leading dimensions.
     """
-    if batch.device.execute_numerics and dev.execute_numerics:
+    sizes = batch.sizes_host[idx]
+    if not (batch.device.execute_numerics and dev.execute_numerics):
+        return VBatch.allocate(
+            dev, sizes, batch.precision, ldas=np.maximum(batch.ldas_host[idx], 1)
+        )
+    if payload:
         return VBatch.from_host(
             dev, [np.ascontiguousarray(batch.matrix_view(int(j))) for j in idx]
         )
-    return VBatch.allocate(
-        dev, batch.sizes_host[idx], batch.precision,
-        ldas=np.maximum(batch.ldas_host[idx], 1),
-    )
-
-
-def release_sub_batch(plan, sub, plan_cache) -> None:
-    """Settle who frees a shard/chunk batch once its plan has run.
-
-    An uncached plan and its batch die here.  A cached plan bound
-    elsewhere (or unbound) used the batch for planning and gather only:
-    free it now, so a long-running caller (the serving loop) cannot leak
-    device memory one batch per dispatch.  A cached plan holding live
-    views into the batch adopts it, so cache eviction frees the memory.
-    """
-    if plan_cache is None:
-        plan.close()
-        sub.free()
-    elif plan.batch_ref is not sub:
-        sub.free()
-    else:
-        plan.owns_batch = True
+    shard = VBatch.allocate(dev, sizes, batch.precision, ldas=np.maximum(sizes, 1))
+    elem = shard.matrices[0].dtype.itemsize
+    for n in sizes.tolist():
+        dev._transfer(n * n * elem, "memcpy_h2d", None)  # what from_host charges
+    return shard
 
 
 def run_op_sharded(
@@ -313,13 +311,14 @@ def run_op_sharded(
 ) -> OpResult:
     """Run one op across a device group and merge the results.
 
-    Each shard is materialized on its device and its plan commits its
-    launches with numerics off, shard after shard on the calling thread;
-    ``elapsed`` is the slowest shard — the multi-GPU makespan — while
-    flops cover the whole batch, so ``result.gflops`` reports the
-    group's aggregate rate.  Then one functional pass over the source
-    batch computes the factors, infos and outputs: the single-device
-    answer, batch-global by construction.
+    Each shard is a payload-free batch on its device (charged the
+    uploads a copy would cost), and its plan commits its launches with
+    numerics off, shard after shard on the calling thread; ``elapsed``
+    is the slowest shard — the multi-GPU makespan — while flops cover
+    the whole batch, so ``result.gflops`` reports the group's aggregate
+    rate.  Then one functional pass over the source batch computes the
+    factors, infos and outputs: the single-device answer, batch-global
+    by construction.
     """
     from ..device.executor import execute_concurrently
 
@@ -335,7 +334,7 @@ def run_op_sharded(
         for dev, idx in zip(group.devices, parts):
             if idx.size == 0:
                 continue
-            shard_batch = sub_batch(batch, idx, dev)
+            shard_batch = sub_batch(batch, idx, dev, payload=False)
             shard_max = int(sizes[idx].max())
             plan, cache_hit = plan_op(
                 dev, shard_batch, shard_max, op_desc, options, approach, plan_cache
@@ -366,7 +365,9 @@ def run_op_sharded(
             exc.partial_launch_stats = salvaged
         # A failing shard must not leak every shard's plan and memory.
         for _, _, shard_batch, plan, _ in shards:
-            release_sub_batch(plan, shard_batch, plan_cache)
+            if plan_cache is None:
+                plan.close()
+            shard_batch.free()
         raise
 
     numerics = batch.device.execute_numerics and all(
@@ -384,11 +385,15 @@ def run_op_sharded(
                 shard_batch.download_infos()  # charged; the values come from the pass
             if not numerics:  # unfilled containers, for the batch-global shapes
                 _scatter_outputs(outputs, plan.meta.get("outputs", {}), idx, k, max_n)
-            release_sub_batch(plan, shard_batch, plan_cache)
+            if plan_cache is None:
+                plan.close()
+            shard_batch.free()
 
     if numerics:
         with tracer.span("shard-numerics", Track("topology", "sharder"), cat="shard"):
-            outputs, infos = _run_numerics(batch, max_n, op_desc, options, approach)
+            outputs, infos = _run_numerics(
+                batch, max_n, op_desc, options, approach, plan_cache
+            )
 
     return OpResult(
         op=op_desc.name,
@@ -403,23 +408,26 @@ def run_op_sharded(
     )
 
 
-def _run_numerics(batch, max_n, op_desc, options, approach) -> tuple[dict, np.ndarray]:
-    """Run the numerics of an uncached plan over ``batch`` in node order,
-    with no launch; returns its outputs and the infos.  Unoptimized: the
+def _run_numerics(batch, max_n, op_desc, options, approach,
+                  plan_cache) -> tuple[dict, np.ndarray]:
+    """Run the numerics of ``batch``'s plan in node order, with no
+    launch; returns its outputs and the infos.  Unoptimized: the
     optimizer only reshapes the timing plane, and its cost probes would
     touch the device's cost memo."""
     from ..core.plan import KernelLaunch
 
     plan, _ = plan_op(
-        batch.device, batch, max_n, op_desc, with_level(options, "none"), approach
+        batch.device, batch, max_n, op_desc, with_level(options, "none"), approach, plan_cache
     )
     try:
+        operands = plan.operands(batch)
         for node in plan.nodes:
             if isinstance(node, KernelLaunch):
-                node.kernel.run_numerics()
+                node.kernel.run_numerics(operands)
         outputs = dict(plan.meta.get("outputs", {}))
     finally:
-        plan.close()
+        if plan_cache is None:
+            plan.close()
     return outputs, batch.infos_dev.data.copy()
 
 

@@ -63,12 +63,17 @@ def _batch(device, p):
     return VBatch.allocate(device, p["sizes"], p["prec"])
 
 
+def _shape(batch):
+    """What a kernel keeps of a batch: its sizes and precision."""
+    return batch.sizes_host, batch.precision
+
+
 def _fused(p, device):
     batch = _batch(device, p)
     remaining = np.maximum(0, batch.sizes_host - p["step"] * p["nb"])
     groups = grouping.grouped_first_seen(remaining) if p["grouped"] else None
     return FusedPotrfStepKernel(
-        batch, p["step"], p["nb"], np.arange(batch.batch_count),
+        *_shape(batch), p["step"], p["nb"], np.arange(batch.batch_count),
         max(1, int(remaining.max())), etm=p["etm"], groups=groups,
     )
 
@@ -83,7 +88,7 @@ def _panel_potf2(p, device):
     local = np.maximum(0, jbs - p["step"] * p["nb"])
     groups = grouping.grouped_first_seen(local) if p["grouped"] else None
     return PanelPotf2StepKernel(
-        batch, p["offset"], p["step"], p["nb"], jbs, max(1, int(jbs.max())),
+        batch.precision, p["offset"], p["step"], p["nb"], jbs, max(1, int(jbs.max())),
         etm=p["etm"], groups=groups,
     )
 
@@ -91,7 +96,7 @@ def _panel_potf2(p, device):
 def _naive_potf2(p, device):
     batch = _batch(device, p)
     jbs = _jbs(p, batch)
-    return NaivePotf2Kernel(batch, p["offset"], jbs, max(1, int(jbs.max())))
+    return NaivePotf2Kernel(batch.precision, p["offset"], jbs, max(1, int(jbs.max())))
 
 
 def _syrk(p, device):
@@ -105,7 +110,7 @@ def _gemm(p, device):
 def _larfb(p, device):
     batch = _batch(device, p)
     tasks = [GemmTask(m, n, k) for m, n, k in p["triples"]]
-    return LarfbUpdateGemmKernel(tasks, batch, p["offset"], _jbs(p, batch), {}, None)
+    return LarfbUpdateGemmKernel(tasks, batch.precision, p["offset"], _jbs(p, batch), {}, None)
 
 
 def _trtri_diag(p, device):
@@ -140,7 +145,7 @@ def _imax(p, device):
 def _step_sizes(p, device):
     n = len(p["sizes"])
     return StepSizesKernel(
-        device.alloc((n,), np.int64), p["offset"], p["nb"], device.alloc((n,), np.int64),
+        np.asarray(p["sizes"]), p["offset"], p["nb"], device.alloc((n,), np.int64),
         device.alloc((n,), np.int64), device.alloc((2,), np.int64),
     )
 
@@ -151,33 +156,33 @@ def _subset(p, batch):
 
 def _getf2(p, device):
     batch = _batch(device, p)
-    return PanelGetf2Kernel(batch, p["offset"], _jbs(p, batch), None, max(p["sizes"]),
+    return PanelGetf2Kernel(*_shape(batch), p["offset"], _jbs(p, batch), None, max(p["sizes"]),
                             indices=_subset(p, batch))
 
 
 def _row_swap(p, device):
     batch = _batch(device, p)
-    return RowSwapKernel(batch, p["offset"], _jbs(p, batch), None, max(p["sizes"]))
+    return RowSwapKernel(*_shape(batch), p["offset"], _jbs(p, batch), None, max(p["sizes"]))
 
 
 def _left_trsm(p, device):
     batch = _batch(device, p)
-    return LeftTrsmKernel(batch, p["offset"], _jbs(p, batch), max(p["sizes"]))
+    return LeftTrsmKernel(*_shape(batch), p["offset"], _jbs(p, batch), max(p["sizes"]))
 
 
 def _geqr2(p, device):
     batch = _batch(device, p)
-    return PanelGeqr2Kernel(batch, p["offset"], _jbs(p, batch), None, {}, max(p["sizes"]),
-                            indices=_subset(p, batch))
+    return PanelGeqr2Kernel(*_shape(batch), p["offset"], _jbs(p, batch), None, {},
+                            max(p["sizes"]), indices=_subset(p, batch))
 
 
 def _jacobi(p, device):
     batch = _batch(device, p)
-    return JacobiSweepKernel(batch, 0, None, p["rows"], indices=_subset(p, batch))
+    return JacobiSweepKernel(*_shape(batch), 0, None, p["rows"], indices=_subset(p, batch))
 
 
 def _svd_finalize(p, device):
-    return SvdFinalizeKernel(_batch(device, p), None, p["rows"])
+    return SvdFinalizeKernel(*_shape(_batch(device, p)), None, p["rows"])
 
 
 def _rhs(p, batch):
@@ -189,12 +194,12 @@ def _rhs(p, batch):
 
 def _potrs(p, device):
     batch = _batch(device, p)
-    return FusedPotrsKernel(batch, _rhs(p, batch), max(p["sizes"]))
+    return FusedPotrsKernel(*_shape(batch), _rhs(p, batch), max(p["sizes"]))
 
 
 def _getrs(p, device):
     batch = _batch(device, p)
-    return FusedGetrsKernel(batch, _rhs(p, batch), None, max(p["sizes"]))
+    return FusedGetrsKernel(*_shape(batch), _rhs(p, batch), None, max(p["sizes"]))
 
 
 def _svd_conv(p, device):
@@ -303,7 +308,7 @@ def _fused_for(device, sizes, nb=8, etm="classic", prec="d", order=None):
     indices = np.arange(batch.batch_count) if order is None else np.asarray(order)
     remaining = batch.sizes_host[indices]
     return FusedPotrfStepKernel(
-        batch, 0, nb, indices, int(remaining.max()), etm=etm,
+        *_shape(batch), 0, nb, indices, int(remaining.max()), etm=etm,
         groups=grouping.grouped_first_seen(remaining),
     )
 
@@ -333,9 +338,9 @@ class TestFusedKeyIgnoresHowGroupsArrive:
         batch = VBatch.allocate(device, sizes, "d")
         order = np.array([0, 4, 1, 2, 3])
         remaining = np.maximum(0, batch.sizes_host[order] - 8)
-        grouped = FusedPotrfStepKernel(batch, 1, 8, order, 32, etm="aggressive",
+        grouped = FusedPotrfStepKernel(*_shape(batch), 1, 8, order, 32, etm="aggressive",
                                        groups=grouping.grouped_first_seen(remaining))
-        plain = FusedPotrfStepKernel(batch, 1, 8, order, 32, etm="aggressive")
+        plain = FusedPotrfStepKernel(*_shape(batch), 1, 8, order, 32, etm="aggressive")
         assert grouped.memo_key() == plain.memo_key()
         assert _summary(device.prepare_launch(grouped)) == _summary(
             device.prepare_launch(plain)

@@ -29,7 +29,7 @@ class _ToyKernel(Kernel):
     def block_arrays(self):
         return BlockWork.pack([BlockWork(self.flops, 0.0, count=self.nblocks)])
 
-    def run_numerics(self):
+    def run_numerics(self, operands):
         self.ran = True
 
 
@@ -234,7 +234,7 @@ def test_numerics_plan_writes_factors():
         mats.append(a @ a.T + n * np.eye(n))
     batch = VBatch.from_host(dev, [m.copy() for m in mats])
     plan = FusedDriver(dev).plan(batch, 12)
-    PlanExecutor(dev).execute(plan)
+    PlanExecutor(dev).execute(plan, batch)
     plan.close()
     for i, a0 in enumerate(mats):
         L = np.tril(batch.matrix_view(i))
@@ -244,7 +244,7 @@ def test_numerics_plan_writes_factors():
 class _FailingKernel(_ToyKernel):
     name = "failing"
 
-    def run_numerics(self):
+    def run_numerics(self, operands):
         raise ValueError("synthetic numerics failure")
 
 

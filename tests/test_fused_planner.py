@@ -38,7 +38,7 @@ def _oracle(batch, max_n, etm, sorting, nb, window_width):
     out = []
     for s in range(-(-max_n // nb)):
         offset = s * nb
-        out.append((StepSizesKernel(batch.sizes_dev, offset, nb, *work), "aux"))
+        out.append((StepSizesKernel(sizes, offset, nb, *work), "aux"))
         stats.aux_launches += 1
         stats.steps += 1
         rem_all = np.maximum(0, sizes - offset)
@@ -50,7 +50,7 @@ def _oracle(batch, max_n, etm, sorting, nb, window_width):
             launches = [(order, max_n - offset)]
         for indices, max_m in launches:
             kernel = FusedPotrfStepKernel(
-                batch, s, nb, indices, max_m, etm,
+                sizes, batch.precision, s, nb, indices, max_m, etm,
                 groups=grouping.grouped_first_seen(rem_all[indices]),
             )
             out.append((kernel, "fused"))
@@ -104,7 +104,8 @@ def test_one_pass_planner_matches_per_step_oracle(sizes, extra, sorting, etm, nb
         assert got.memo_key() == want.memo_key()
         assert (got.name, got.precision, got.etm_mode) == (want.name, want.precision, want.etm_mode)
         if tag == "aux":
-            assert (got.offset, got.nb, got.sizes_dev) == (want.offset, want.nb, want.sizes_dev)
+            assert (got.offset, got.nb) == (want.offset, want.nb)
+            assert got.sizes is want.sizes
         else:
             assert (got.step, got.nb, got.max_m) == (want.step, want.nb, want.max_m)
             np.testing.assert_array_equal(got.indices, want.indices)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.device import Device
+from repro.core.plan import PlanBuilder
+from repro.device import Device, PlanExecutor
+from repro.device.kernel import ALL
 from repro.kernels.gemm import GemmTask, GemmTiling, VbatchedGemmKernel
 from repro.kernels.syrk import StreamedSyrkLauncher, SyrkTask, VbatchedSyrkKernel
 from repro.kernels.trsm import TrsmPanelItem, vbatched_trsm_panel
@@ -41,15 +43,20 @@ class TestVbatchedGemm:
         dev = Device()
         tasks = []
         expect = []
+        a_s, b_s, c_s = [], [], []  # one operand container per slot
         for i, (m, n, k) in enumerate([(5, 4, 3), (16, 16, 16), (1, 7, 2)]):
             rng = np.random.default_rng(i)
             a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
             c = rng.standard_normal((m, n))
             expect.append(2.0 * a @ b + c)
-            tasks.append(GemmTask(m, n, k, a=a, b=b, c=c, alpha=2.0, beta=1.0))
-        dev.launch(VbatchedGemmKernel(tasks, Precision.D))
-        for t, e in zip(tasks, expect):
-            np.testing.assert_allclose(t.c, e, rtol=1e-12)
+            a_s.append(a), b_s.append(b), c_s.append(c)
+            tasks.append(GemmTask(
+                m, n, k, a=(0, i, ALL, ALL), b=(1, i, ALL, ALL), c=(2, i, ALL, ALL),
+                alpha=2.0, beta=1.0,
+            ))
+        dev.launch(VbatchedGemmKernel(tasks, Precision.D), operands=(a_s, b_s, c_s))
+        for c, e in zip(c_s, expect):
+            np.testing.assert_allclose(c, e, rtol=1e-12)
 
     def test_transb_conjugate(self):
         dev = Device()
@@ -57,9 +64,11 @@ class TestVbatchedGemm:
         a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         c = np.zeros((4, 5), complex)
-        dev.launch(VbatchedGemmKernel(
-            [GemmTask(4, 5, 3, a=a, b=b, c=c, transb="c", beta=0.0)], Precision.Z
-        ))
+        task = GemmTask(
+            4, 5, 3, a=(0, 0, ALL, ALL), b=(1, 0, ALL, ALL), c=(2, 0, ALL, ALL),
+            transb="c", beta=0.0,
+        )
+        dev.launch(VbatchedGemmKernel([task], Precision.Z), operands=([a], [b], [c]))
         np.testing.assert_allclose(c, a @ b.conj().T, rtol=1e-12)
 
     def test_grid_sized_by_max_dims(self):
@@ -106,7 +115,8 @@ class TestVbatchedSyrk:
         rng = np.random.default_rng(11)
         tasks = []
         expect = []
-        for n, k in [(6, 3), (17, 8)]:
+        a_s, c_s = [], []
+        for i, (n, k) in enumerate([(6, 3), (17, 8)]):
             a = rng.standard_normal((n, k))
             c = rng.standard_normal((n, n))
             e = c - np.tril(a @ a.T) + np.triu(c, 1) * 0  # lower updated only
@@ -115,10 +125,11 @@ class TestVbatchedSyrk:
             e = c.copy()
             e[mask] -= full[mask]
             expect.append(e)
-            tasks.append(SyrkTask(n, k, a=a, c=c))
-        dev.launch(VbatchedSyrkKernel(tasks, Precision.D))
-        for t, e in zip(tasks, expect):
-            np.testing.assert_allclose(t.c, e, rtol=1e-12)
+            a_s.append(a), c_s.append(c)
+            tasks.append(SyrkTask(n, k, a=(0, i, ALL, ALL), c=(1, i, ALL, ALL)))
+        dev.launch(VbatchedSyrkKernel(tasks, Precision.D), operands=(a_s, c_s))
+        for c, e in zip(c_s, expect):
+            np.testing.assert_allclose(c, e, rtol=1e-12)
 
     def test_decision_layer_kills_upper_tiles(self):
         kern = VbatchedSyrkKernel([SyrkTask(256, 16)], Precision.D)
@@ -164,7 +175,8 @@ class TestVbatchedTrtri:
         jb = 48
         tri = lower_tri(jb, seed=5)
         inv = np.zeros_like(tri)
-        dev.launch(VbatchedTrtriDiagKernel([TrtriTask(jb, tri, inv)], Precision.D, ib=16))
+        task = TrtriTask(jb, (0, 0, ALL, ALL), (1, 0, ALL, ALL))
+        dev.launch(VbatchedTrtriDiagKernel([task], Precision.D, ib=16), operands=([tri], [inv]))
         for j0 in range(0, jb, 16):
             j1 = j0 + 16
             block = tri[j0:j1, j0:j1]
@@ -175,7 +187,8 @@ class TestVbatchedTrtri:
         tri = lower_tri(9, seed=6)
         keep = tri.copy()
         inv = np.zeros_like(tri)
-        dev.launch(VbatchedTrtriDiagKernel([TrtriTask(9, tri, inv)], Precision.D, ib=4))
+        task = TrtriTask(9, (0, 0, ALL, ALL), (1, 0, ALL, ALL))
+        dev.launch(VbatchedTrtriDiagKernel([task], Precision.D, ib=4), operands=([tri], [inv]))
         np.testing.assert_array_equal(tri, keep)
 
     def test_dead_blocks_for_small_tasks(self):
@@ -195,34 +208,57 @@ class TestVbatchedTrtri:
             TrtriTask(-1)
 
 
+def _panel_solve(items, panels, width, ib=32):
+    """Plan ``items`` on a fresh device and execute it on ``panels``
+    (each a diagonal block stacked over its rows below); returns the
+    launch count."""
+    dev = Device()
+    pb = PlanBuilder(dev)
+    pb.operand_workspace((len(items), width, width), np.float64)
+    launches = vbatched_trsm_panel(pb, items, Precision.D, ib=ib)
+    plan = pb.build()
+    PlanExecutor(dev).execute(plan, panels)
+    plan.close()
+    return launches
+
+
 class TestVbatchedTrsmPanel:
     @pytest.mark.parametrize("m,jb", [(10, 8), (40, 32), (65, 33), (7, 64)])
     def test_solves_right_lower_conjtrans(self, m, jb):
         """B := B L^{-H} across a small batch, vs direct solve."""
-        dev = Device()
         rng = np.random.default_rng(m * 100 + jb)
         l11 = lower_tri(jb, seed=jb)
         b = rng.standard_normal((m, jb))
-        b_orig = b.copy()
-        inv_ws = np.zeros((jb, jb))
-        launches = vbatched_trsm_panel(
-            dev, [TrsmPanelItem(m, jb, l11=l11, b=b, inv_ws=inv_ws)], Precision.D, ib=16
-        )
+        panel = np.vstack([l11, b])
+        launches = _panel_solve([TrsmPanelItem(m, jb)], [panel], jb, ib=16)
         assert launches >= 2  # trtri + at least one gemm sweep
-        np.testing.assert_allclose(b @ np.tril(l11).conj().T, b_orig, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(panel[:jb], l11)
+        np.testing.assert_allclose(panel[jb:] @ np.tril(l11).conj().T, b, rtol=1e-9, atol=1e-9)
 
     def test_mixed_batch_with_finished_matrices(self):
-        dev = Device()
         rng = np.random.default_rng(0)
         l11 = lower_tri(16, seed=1)
         b = rng.standard_normal((12, 16))
-        b0 = b.copy()
+        panel = np.vstack([l11, b])
         items = [
             TrsmPanelItem(0, 0),  # finished matrix
-            TrsmPanelItem(12, 16, l11=l11, b=b, inv_ws=np.zeros((16, 16))),
+            TrsmPanelItem(12, 16),
         ]
-        vbatched_trsm_panel(dev, items, Precision.D)
-        np.testing.assert_allclose(b @ np.tril(l11).T, b0, rtol=1e-9)
+        _panel_solve(items, [None, panel], 16)
+        np.testing.assert_allclose(panel[16:] @ np.tril(l11).T, b, rtol=1e-9)
+
+    def test_block_origin_offsets_every_operand(self):
+        rng = np.random.default_rng(5)
+        l11 = lower_tri(8, seed=2)
+        b = rng.standard_normal((5, 8))
+        full = rng.standard_normal((16, 16))
+        full[3:11, 3:11] = l11
+        full[11:, 3:11] = b
+        keep = full.copy()
+        _panel_solve([TrsmPanelItem(5, 8, offset=3)], [full], 8, ib=4)
+        np.testing.assert_allclose(full[11:, 3:11] @ np.tril(l11).T, b, rtol=1e-9)
+        keep[11:, 3:11] = full[11:, 3:11]
+        np.testing.assert_array_equal(full, keep)  # nothing outside B moved
 
     def test_all_finished_no_launches(self):
         dev = Device()

@@ -22,6 +22,11 @@ def batch_of(device, sizes, precision="d", seed=0):
     return VBatch.from_host(device, make_spd_batch(sizes, precision, seed=seed))
 
 
+def fused_step(b, *args, **kwargs):
+    """A fused step kernel over ``b``'s shape (launch it with ``operands=(b,)``)."""
+    return FusedPotrfStepKernel(b.sizes_host, b.precision, *args, **kwargs)
+
+
 class TestFusedStepNumerics:
     @pytest.mark.parametrize("n,nb", [(4, 2), (16, 8), (33, 8), (64, 16)])
     def test_full_factorization_by_steps(self, n, nb):
@@ -46,13 +51,13 @@ class TestFusedPotrfStepKernel:
     def test_one_block_per_matrix(self):
         dev = Device()
         b = batch_of(dev, [10, 20, 30])
-        k = FusedPotrfStepKernel(b, 0, 8, np.arange(3), max_m=30)
+        k = fused_step(b, 0, 8, np.arange(3), max_m=30)
         assert k.total_blocks() == 3
 
     def test_finished_matrices_become_dead_blocks(self):
         dev = Device()
         b = batch_of(dev, [5, 40])
-        k = FusedPotrfStepKernel(b, step=1, nb=8, indices=np.arange(2), max_m=32)
+        k = fused_step(b, step=1, nb=8, indices=np.arange(2), max_m=32)
         *_, active, counts = k.block_arrays()
         assert counts[active == 0].sum() == 1
         assert counts[active != 0].sum() == 1
@@ -63,7 +68,7 @@ class TestFusedPotrfStepKernel:
         b = VBatch.from_host(dev, mats)
         nb = 8
         for s in range(-(-30 // nb)):
-            dev.launch(FusedPotrfStepKernel(b, s, nb, np.arange(2), max_m=max(1, 30 - s * nb)))
+            dev.launch(fused_step(b, s, nb, np.arange(2), max_m=max(1, 30 - s * nb)), operands=(b,))
         outs = b.download_matrices()
         for a, l in zip(mats, outs):
             ref = a.copy()
@@ -77,7 +82,7 @@ class TestFusedPotrfStepKernel:
         a[8:, 7] = a[7, 8:] = 0.0
         b = VBatch.from_host(dev, [a])
         for s in range(5):
-            dev.launch(FusedPotrfStepKernel(b, s, 2, np.arange(1), max_m=max(1, 10 - 2 * s)))
+            dev.launch(fused_step(b, s, 2, np.arange(1), max_m=max(1, 10 - 2 * s)), operands=(b,))
         infos = b.download_infos()
         assert infos[0] == 8
 
@@ -95,7 +100,7 @@ class TestFusedPotrfStepKernel:
             m.data[: a.shape[0]] = a
         before = [m.data.copy() for m in b.matrices]
         for s in range(4):
-            dev.launch(FusedPotrfStepKernel(b, s, nb, np.arange(2), max_m=30 - s * nb))
+            dev.launch(fused_step(b, s, nb, np.arange(2), max_m=30 - s * nb), operands=(b,))
             for i, (m, a) in enumerate(zip(b.matrices, mats)):
                 if s < final_steps[i]:
                     assert np.array_equal(m.data, before[i]), (s, i)
@@ -115,7 +120,7 @@ class TestFusedPotrfStepKernel:
             dev = Device()
             b = VBatch.from_host(dev, [a.copy()])
             for s in range(4):
-                dev.launch(FusedPotrfStepKernel(b, s, 8, np.arange(1), max_m=30 - s * 8))
+                dev.launch(fused_step(b, s, 8, np.arange(1), max_m=30 - s * 8), operands=(b,))
             return b.download_matrices()[0], b.download_infos()[0]
 
         got, info = run()
@@ -128,25 +133,25 @@ class TestFusedPotrfStepKernel:
     def test_shared_memory_scales_with_max_m(self):
         dev = Device()
         b = batch_of(dev, [64, 512])
-        small = FusedPotrfStepKernel(b, 0, 8, np.array([0]), max_m=64)
-        big = FusedPotrfStepKernel(b, 0, 8, np.array([0, 1]), max_m=512)
+        small = fused_step(b, 0, 8, np.array([0]), max_m=64)
+        big = fused_step(b, 0, 8, np.array([0, 1]), max_m=512)
         assert big.launch_config().shared_mem_per_block > small.launch_config().shared_mem_per_block
 
     def test_rejects_oversized_panel(self):
         dev = Device()
         b = batch_of(dev, [8])
         with pytest.raises(LaunchError, match="separated"):
-            FusedPotrfStepKernel(b, 0, 8, np.array([0]), max_m=2000)
+            fused_step(b, 0, 8, np.array([0]), max_m=2000)
 
     def test_argument_validation(self):
         dev = Device()
         b = batch_of(dev, [8])
         with pytest.raises(ValueError):
-            FusedPotrfStepKernel(b, 0, 0, np.array([0]), max_m=8)
+            fused_step(b, 0, 0, np.array([0]), max_m=8)
         with pytest.raises(ValueError):
-            FusedPotrfStepKernel(b, -1, 8, np.array([0]), max_m=8)
+            fused_step(b, -1, 8, np.array([0]), max_m=8)
         with pytest.raises(ValueError):
-            FusedPotrfStepKernel(b, 0, 8, np.array([0]), max_m=0)
+            fused_step(b, 0, 8, np.array([0]), max_m=0)
 
     def test_shared_mem_helper(self):
         assert fused_shared_mem_bytes(128, 8, 8) == 128 * 8 * 8
@@ -166,7 +171,7 @@ class TestPanelPotf2Kernel:
         tile_ref = a[off : off + jb, off : off + jb].copy()
         jbs = np.array([jb])
         for t in range(-(-jb // 8)):
-            dev.launch(PanelPotf2StepKernel(b, off, t, 8, jbs, jb))
+            dev.launch(PanelPotf2StepKernel(b.precision, off, t, 8, jbs, jb), operands=(b,))
         got = b.download_matrices()[0][off : off + jb, off : off + jb]
         ref = tile_ref.copy()
         assert host_potrf(ref, nb=8) == 0
@@ -175,7 +180,7 @@ class TestPanelPotf2Kernel:
     def test_zero_jb_matrices_are_dead(self):
         dev = Device()
         b = batch_of(dev, [4, 40])
-        k = PanelPotf2StepKernel(b, 0, 0, 8, np.array([0, 32]), 32)
+        k = PanelPotf2StepKernel(b.precision, 0, 0, 8, np.array([0, 32]), 32)
         *_, active, counts = k.block_arrays()
         assert counts[active == 0].sum() == 1
 
@@ -183,9 +188,9 @@ class TestPanelPotf2Kernel:
         dev = Device()
         b = batch_of(dev, [8])
         with pytest.raises(ValueError):
-            PanelPotf2StepKernel(b, 0, 0, 0, np.array([8]), 8)
+            PanelPotf2StepKernel(b.precision, 0, 0, 0, np.array([8]), 8)
         with pytest.raises(ValueError):
-            PanelPotf2StepKernel(b, 0, 0, 8, np.array([8]), 0)
+            PanelPotf2StepKernel(b.precision, 0, 0, 8, np.array([8]), 0)
 
 
 class TestNaivePotf2Kernel:
@@ -193,7 +198,7 @@ class TestNaivePotf2Kernel:
         dev = Device()
         mats = make_spd_batch([6, 20], "d", seed=5)
         b = VBatch.from_host(dev, mats)
-        dev.launch(NaivePotf2Kernel(b, 0, np.array([6, 20]), 20))
+        dev.launch(NaivePotf2Kernel(b.precision, 0, np.array([6, 20]), 20), operands=(b,))
         outs = b.download_matrices()
         for a, l in zip(mats, outs):
             ref = a.copy()
@@ -207,12 +212,12 @@ class TestNaivePotf2Kernel:
         dev = Device()
         b = batch_of(dev, [32] * 50)
         t0 = dev.synchronize()
-        dev.launch(NaivePotf2Kernel(b, 0, np.full(50, 32), 32))
+        dev.launch(NaivePotf2Kernel(b.precision, 0, np.full(50, 32), 32), operands=(b,))
         naive_t = dev.synchronize() - t0
         dev2 = Device()
         b2 = batch_of(dev2, [32] * 50)
         t0 = dev2.synchronize()
-        dev2.launch(FusedPotrfStepKernel(b2, 0, 32, np.arange(50), 32))
+        dev2.launch(fused_step(b2, 0, 32, np.arange(50), 32), operands=(b2,))
         fused_t = dev2.synchronize() - t0
         assert naive_t > 1.5 * fused_t
 
@@ -220,9 +225,9 @@ class TestNaivePotf2Kernel:
         dev = Device()
         b = batch_of(dev, [8])
         with pytest.raises(ValueError):
-            NaivePotf2Kernel(b, -1, np.array([8]), 8)
+            NaivePotf2Kernel(b.precision, -1, np.array([8]), 8)
         with pytest.raises(ValueError):
-            NaivePotf2Kernel(b, 0, np.array([8]), 0)
+            NaivePotf2Kernel(b.precision, 0, np.array([8]), 0)
 
 
 class TestAuxKernels:
@@ -252,7 +257,7 @@ class TestAuxKernels:
         rem = dev.alloc((3,), np.int64)
         pan = dev.alloc((3,), np.int64)
         stats = dev.alloc((2,), np.int64)
-        dev.launch(StepSizesKernel(b.sizes_dev, offset=16, nb=8,
+        dev.launch(StepSizesKernel(b.sizes_host, offset=16, nb=8,
                                    remaining_dev=rem, panel_dev=pan, stats_dev=stats))
         np.testing.assert_array_equal(rem.data, [0, 4, 48])
         np.testing.assert_array_equal(pan.data, [0, 4, 8])
@@ -264,9 +269,9 @@ class TestAuxKernels:
         b = batch_of(dev, [5])
         rem = dev.alloc((1,), np.int64)
         with pytest.raises(ValueError):
-            StepSizesKernel(b.sizes_dev, -1, 8, rem, rem, rem)
+            StepSizesKernel(b.sizes_host, -1, 8, rem, rem, rem)
         with pytest.raises(ValueError):
-            StepSizesKernel(b.sizes_dev, 0, 0, rem, rem, rem)
+            StepSizesKernel(b.sizes_host, 0, 0, rem, rem, rem)
 
     def test_aux_kernels_are_cheap(self):
         """§III-F: auxiliary kernel overhead is almost negligible."""
@@ -276,6 +281,6 @@ class TestAuxKernels:
         pan = dev.alloc((1000,), np.int64)
         stats = dev.alloc((2,), np.int64)
         dev.reset_clock()
-        dev.launch(StepSizesKernel(b.sizes_dev, 0, 8, rem, pan, stats))
+        dev.launch(StepSizesKernel(b.sizes_host, 0, 8, rem, pan, stats))
         aux_time = dev.synchronize()
         assert aux_time < 20e-6  # a handful of microseconds

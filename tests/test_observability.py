@@ -55,7 +55,7 @@ class _ToyKernel(Kernel):
     def block_arrays(self):
         return BlockWork.pack([BlockWork(self.flops, 0.0, count=self.nblocks)])
 
-    def run_numerics(self):
+    def run_numerics(self, operands):
         pass
 
 

@@ -268,7 +268,7 @@ def _numerics_result(planner, level, seed=11):
     plan = PLANNERS[planner](dev, batch, sizes)
     optimize_plan(plan, level)
     try:
-        PlanExecutor(dev).execute(plan)
+        PlanExecutor(dev).execute(plan, batch)
     finally:
         plan.close()
     out = batch.download_matrices()

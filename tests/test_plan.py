@@ -1,5 +1,8 @@
 """Tests for the launch-plan IR: builder, validation, cache semantics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from repro.core.plan import (
     batch_fingerprint,
 )
 from repro.core.separated import SeparatedDriver
-from repro.device import Device
+from repro.device import Device, PlanExecutor
 from repro.errors import PlanError
 from repro import distributions as dist
 
@@ -87,10 +90,18 @@ class TestPlanBuilder:
         with pytest.raises(PlanError):
             pb.build()
 
-    def test_bound_numerics_follows_device_mode(self):
-        assert PlanBuilder(Device()).build().bound_numerics
-        assert not PlanBuilder(Device(execute_numerics=False)).build().bound_numerics
-        assert PlanBuilder(Device(), None).build(bound_numerics=False).bound_numerics is False
+    def test_plan_is_shape_only_in_either_device_mode(self):
+        sizes = dist.generate_sizes("uniform", 12, 40, seed=2)
+        for dev in (Device(), Device(execute_numerics=False)):
+            batch = VBatch.allocate(dev, sizes, "d")
+            plan = FusedDriver(dev).plan(batch, int(sizes.max()))
+            ref = weakref.ref(batch)
+            batch.free()
+            del batch
+            gc.collect()
+            assert ref() is None  # the plan kept no reference to it
+            assert plan.operands("any batch") == ("any batch", None)
+            plan.close()
 
 
 class TestPlanWorkspaces:
@@ -109,6 +120,16 @@ class TestPlanWorkspaces:
         assert dev.pool.hits + dev.pool.misses == misses_before + 1
         assert dev.pool.hits >= 1
         assert dev.memory.used <= used_before  # pool retained, nothing leaked
+
+    def test_one_operand_workspace_per_plan(self):
+        pb = PlanBuilder(Device(execute_numerics=False))
+        ws = pb.operand_workspace((2, 4, 4), np.float64)
+        with pytest.raises(PlanError):
+            pb.operand_workspace((2, 4, 4), np.float64)
+        plan = pb.build()
+        assert plan.workspace is ws and ws in plan.workspaces
+        assert plan.operands("b")[1] is ws.data
+        plan.close()
 
     def test_close_is_idempotent(self):
         pb = PlanBuilder(Device(execute_numerics=False))
@@ -166,10 +187,10 @@ class TestPlanCache:
         dev, batch, sizes = _timing_batch()
         cache = PlanCache()
         key = cache.key_for(dev, batch, int(sizes.max()), "fused", None)
-        assert cache.get(key, batch) is None
+        assert cache.get(key) is None
         plan = FusedDriver(dev).plan(batch, int(sizes.max()))
         cache.put(key, plan)
-        assert cache.get(key, batch) is plan
+        assert cache.get(key) is plan
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == pytest.approx(0.5)
 
@@ -178,8 +199,8 @@ class TestPlanCache:
         cache = PlanCache()
         key = cache.key_for(dev, batch, int(sizes.max()), "fused", None)
         build = lambda: FusedDriver(dev).plan(batch, int(sizes.max()))  # noqa: E731
-        p1 = cache.get_or_build(key, batch, build)
-        p2 = cache.get_or_build(key, batch, build)
+        p1 = cache.get_or_build(key, dev, build)
+        p2 = cache.get_or_build(key, dev, build)
         assert p1 is p2
         assert cache.planner_calls == 1
 
@@ -198,20 +219,27 @@ class TestPlanCache:
         assert plans[0].closed  # oldest evicted and released
         assert not plans[1].closed and not plans[2].closed
 
-    def test_bound_plan_not_served_for_other_batch(self):
-        dev = Device()  # numerics live -> plans bound to their batch
+    def test_plan_served_for_other_batch_of_same_shape(self):
+        dev = Device()  # numerics live: the batch binds at execute time
         rng = np.random.default_rng(0)
         mats = [np.eye(8) * 4 + rng.standard_normal((8, 8)) * 0.01 for _ in range(4)]
         mats = [(m + m.T) / 2 for m in mats]
         b1 = VBatch.from_host(dev, [m.copy() for m in mats])
-        b2 = VBatch.from_host(dev, [m.copy() for m in mats])
+        b2 = VBatch.from_host(dev, [2.0 * m for m in mats])
         cache = PlanCache()
         key = cache.key_for(dev, b1, 8, "fused", None)
         plan = FusedDriver(dev).plan(b1, 8)
-        assert plan.bound_numerics
         cache.put(key, plan)
-        assert cache.get(key, b1) is plan
-        assert cache.get(key, b2) is None  # same key, wrong batch object
+        assert cache.key_for(dev, b2, 8, "fused", None) == key
+        PlanExecutor(dev).execute(cache.get(key), b1)
+        assert cache.get(key) is plan  # same key, other batch: a hit
+        PlanExecutor(dev).execute(plan, b2)
+        direct = VBatch.from_host(dev, [2.0 * m for m in mats])
+        FusedDriver(dev).factorize(direct, 8)  # its own, uncached plan
+        for i, m in enumerate(mats):
+            assert np.array_equal(b2.matrix_view(i), direct.matrix_view(i))
+            assert np.allclose(np.tril(b1.matrix_view(i)), np.linalg.cholesky(m), atol=1e-13)
+        assert not b2.infos_dev.data.any()
 
     def test_clear_closes_everything(self):
         dev = Device(execute_numerics=False)
@@ -297,7 +325,7 @@ class TestPlanCacheThreadSafety:
             try:
                 barrier.wait()
                 for _ in range(20):
-                    plans.append(cache.get_or_build(key, batch, build))
+                    plans.append(cache.get_or_build(key, dev, build))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -325,7 +353,7 @@ class TestPlanCacheThreadSafety:
                     batch = VBatch.allocate(dev, sizes, "d")
                     key = cache.key_for(dev, batch, int(sizes.max()), "fused", None)
                     build = lambda: FusedDriver(dev).plan(batch, int(sizes.max()))  # noqa: B023,E731
-                    cache.get_or_build(key, batch, build)
+                    cache.get_or_build(key, dev, build)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -357,7 +385,7 @@ class TestPlanCacheThreadSafety:
                     inside.wait()
                     return FusedDriver(dev).plan(batch, int(sizes.max()))
 
-                cache.get_or_build(key, batch, build)
+                cache.get_or_build(key, dev, build)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -390,7 +418,7 @@ class TestPlanCacheThreadSafety:
                     j = (tid + i) % len(batches)
                     b = batches[j]
                     cache.get_or_build(
-                        keys[j], b, lambda b=b: FusedDriver(dev).plan(b, int(b.sizes_host.max()))
+                        keys[j], dev, lambda b=b: FusedDriver(dev).plan(b, int(b.sizes_host.max()))
                     )
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -428,10 +456,10 @@ class TestPlanCacheThreadSafety:
             raise AssertionError("a second build ran for an in-flight key")
 
         plans = []
-        owner = threading.Thread(target=lambda: plans.append(cache.get_or_build(key, batch, slow_build)))
+        owner = threading.Thread(target=lambda: plans.append(cache.get_or_build(key, dev, slow_build)))
         owner.start()
         assert started.wait(10)
-        waiter = threading.Thread(target=lambda: plans.append(cache.get_or_build(key, batch, never_called)))
+        waiter = threading.Thread(target=lambda: plans.append(cache.get_or_build(key, dev, never_called)))
         waiter.start()
         waiter.join(0.2)
         assert waiter.is_alive()  # parked on the in-flight build
@@ -451,9 +479,9 @@ class TestPlanCacheThreadSafety:
             raise RuntimeError("planner failed")
 
         with pytest.raises(RuntimeError):
-            cache.get_or_build(key, batch, broken)
-        plan = cache.get_or_build(key, batch, lambda: FusedDriver(dev).plan(batch, int(sizes.max())))
-        assert plan is cache.get(key, batch)
+            cache.get_or_build(key, dev, broken)
+        plan = cache.get_or_build(key, dev, lambda: FusedDriver(dev).plan(batch, int(sizes.max())))
+        assert plan is cache.get(key)
         assert cache.planner_calls == 2
 
 
@@ -463,7 +491,7 @@ class TestPlanCacheEvict:
         batch = VBatch.allocate(dev, sizes, "d")
         key = cache.key_for(dev, batch, int(sizes.max()), "fused", None)
         return cache.get_or_build(
-            key, batch, lambda: FusedDriver(dev).plan(batch, int(sizes.max()))
+            key, dev, lambda: FusedDriver(dev).plan(batch, int(sizes.max()))
         )
 
     def test_evict_one_device_leaves_the_other(self):

@@ -504,9 +504,9 @@ class TestStackedLU:
 
             gemm_numerics = VbatchedGemmKernel.run_numerics
 
-            def reference_gemm(kernel):
+            def reference_gemm(kernel, operands):
                 with grouping.reference_numerics():
-                    gemm_numerics(kernel)
+                    gemm_numerics(kernel, operands)
 
             monkeypatch.setattr(VbatchedGemmKernel, "run_numerics", reference_gemm)
         dtype = {"d": np.float64, "s": np.float32, "z": np.complex128}[precision]

@@ -54,11 +54,11 @@ class NumericsClock:
             self.instrument(sub)
 
     def _timed(self, run_numerics):
-        def wrapper(kernel):
+        def wrapper(kernel, operands):
             self._depth += 1
             start = time.perf_counter()
             try:
-                run_numerics(kernel)
+                run_numerics(kernel, operands)
             finally:
                 self._depth -= 1
                 if self._depth == 0:  # a subclass calling super() counts once
