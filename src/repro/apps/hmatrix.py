@@ -43,6 +43,7 @@ from ..device.device import Device
 from ..device.topology import DeviceGroup
 from ..errors import ArgumentError
 from ..hostblas import stacked_larft
+from ..serving.loadgen import _bench_matrices
 from ..serving.server import BatchServer
 
 __all__ = [
@@ -226,15 +227,13 @@ def _mixed_stream(requests: int, max_size: int, seed: int) -> list[tuple]:
     hardware.  Sizes sit in a tile-like band ``[2/3*max, max]`` (the
     windowing ratio), so both serving configurations batch equally
     tightly and the comparison isolates scheduling, not padding luck.
-    Payloads are zero matrices: the comparison runs on timing-only
-    devices, where the cost model never reads values.
+    Payloads are views of one zero block: the comparison runs on
+    timing-only devices, where the cost model never reads values.
     """
     rng = np.random.default_rng(seed)
     ops = rng.choice(["geqrf", "potrf", "gesvj"], size=requests, p=[0.7, 0.2, 0.1])
     sizes = rng.integers(max(8, (2 * max_size) // 3), max_size + 1, size=requests)
-    return [
-        (str(op), np.zeros((int(n), int(n)))) for op, n in zip(ops, sizes)
-    ]
+    return list(zip(ops.tolist(), _bench_matrices(sizes)))
 
 
 def _waste_pct(snapshots) -> float:

@@ -3,7 +3,8 @@
 A vbatched routine receives *arrays* of matrix pointers, sizes and
 leading dimensions, all resident in device memory — any arithmetic on
 them (max reductions, per-step offsets) must happen in GPU kernels.
-:class:`VBatch` models exactly that: per-matrix device allocations plus
+:class:`VBatch` models exactly that: per-matrix device allocations (one
+accounting allocation when the batch is shape-only) plus
 device-resident ``sizes``/``ldas``/``infos`` integer arrays.
 
 The host-side driver is *not* supposed to peek at ``sizes_host`` for
@@ -27,11 +28,20 @@ __all__ = ["VBatch"]
 
 
 class VBatch:
-    """A batch of independent square matrices of (possibly) varying size."""
+    """A batch of independent square matrices of (possibly) varying size.
 
-    def __init__(self, device, matrices, sizes_host: np.ndarray, ldas_host: np.ndarray):
-        if len(matrices) != sizes_host.size or sizes_host.size != ldas_host.size:
-            raise ArgumentError(2, "matrices/sizes/ldas length mismatch")
+    Every batch on a timing-only device, and a sharded run's payload-free
+    shard, is *shape-only*: it holds the sizes, ldas, precision and the
+    metadata arrays, but no per-matrix arrays (``matrices`` is empty).
+    One never-materialized ``payload`` allocation charges the device the
+    bytes per-matrix buffers would take, so capacity, ``peak_used`` and
+    out-of-memory behave as they would with the buffers.
+    """
+
+    def __init__(self, device, matrices, sizes_host: np.ndarray, ldas_host: np.ndarray,
+                 precision: Precision | str):
+        if sizes_host.size != ldas_host.size:
+            raise ArgumentError(2, "sizes/ldas length mismatch")
         if sizes_host.size == 0:
             raise ArgumentError(2, "batch must contain at least one matrix")
         if np.any(sizes_host < 0):
@@ -39,9 +49,14 @@ class VBatch:
         if np.any(ldas_host < np.maximum(sizes_host, 1)):
             raise ArgumentError(3, "each lda must be >= max(1, n)")
         self.device = device
-        self.matrices = list(matrices)
         self.sizes_host = sizes_host.astype(np.int64)
         self.ldas_host = ldas_host.astype(np.int64)
+        self.precision = Precision(precision)
+        self.dtype = precision_info(self.precision).dtype
+        self.matrices = [] if matrices is None else list(matrices)
+        self.payload = None if matrices is not None else device.alloc(
+            (int(self.sizes_host @ self.ldas_host),), self.dtype
+        )
         # Device-resident metadata (charged against device memory).
         self.sizes_dev = device.alloc((sizes_host.size,), np.int64)
         self.ldas_dev = device.alloc((sizes_host.size,), np.int64)
@@ -61,23 +76,31 @@ class VBatch:
         precision: Precision | str = Precision.D,
         ldas: Sequence[int] | np.ndarray | None = None,
     ) -> VBatch:
-        """Allocate an uninitialized batch on the device (no host data).
-
-        Used by timing-only sweeps: the cost model never reads matrix
-        values, so zero-filled matrices time identically to real ones.
-        """
+        """Allocate an uninitialized batch on the device (no host data);
+        shape-only on a timing-only device."""
         sizes = np.asarray(sizes, dtype=np.int64)
-        ldas = sizes.copy() if ldas is None else np.asarray(ldas, dtype=np.int64)
-        info = precision_info(Precision(precision))
-        mats = [
-            device.alloc((int(lda), int(n)), info.dtype)
-            for n, lda in zip(sizes, np.maximum(ldas, 1))
-        ]
-        return cls(device, mats, sizes, np.maximum(ldas, 1))
+        ldas = np.maximum(sizes if ldas is None else np.asarray(ldas, dtype=np.int64), 1)
+        if not device.execute_numerics:
+            return cls(device, None, sizes, ldas, precision)
+        dtype = precision_info(Precision(precision)).dtype
+        mats = [device.alloc((int(lda), int(n)), dtype) for n, lda in zip(sizes, ldas)]
+        return cls(device, mats, sizes, ldas, precision)
+
+    @classmethod
+    def shape_only(cls, device, sizes: np.ndarray, precision: Precision | str) -> VBatch:
+        """A shape-only batch on any device, charged the host-to-device
+        copy of each ``n x n`` matrix one by one, in batch order — the
+        transfers :meth:`from_host` would charge."""
+        batch = cls(device, None, sizes, np.maximum(sizes, 1), precision)
+        elem = batch.dtype.itemsize
+        for n in sizes.tolist():
+            device._transfer(n * n * elem, "memcpy_h2d", None)
+        return batch
 
     @classmethod
     def from_host(cls, device, host_matrices: Sequence[np.ndarray]) -> VBatch:
-        """Upload host matrices (one PCIe-charged transfer per matrix)."""
+        """Upload host matrices (one PCIe-charged transfer per matrix);
+        shape-only on a timing-only device, which never reads values."""
         if not host_matrices:
             raise ArgumentError(2, "batch must contain at least one matrix")
         dtypes = {m.dtype for m in host_matrices}
@@ -86,21 +109,19 @@ class VBatch:
         for m in host_matrices:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ArgumentError(2, f"matrices must be square, got shape {m.shape}")
-        mats = [device.upload(m) for m in host_matrices]
         sizes = np.array([m.shape[1] for m in host_matrices], dtype=np.int64)
-        ldas = np.array([max(m.shape[0], 1) for m in host_matrices], dtype=np.int64)
-        return cls(device, mats, sizes, ldas)
+        precision = Precision.from_dtype(dtypes.pop())
+        if not device.execute_numerics:
+            return cls.shape_only(device, sizes, precision)
+        mats = [device.upload(m) for m in host_matrices]
+        return cls(device, mats, sizes, np.maximum(sizes, 1), precision)
 
     # ------------------------------------------------------------------
     # views and metadata
     # ------------------------------------------------------------------
     @property
     def batch_count(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def precision(self) -> Precision:
-        return self.matrices[0].precision
+        return self.sizes_host.size
 
     @property
     def max_size_host(self) -> int:
@@ -109,7 +130,7 @@ class VBatch:
 
     @property
     def total_bytes(self) -> int:
-        return sum(m.nbytes for m in self.matrices)
+        return int(self.sizes_host @ self.ldas_host) * self.dtype.itemsize
 
     def matrix_view(self, i: int) -> np.ndarray:
         """The live ``n x n`` view of matrix ``i`` inside its lda buffer."""
@@ -133,8 +154,6 @@ class VBatch:
 
     def free(self) -> None:
         """Release all device allocations owned by this batch."""
-        for m in self.matrices:
-            m.free()
-        self.sizes_dev.free()
-        self.ldas_dev.free()
-        self.infos_dev.free()
+        for arr in (*self.matrices, self.payload, self.sizes_dev, self.ldas_dev, self.infos_dev):
+            if arr is not None:
+                arr.free()

@@ -71,7 +71,7 @@ class BlasStepDriver:
             remaining_dev = pb.workspace((k_count,), np.int64)
             panel_dev = pb.workspace((k_count,), np.int64)
             stats_dev = pb.workspace((2,), np.int64)
-            pb.operand_workspace((k_count, nb, nb), batch.matrices[0].dtype)
+            pb.operand_workspace((k_count, nb, nb), batch.dtype)
 
             steps = -(-max_n // nb)
             for s in range(steps):

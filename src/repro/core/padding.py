@@ -30,9 +30,10 @@ def pad_to_fixed(device, sizes: np.ndarray, max_n: int,
     """Build the padded fixed-size batch (allocates ``k * Nmax^2``).
 
     With ``host_matrices`` given, each is embedded into its padded
-    buffer (identity elsewhere); otherwise buffers stay unmaterialized
-    for timing-only runs.  Raises :class:`DeviceOutOfMemory` when the
-    padded batch exceeds device capacity — deliberately not caught here.
+    buffer (identity elsewhere); on a timing-only device the padded
+    batch is shape-only, still charged ``k * Nmax^2``.  Raises
+    :class:`DeviceOutOfMemory` when the padded batch exceeds device
+    capacity — deliberately not caught here.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size == 0:

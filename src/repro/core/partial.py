@@ -93,7 +93,7 @@ def plan_partial_potrf(
             stats["potf2"] += 1
 
         # 2) L21 := A21 L11^{-H} for the rows below each pivot block.
-        pb.operand_workspace((len(sizes), max_k, max_k), batch.matrices[0].dtype)
+        pb.operand_workspace((len(sizes), max_k, max_k), batch.dtype)
         items = []
         for n, k in zip(sizes.tolist(), k_cols.tolist()):
             m_below = n - k

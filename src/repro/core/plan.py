@@ -238,11 +238,6 @@ class PlanBuilder:
             self._tag = prev
 
     # -- resources ------------------------------------------------------
-    @property
-    def pool(self):
-        """Pool facade: ``builder.pool.get`` acquires a plan-owned block."""
-        return _PlanPool(self)
-
     def workspace(self, shape, dtype):
         """Acquire a pool block owned by the resulting plan."""
         ws = self.device.pool.get(shape, dtype)
@@ -286,39 +281,18 @@ class PlanBuilder:
         self._built = True
 
 
-class _PlanPool:
-    """``WorkspacePool``-shaped view whose gets belong to the plan and
-    whose releases are deferred to ``LaunchPlan.close``."""
-
-    __slots__ = ("builder",)
-
-    def __init__(self, builder: PlanBuilder):
-        self.builder = builder
-
-    def get(self, shape, dtype):
-        return self.builder.workspace(shape, dtype)
-
-    def release(self, arr) -> None:
-        # Ownership stays with the plan; the executor may re-run it.
-        if arr not in self.builder._workspaces:
-            raise PlanError("array was not acquired through this plan builder")
-
-
 def batch_fingerprint(batch) -> tuple:
-    """Hashable identity of everything planning reads from a batch."""
-    return (
-        batch.batch_count,
-        batch.precision.value,
-        hash(batch.sizes_host.tobytes()),
-        hash(batch.ldas_host.tobytes()),
-    )
+    """Hashable identity of everything planning reads from a batch: its
+    count, precision and sizes (the bytes themselves, so two size
+    vectors never share a key; no planner reads the ldas)."""
+    return (batch.batch_count, batch.precision.value, batch.sizes_host.tobytes())
 
 
 class PlanCache:
     """LRU cache of :class:`LaunchPlan` keyed on the planning inputs.
 
     The key covers the device, planner label, options fingerprint and
-    the batch's size/lda/precision fingerprint — everything a planner
+    the batch's size/precision fingerprint — everything a planner
     reads.  Plans are shape-only (see :class:`LaunchPlan`), so a hit
     serves any batch of that shape.
 

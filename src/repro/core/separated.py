@@ -96,7 +96,7 @@ class SeparatedDriver:
             panel_dev = pb.workspace((k,), np.int64)
             stats_dev = pb.workspace((2,), np.int64)
             # trsm workspace: inverted diagonal blocks of every panel.
-            pb.operand_workspace((k, NB, NB), batch.matrices[0].dtype)
+            pb.operand_workspace((k, NB, NB), batch.dtype)
 
             steps = -(-max_n // NB)
             for s in range(steps):

@@ -34,11 +34,12 @@ def getf2(a: np.ndarray, ipiv: np.ndarray) -> int:
                 info = j + 1
             continue
         if p != j:
-            a[[j, p], :] = a[[p, j], :]
+            row = a[j].copy()
+            a[j], a[p] = a[p], row
         if j + 1 < m:
             a[j + 1 :, j] /= a[j, j]
             if j + 1 < n:
-                a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :])
+                a[j + 1 :, j + 1 :] -= a[j + 1 :, j, None] * a[j, None, j + 1 :]
     return info
 
 

@@ -281,23 +281,18 @@ def sub_batch(batch: VBatch, idx: np.ndarray, dev, payload: bool = True) -> VBat
     When both sides execute numerics, each matrix pays its host-to-device
     copy; the values come along only with ``payload`` (a hetero chunk,
     whose member runs the numerics), not for a shard, whose launches
-    leave the numerics to one pass over the source batch.  A timing-only
-    side just needs the sizes and leading dimensions.
+    leave the numerics to one pass over the source batch: a shard is
+    shape-only.  A timing-only side just needs the sizes and leading
+    dimensions.
     """
     sizes = batch.sizes_host[idx]
     if not (batch.device.execute_numerics and dev.execute_numerics):
-        return VBatch.allocate(
-            dev, sizes, batch.precision, ldas=np.maximum(batch.ldas_host[idx], 1)
-        )
+        return VBatch.allocate(dev, sizes, batch.precision, ldas=batch.ldas_host[idx])
     if payload:
         return VBatch.from_host(
             dev, [np.ascontiguousarray(batch.matrix_view(int(j))) for j in idx]
         )
-    shard = VBatch.allocate(dev, sizes, batch.precision, ldas=np.maximum(sizes, 1))
-    elem = shard.matrices[0].dtype.itemsize
-    for n in sizes.tolist():
-        dev._transfer(n * n * elem, "memcpy_h2d", None)  # what from_host charges
-    return shard
+    return VBatch.shape_only(dev, sizes, batch.precision)
 
 
 def run_op_sharded(

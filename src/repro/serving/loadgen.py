@@ -81,9 +81,13 @@ def closed_loop(server: BatchServer, matrices, concurrency: int = 128) -> list:
 
 
 def _bench_matrices(sizes, dtype=np.float64) -> list[np.ndarray]:
-    """Timing-mode payloads: zero matrices (the cost model never reads
-    values, and a numerics-off device never copies them)."""
-    return [np.zeros((int(n), int(n)), dtype=dtype) for n in sizes]
+    """Timing-mode payloads: read-only ``n x n`` views of one zero block
+    sized by the largest order (the cost model never reads values, and
+    a numerics-off device never copies them)."""
+    sizes = [int(n) for n in sizes]
+    block = np.zeros((max(sizes, default=0),) * 2, dtype=dtype)
+    block.flags.writeable = False
+    return [block[:n, :n] for n in sizes]
 
 
 def _make_server(

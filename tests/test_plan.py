@@ -138,21 +138,6 @@ class TestPlanWorkspaces:
         plan.close()
         plan.close()
 
-    def test_pool_facade_defers_release(self):
-        dev = Device(execute_numerics=False)
-        pb = PlanBuilder(dev)
-        ws = pb.pool.get((8,), np.float64)
-        pb.pool.release(ws)  # no-op: ownership stays with the plan
-        plan = pb.build()
-        assert plan.workspaces == [ws]
-
-    def test_pool_facade_rejects_foreign_array(self):
-        dev = Device(execute_numerics=False)
-        pb = PlanBuilder(dev)
-        foreign = dev.pool.get((8,), np.float64)
-        with pytest.raises(PlanError):
-            pb.pool.release(foreign)
-
     def test_abandon_releases_workspaces(self):
         dev = Device(execute_numerics=False)
         pb = PlanBuilder(dev)
