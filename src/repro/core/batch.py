@@ -27,6 +27,20 @@ from ..types import Precision, precision_info
 __all__ = ["VBatch"]
 
 
+def _alloc_each(alloc, items) -> list:
+    """``[alloc(x) for x in items]``; if one fails (say, out of device
+    memory), the arrays already made are freed before it re-raises."""
+    arrays = []
+    try:
+        for x in items:
+            arrays.append(alloc(x))
+    except BaseException:
+        for arr in arrays:
+            arr.free()
+        raise
+    return arrays
+
+
 class VBatch:
     """A batch of independent square matrices of (possibly) varying size.
 
@@ -40,27 +54,33 @@ class VBatch:
 
     def __init__(self, device, matrices, sizes_host: np.ndarray, ldas_host: np.ndarray,
                  precision: Precision | str):
-        if sizes_host.size != ldas_host.size:
-            raise ArgumentError(2, "sizes/ldas length mismatch")
-        if sizes_host.size == 0:
-            raise ArgumentError(2, "batch must contain at least one matrix")
-        if np.any(sizes_host < 0):
-            raise ArgumentError(2, "matrix sizes cannot be negative")
-        if np.any(ldas_host < np.maximum(sizes_host, 1)):
-            raise ArgumentError(3, "each lda must be >= max(1, n)")
-        self.device = device
-        self.sizes_host = sizes_host.astype(np.int64)
-        self.ldas_host = ldas_host.astype(np.int64)
-        self.precision = Precision(precision)
-        self.dtype = precision_info(self.precision).dtype
+        # The batch owns ``matrices`` from here on: a constructor that
+        # fails frees them and whatever it allocated, then re-raises.
         self.matrices = [] if matrices is None else list(matrices)
-        self.payload = None if matrices is not None else device.alloc(
-            (int(self.sizes_host @ self.ldas_host),), self.dtype
-        )
-        # Device-resident metadata (charged against device memory).
-        self.sizes_dev = device.alloc((sizes_host.size,), np.int64)
-        self.ldas_dev = device.alloc((sizes_host.size,), np.int64)
-        self.infos_dev = device.alloc((sizes_host.size,), np.int64)
+        self.payload = self.sizes_dev = self.ldas_dev = self.infos_dev = None
+        try:
+            if sizes_host.size != ldas_host.size:
+                raise ArgumentError(2, "sizes/ldas length mismatch")
+            if sizes_host.size == 0:
+                raise ArgumentError(2, "batch must contain at least one matrix")
+            if np.any(sizes_host < 0):
+                raise ArgumentError(2, "matrix sizes cannot be negative")
+            if np.any(ldas_host < np.maximum(sizes_host, 1)):
+                raise ArgumentError(3, "each lda must be >= max(1, n)")
+            self.device = device
+            self.sizes_host = sizes_host.astype(np.int64)
+            self.ldas_host = ldas_host.astype(np.int64)
+            self.precision = Precision(precision)
+            self.dtype = precision_info(self.precision).dtype
+            if matrices is None:
+                self.payload = device.alloc((int(self.sizes_host @ self.ldas_host),), self.dtype)
+            # Device-resident metadata (charged against device memory).
+            self.sizes_dev = device.alloc((sizes_host.size,), np.int64)
+            self.ldas_dev = device.alloc((sizes_host.size,), np.int64)
+            self.infos_dev = device.alloc((sizes_host.size,), np.int64)
+        except BaseException:
+            self.free()
+            raise
         if device.execute_numerics:
             self.sizes_dev.data[...] = self.sizes_host
             self.ldas_dev.data[...] = self.ldas_host
@@ -83,7 +103,10 @@ class VBatch:
         if not device.execute_numerics:
             return cls(device, None, sizes, ldas, precision)
         dtype = precision_info(Precision(precision)).dtype
-        mats = [device.alloc((int(lda), int(n)), dtype) for n, lda in zip(sizes, ldas)]
+        mats = _alloc_each(
+            lambda shape: device.alloc(shape, dtype),
+            [(int(lda), int(n)) for n, lda in zip(sizes, ldas)],
+        )
         return cls(device, mats, sizes, ldas, precision)
 
     @classmethod
@@ -113,7 +136,7 @@ class VBatch:
         precision = Precision.from_dtype(dtypes.pop())
         if not device.execute_numerics:
             return cls.shape_only(device, sizes, precision)
-        mats = [device.upload(m) for m in host_matrices]
+        mats = _alloc_each(device.upload, host_matrices)
         return cls(device, mats, sizes, np.maximum(sizes, 1), precision)
 
     # ------------------------------------------------------------------

@@ -5,7 +5,8 @@ multifrontal solvers" (§I) and names them a future direction (§V).
 This package is that application, end to end:
 
 * :mod:`ordering` — nested-dissection elimination forest of a sparse
-  SPD pattern (networkx);
+  SPD pattern (networkx, imported on the first ordering call so that
+  ``import repro`` does not load it);
 * :mod:`symbolic` — per-separator frontal structure (rows = separator
   + boundary) and the level schedule;
 * :mod:`numeric` — level-by-level frontal assembly (extend-add) with

@@ -12,8 +12,10 @@ separator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    from networkx import Graph
 
 __all__ = ["EliminationNode", "nested_dissection"]
 
@@ -39,8 +41,10 @@ class EliminationNode:
         return out
 
 
-def _pseudo_peripheral(graph: nx.Graph, nodes: list):
+def _pseudo_peripheral(graph: Graph, nodes: list):
     """Endpoint of an approximately longest shortest path (two BFS sweeps)."""
+    import networkx as nx
+
     start = nodes[0]
     for _ in range(2):
         lengths = nx.single_source_shortest_path_length(graph.subgraph(nodes), start)
@@ -48,13 +52,15 @@ def _pseudo_peripheral(graph: nx.Graph, nodes: list):
     return start
 
 
-def _bfs_separator(graph: nx.Graph, nodes: list) -> tuple[list, list, list]:
+def _bfs_separator(graph: Graph, nodes: list) -> tuple[list, list, list]:
     """Split ``nodes`` into (left, separator, right) by BFS level sets.
 
     The middle BFS level (by cumulative vertex count) separates the
     earlier levels from the later ones: every edge joins vertices at
     most one level apart, so removing the level disconnects them.
     """
+    import networkx as nx
+
     sub = graph.subgraph(nodes)
     root = _pseudo_peripheral(graph, nodes)
     levels: dict[int, list] = {}
@@ -79,14 +85,17 @@ def _bfs_separator(graph: nx.Graph, nodes: list) -> tuple[list, list, list]:
 
 
 def nested_dissection(
-    graph: nx.Graph, min_size: int = 8, _nodes=None, _depth: int = 0
+    graph: Graph, min_size: int = 8, _nodes=None, _depth: int = 0
 ) -> list[EliminationNode]:
     """Dissect ``graph`` into an elimination forest (one tree per
     connected component).
 
     ``min_size`` stops recursion: components at or below it become leaf
-    nodes eliminated wholesale.
+    nodes eliminated wholesale.  networkx is imported here, on the
+    first call, so ``import repro`` does not pay for it.
     """
+    import networkx as nx
+
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     if _nodes is None:

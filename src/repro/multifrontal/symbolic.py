@@ -15,11 +15,14 @@ first) — each level is one variable-size batch for the numeric phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .ordering import EliminationNode, nested_dissection
+
+if TYPE_CHECKING:
+    from networkx import Graph
 
 __all__ = ["FrontInfo", "SymbolicFactorization", "analyze"]
 
@@ -50,7 +53,7 @@ class FrontInfo:
 class SymbolicFactorization:
     """Everything the numeric phase needs."""
 
-    graph: nx.Graph
+    graph: Graph
     fronts: list  # all FrontInfo, postorder
     levels: list  # list[list[FrontInfo]], deepest level first
     elim_position: dict  # vertex -> global elimination index
@@ -71,7 +74,7 @@ class SymbolicFactorization:
         return np.array(perm, dtype=object)
 
 
-def analyze(graph: nx.Graph, min_size: int = 8) -> SymbolicFactorization:
+def analyze(graph: Graph, min_size: int = 8) -> SymbolicFactorization:
     """Order, dissect, and build every front's structure."""
     if graph.number_of_nodes() == 0:
         raise ValueError("graph must have at least one vertex")

@@ -295,6 +295,14 @@ def sub_batch(batch: VBatch, idx: np.ndarray, dev, payload: bool = True) -> VBat
     return VBatch.shape_only(dev, sizes, batch.precision)
 
 
+def _release_shards(shards, plan_cache: PlanCache | None) -> None:
+    """Free every shard's batch and close its plan unless a cache owns it."""
+    for _, _, shard_batch, plan, _ in shards:
+        if plan_cache is None:
+            plan.close()
+        shard_batch.free()
+
+
 def run_op_sharded(
     group,
     batch: VBatch,
@@ -326,15 +334,24 @@ def run_op_sharded(
         args={"devices": len(group), "batch": int(k), "op": op_desc.name},
     ) as shard_args:
         parts = group.partition_indices(sizes, batch.precision, routine=op_desc.name)
-        for dev, idx in zip(group.devices, parts):
-            if idx.size == 0:
-                continue
-            shard_batch = sub_batch(batch, idx, dev, payload=False)
-            shard_max = int(sizes[idx].max())
-            plan, cache_hit = plan_op(
-                dev, shard_batch, shard_max, op_desc, options, approach, plan_cache
-            )
-            shards.append((dev, idx, shard_batch, plan, cache_hit))
+        try:
+            for dev, idx in zip(group.devices, parts):
+                if idx.size == 0:
+                    continue
+                shard_batch = sub_batch(batch, idx, dev, payload=False)
+                try:
+                    plan, cache_hit = plan_op(
+                        dev, shard_batch, int(sizes[idx].max()), op_desc, options, approach,
+                        plan_cache,
+                    )
+                except BaseException:
+                    shard_batch.free()
+                    raise
+                shards.append((dev, idx, shard_batch, plan, cache_hit))
+        except BaseException:
+            # A shard that does not fit must not leak the shards before it.
+            _release_shards(shards, plan_cache)
+            raise
         if tracer:
             shard_args["shard_sizes"] = [int(idx.size) for _, idx, _, _, _ in shards]
 
@@ -359,10 +376,7 @@ def run_op_sharded(
                 salvaged.devices_used += 1
             exc.partial_launch_stats = salvaged
         # A failing shard must not leak every shard's plan and memory.
-        for _, _, shard_batch, plan, _ in shards:
-            if plan_cache is None:
-                plan.close()
-            shard_batch.free()
+        _release_shards(shards, plan_cache)
         raise
 
     numerics = batch.device.execute_numerics and all(
