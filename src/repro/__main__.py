@@ -83,13 +83,15 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .bench import export_chrome_trace, format_profile
+    from .bench import format_profile
     from .core import OpOptions, PlanCache, VBatch, potrf_vbatched
     from .core.optimizer import OPTIMIZER_COUNTERS
     from .device import Device
     from .device.device import publish_cost_memo
     from .distributions import generate_sizes
-    from .observability import MetricsRegistry
+    from .observability import (
+        NULL_TRACER, MetricsRegistry, Tracer, activate, write_chrome_trace,
+    )
 
     device = Device(execute_numerics=False)
     sizes = generate_sizes(args.distribution, args.batch, args.max_size, seed=args.seed)
@@ -98,10 +100,12 @@ def _cmd_profile(args) -> int:
     cache = PlanCache()
     registry = MetricsRegistry()
     stats = None
+    tracer = Tracer() if args.trace else NULL_TRACER
     for _ in range(max(1, args.repeat)):
-        result = potrf_vbatched(
-            device, batch, OpOptions(optimize=args.optimize), plan_cache=cache
-        )
+        with activate(tracer):
+            result = potrf_vbatched(
+                device, batch, OpOptions(optimize=args.optimize), plan_cache=cache
+            )
         if stats is None:
             stats = result.launch_stats
         else:
@@ -134,9 +138,10 @@ def _cmd_profile(args) -> int:
               f"{vals['plan_opt_launches_pruned']:.0f} launches pruned")
     print()
     print(format_profile(device.timeline))
-    if args.trace:
-        path = export_chrome_trace(device.timeline, args.trace)
-        print(f"\nChrome trace written to {path}")
+    if tracer:
+        path = write_chrome_trace(tracer, args.trace)
+        print(f"\nChrome trace written to {path} ({len(tracer)} events; "
+              "load in ui.perfetto.dev or chrome://tracing)")
     return 0
 
 
@@ -606,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hmatrix_bench)
 
     p = sub.add_parser("trace-report", help="bottleneck report from a recorded trace")
-    p.add_argument("trace", help="Chrome-trace JSON written by serve-bench --trace")
+    p.add_argument("trace", help="Chrome-trace JSON written by serve-bench or profile --trace")
     p.add_argument("--top", type=int, default=10, help="bottleneck rows to show")
     p.set_defaults(fn=_cmd_trace_report)
 

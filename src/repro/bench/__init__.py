@@ -8,7 +8,7 @@ suite drives these and asserts the paper's qualitative claims.
 
 from .harness import FigureResult, Series
 from .report import format_ascii_chart, format_figure, format_table
-from .profile import export_chrome_trace, format_profile, profile_timeline
+from .profile import format_profile, profile_timeline
 from .regression import compare_to_snapshot, load_snapshot, save_snapshot
 from . import figures
 
@@ -20,7 +20,6 @@ __all__ = [
     "format_ascii_chart",
     "profile_timeline",
     "format_profile",
-    "export_chrome_trace",
     "save_snapshot",
     "load_snapshot",
     "compare_to_snapshot",

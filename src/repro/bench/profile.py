@@ -1,21 +1,20 @@
-"""Run profiling: per-kernel breakdowns and Chrome-trace export.
+"""Run profiling: a flat per-kernel breakdown of the simulated run.
 
-Tools a downstream performance engineer expects: a flat profile of the
-simulated run (where did the time go — it is how we verified §III-F's
-"auxiliary kernels are almost negligible"), and an export of the
-timeline in the Chrome ``chrome://tracing`` / Perfetto JSON format.
+Where did the time go: it is how we verified §III-F's "auxiliary
+kernels are almost negligible".  A per-launch Chrome trace of the same
+run comes from a :class:`~repro.observability.Tracer` and
+:func:`~repro.observability.write_chrome_trace`
+(``python -m repro profile --trace``).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..device.clock import Timeline
 from .report import format_table
 
-__all__ = ["KernelProfile", "profile_timeline", "format_profile", "export_chrome_trace"]
+__all__ = ["KernelProfile", "profile_timeline", "format_profile"]
 
 
 @dataclass(frozen=True)
@@ -31,14 +30,11 @@ class KernelProfile:
 
 def profile_timeline(timeline: Timeline) -> list[KernelProfile]:
     """Flat profile over a timeline, heaviest categories first."""
-    totals: dict[str, tuple[int, float]] = {}
-    for iv in timeline.intervals:
-        calls, time = totals.get(iv.category, (0, 0.0))
-        totals[iv.category] = (calls + 1, time + iv.duration)
-    grand = sum(t for _, t in totals.values()) or 1.0
+    sums = timeline.sums
+    grand = sum(time for _, time, _ in sums.values()) or 1.0
     profiles = [
         KernelProfile(cat, calls, time, time / calls, time / grand)
-        for cat, (calls, time) in totals.items()
+        for cat, (calls, time, _) in sums.items()
     ]
     return sorted(profiles, key=lambda p: -p.total_time)
 
@@ -53,27 +49,3 @@ def format_profile(timeline: Timeline) -> str:
         ["category", "calls", "total_ms", "mean_us", "share_%"], rows
     )
 
-
-def export_chrome_trace(timeline: Timeline, path: str | Path) -> Path:
-    """Write the timeline as a Chrome/Perfetto trace-events JSON file.
-
-    Kernels land on one row per category; load the file at
-    ``chrome://tracing`` or https://ui.perfetto.dev to inspect the
-    simulated execution.
-    """
-    path = Path(path)
-    events = []
-    for iv in timeline.intervals:
-        events.append(
-            {
-                "name": iv.category,
-                "ph": "X",  # complete event
-                "ts": iv.start * 1e6,  # microseconds
-                "dur": iv.duration * 1e6,
-                "pid": 0,
-                "tid": abs(hash(iv.category)) % 1000,
-                "args": {"utilization": iv.utilization},
-            }
-        )
-    path.write_text(json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}))
-    return path

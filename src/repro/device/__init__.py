@@ -10,7 +10,7 @@ substitution argument and `calibration.py` for every tuned constant.
 
 from .spec import DeviceSpec, K20X, K40C, Occupancy, TITAN_BLACK
 from .calibration import Calibration, K40C_CALIBRATION
-from .clock import Timeline, Interval
+from .clock import Timeline
 from .memory import DeviceArray, GlobalMemory
 from .pool import WorkspacePool
 from .kernel import BlockWork, Kernel, LaunchConfig
@@ -37,7 +37,6 @@ __all__ = [
     "Calibration",
     "K40C_CALIBRATION",
     "Timeline",
-    "Interval",
     "DeviceArray",
     "GlobalMemory",
     "WorkspacePool",

@@ -43,7 +43,8 @@ _device_names = itertools.count()
 
 
 class LaunchRecord:
-    """Bookkeeping for one kernel launch (inspection and tests)."""
+    """What one kernel launch did: :meth:`Device.launch` returns it and
+    keeps no copy (the traced executor turns it into a span)."""
 
     __slots__ = ("kernel_name", "start", "end", "schedule", "occupancy", "blocks")
 
@@ -114,7 +115,6 @@ class Device:
         self._sm_area_free_at = 0.0
         self._stream_ids = itertools.count(1)
         self.default_stream = Stream(self, 0)
-        self.launches: list[LaunchRecord] = []
         self._cost_memo: dict[tuple, tuple] = {}
         self._cost_memo_scope: tuple | None = None
         self.cost_memo_hits = 0
@@ -143,7 +143,6 @@ class Device:
         self.host_time = 0.0
         self._sm_area_free_at = 0.0
         self.default_stream.ready_time = 0.0
-        self.launches.clear()
 
     def create_stream(self) -> Stream:
         return Stream(self, next(self._stream_ids))
@@ -216,12 +215,9 @@ class Device:
         stream.ready_time = end
 
         self.timeline.record(start, end, f"kernel:{kernel.name}", schedule.utilization)
-        record = LaunchRecord(kernel.name, start, end, schedule, occ, total_blocks)
-        self.launches.append(record)
-
         if self.execute_numerics and run_numerics is not False:
             kernel.run_numerics(operands)
-        return record
+        return LaunchRecord(kernel.name, start, end, schedule, occ, total_blocks)
 
     # ------------------------------------------------------------------
     # cost model

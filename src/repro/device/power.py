@@ -2,7 +2,7 @@
 
 A K40c idles around 25 W and has a 235 W board power limit.  During a
 kernel, draw scales with how busy the SMs are — we use the launch's
-slot utilization recorded on the timeline.  Energy to solution is the
+slot utilization summed on the timeline.  Energy to solution is the
 integral of draw over the run, including idle gaps (the board is
 powered whether or not it computes, exactly what NVML integration over
 the experiment window measures).
@@ -47,20 +47,22 @@ class GpuPowerModel:
     def energy(self, timeline: Timeline, total_time: float | None = None) -> float:
         """Joules consumed over a run.
 
-        Busy intervals integrate at their recorded utilization; the
-        remainder of ``total_time`` (default: the timeline's clock)
-        integrates at idle draw.
+        Busy time integrates at its recorded utilization: draw is linear
+        in utilization, so the timeline's sums of duration and of
+        utilization x duration give the integral.  The remainder of
+        ``total_time`` (default: the timeline's clock) integrates at
+        idle draw.
         """
         span = timeline.now if total_time is None else total_time
         if span < 0:
             raise ValueError("total_time cannot be negative")
-        busy_energy = 0.0
-        busy_time = 0.0
-        for iv in timeline.intervals:
-            busy_energy += self.power(iv.utilization) * iv.duration
-            busy_time += iv.duration
+        busy_time = util_busy_time = 0.0
+        for _, busy, util_busy in timeline.sums.values():
+            busy_time += busy
+            util_busy_time += util_busy
+        dynamic = (self.max_watts - self.idle_watts) * self.activity_scale
         idle_gap = max(0.0, span - busy_time)
-        return busy_energy + self.idle_watts * idle_gap
+        return self.idle_watts * busy_time + dynamic * util_busy_time + self.idle_watts * idle_gap
 
 
 K40C_POWER = GpuPowerModel(idle_watts=25.0, max_watts=235.0)

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..types import Precision
 from ..device.kernel import BlockWork, Kernel, LaunchConfig
+from ..observability.trace import Track, current_tracer
 
 __all__ = ["IMaxReduceKernel", "StepSizesKernel", "compute_max_size"]
 
@@ -132,10 +133,21 @@ def compute_max_size(device, batch) -> int:
 
     Launches the reduction kernel and downloads the 8-byte scalar —
     both costs land on the simulated clock, which is exactly the
-    "overhead of computing the maximum" the paper measures.
+    "overhead of computing the maximum" the paper measures.  With a
+    tracer active the launch is a span on the default stream's track,
+    as the executor records plan launches.
     """
     result = device.alloc((1,), np.int64)
-    device.launch(IMaxReduceKernel(batch.sizes_dev, result))
+    record = device.launch(IMaxReduceKernel(batch.sizes_dev, result))
+    tracer = current_tracer()
+    if tracer:
+        tracer.add_span(
+            record.kernel_name, Track.for_stream(device, 0), record.start, record.end,
+            cat="aux", args={
+                "blocks": record.blocks,
+                "utilization": round(record.schedule.utilization, 4),
+            },
+        )
     if device.execute_numerics:
         value = int(device.download(result)[0])
     else:

@@ -239,14 +239,6 @@ class ServerMetrics:
         padded = len(sizes) * matrix_flops(max(sizes), precision) if sizes else 0.0
         return useful, padded
 
-    def batch_size_histogram(self) -> dict[int, int]:
-        """batch size -> how many batches dispatched at that size."""
-        with self._lock:
-            hist: dict[int, int] = {}
-            for rec in self.batches:
-                hist[rec.size] = hist.get(rec.size, 0) + 1
-            return dict(sorted(hist.items()))
-
     def expose(self) -> str:
         """Prometheus text exposition of the whole serving tier."""
         with self._lock:

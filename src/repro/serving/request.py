@@ -123,9 +123,11 @@ class Request:
     runs on the device: the op itself, or the base op a solve alias
     factors through (``posv`` -> ``potrf``, ``gesv`` -> ``getrf``).
     Batches group on ``(dtype, factor_op)``, so a potrf and a posv
-    request can share one launch.  A getrf, gesv, geqrf or gesvj
-    request whose matrix (or gesv right-hand side) holds NaN or Inf is
-    refused with :class:`~repro.errors.ArgumentError`.
+    request can share one launch.  Refused with
+    :class:`~repro.errors.ArgumentError`: an empty (order 0) matrix, a
+    dtype with no batched precision (integers, float16, ...), and a
+    getrf, gesv, geqrf or gesvj request whose matrix (or gesv
+    right-hand side) holds NaN or Inf.
     """
 
     req_id: int
@@ -144,6 +146,12 @@ class Request:
         m = self.matrix
         if not isinstance(m, np.ndarray) or m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ArgumentError(1, f"request matrix must be square 2-D, got {getattr(m, 'shape', None)}")
+        if m.shape[0] == 0:
+            raise ArgumentError(1, f"{self.op} request matrix is empty (order 0)")
+        try:
+            Precision.from_dtype(m.dtype)
+        except TypeError as exc:
+            raise ArgumentError(1, f"{self.op} request: {exc}") from None
         if desc.real_only and np.dtype(m.dtype).kind == "c":
             raise ArgumentError(
                 2, f"{self.op} requests support real precisions only, got {m.dtype}"

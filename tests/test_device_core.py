@@ -9,7 +9,6 @@ from repro.device import (
     BlockWork,
     Device,
     GlobalMemory,
-    Interval,
     Kernel,
     LaunchConfig,
     Timeline,
@@ -20,12 +19,14 @@ from repro.types import Precision
 
 
 class TestTimeline:
-    def test_advance_accumulates(self):
+    def test_record_sums_per_category(self):
         tl = Timeline()
-        tl.advance(1.0, "a")
-        tl.advance(2.0, "b")
-        assert tl.now == pytest.approx(3.0)
-        assert [iv.category for iv in tl.intervals] == ["a", "b"]
+        tl.record(0.0, 1.0, "a")
+        tl.record(1.0, 3.0, "b", utilization=0.5)
+        tl.record(3.0, 4.0, "a", utilization=0.25)
+        assert tl.now == pytest.approx(4.0)
+        # [calls, busy_s, utilization x busy_s], categories in first-seen order
+        assert tl.sums == {"a": [2, 2.0, 1.25], "b": [1, 2.0, 1.0]}
 
     def test_record_moves_now_forward_only(self):
         tl = Timeline()
@@ -33,35 +34,25 @@ class TestTimeline:
         tl.record(1.0, 2.0, "y")
         assert tl.now == pytest.approx(7.0)
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Timeline().advance(-1.0, "bad")
-        with pytest.raises(ValueError):
-            Interval(2.0, 1.0, "bad")
-
-    def test_utilization_validated(self):
-        with pytest.raises(ValueError):
-            Interval(0.0, 1.0, "x", utilization=1.5)
-
-    def test_busy_time_filtered(self):
+    def test_bad_spans_rejected_and_not_counted(self):
         tl = Timeline()
-        tl.advance(1.0, "kernel:gemm")
-        tl.advance(2.0, "kernel:syrk")
-        tl.advance(4.0, "memcpy_h2d")
-        assert tl.busy_time("kernel:") == pytest.approx(3.0)
-        assert tl.busy_time() == pytest.approx(7.0)
+        with pytest.raises(ValueError, match="ends before it starts"):
+            tl.record(2.0, 1.0, "bad")
+        with pytest.raises(ValueError, match="utilization"):
+            tl.record(0.0, 1.0, "x", utilization=1.5)
+        assert tl.now == 0.0 and tl.sums == {}
 
     def test_categories_profile(self):
         tl = Timeline()
-        tl.advance(1.0, "a")
-        tl.advance(2.0, "a")
+        tl.record(0.0, 1.0, "a")
+        tl.record(1.0, 3.0, "a")
         assert tl.categories() == {"a": pytest.approx(3.0)}
 
     def test_reset(self):
         tl = Timeline()
-        tl.advance(1.0, "a")
+        tl.record(0.0, 1.0, "a")
         tl.reset()
-        assert tl.now == 0.0 and tl.intervals == []
+        assert tl.now == 0.0 and tl.sums == {}
 
 
 class TestGlobalMemory:
@@ -392,20 +383,25 @@ class TestDeviceLaunch:
         heavy.launch(_ToyKernel(nblocks=240, flops=1e8, shared=40 * 1024))
         assert heavy.synchronize() > light.synchronize()
 
-    def test_launch_records_kept(self):
+    def test_launch_returns_its_record_and_keeps_sums(self, launch_log):
         dev = Device()
+        log = launch_log(dev)
+        first = dev.launch(_ToyKernel())
         dev.launch(_ToyKernel())
-        dev.launch(_ToyKernel())
-        assert len(dev.launches) == 2
-        assert dev.launches[0].kernel_name == "toy"
-        assert dev.launches[0].blocks == 15
+        assert log.launches[0] is first
+        assert first.kernel_name == "toy" and first.blocks == 15
+        assert [iv[:3] for iv in log.intervals] == [
+            (r.start, r.end, "kernel:toy") for r in log.launches
+        ]
+        calls, busy, _ = dev.timeline.sums["kernel:toy"]
+        assert calls == 2 and busy == sum(r.duration for r in log.launches)
 
     def test_reset_clock(self):
         dev = Device()
         dev.launch(_ToyKernel())
         dev.reset_clock()
         assert dev.synchronize() == 0.0
-        assert dev.launches == []
+        assert dev.timeline.sums == {}
 
     def test_invalid_etm_mode_rejected(self):
         with pytest.raises(ValueError, match="etm_mode"):
@@ -541,6 +537,15 @@ class TestGpuPower:
         # 1s at full-activity draw + 1s idle at 25W
         busy = K40C_POWER.power(1.0)
         assert K40C_POWER.energy(tl, total_time=2.0) == pytest.approx(busy + 25.0)
+
+    def test_energy_integrates_each_span_at_its_utilization(self):
+        tl = Timeline()
+        spans = [(0.0, 1.0, "a", 0.25), (1.0, 3.0, "b", 0.75), (3.0, 4.0, "a", 0.0)]
+        for span in spans:
+            tl.record(*span)
+        want = sum(K40C_POWER.power(u) * (end - start) for start, end, _, u in spans)
+        assert K40C_POWER.energy(tl, total_time=5.0) == pytest.approx(want + 25.0, rel=1e-12)
+        assert K40C_POWER.energy(tl) == pytest.approx(want, rel=1e-12)
 
     def test_busy_device_uses_more_energy(self):
         dev = Device()

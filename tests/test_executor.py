@@ -51,32 +51,35 @@ class TestPlanExecutor:
         assert stats.count("aux") == 1
         assert k1.ran and k2.ran and k3.ran
 
-    def test_same_stream_serializes(self):
+    def test_same_stream_serializes(self, launch_log):
         dev = Device(execute_numerics=False)
+        log = launch_log(dev)
         pb = PlanBuilder(dev)
         pb.launch(_ToyKernel(flops=1e8))
         pb.launch(_ToyKernel(flops=1e8))
         PlanExecutor(dev).execute(pb.build())
-        r1, r2 = dev.launches[-2:]
+        r1, r2 = log.launches
         assert r2.start >= r1.end
 
-    def test_different_streams_overlap(self):
+    def test_different_streams_overlap(self, launch_log):
         dev = Device(execute_numerics=False)
+        log = launch_log(dev)
         pb = PlanBuilder(dev)
         pb.launch(_ToyKernel(nblocks=1, flops=1e7), stream=1)
         pb.launch(_ToyKernel(nblocks=1, flops=1e7), stream=2)
         stats = PlanExecutor(dev).execute(pb.build())
-        r1, r2 = dev.launches[-2:]
+        r1, r2 = log.launches
         assert r2.start < r1.end
         assert stats.streams_used == 2  # only streams that ran launches count
 
-    def test_cross_stream_dep_becomes_event_wait(self):
+    def test_cross_stream_dep_becomes_event_wait(self, launch_log):
         dev = Device(execute_numerics=False)
+        log = launch_log(dev)
         pb = PlanBuilder(dev)
         a = pb.launch(_ToyKernel(flops=1e9), stream=1)
         pb.launch(_ToyKernel(nblocks=1, flops=1e3), stream=2, after=(a,))
         PlanExecutor(dev).execute(pb.build())
-        r1, r2 = dev.launches[-2:]
+        r1, r2 = log.launches
         assert r2.start >= r1.end  # despite living on another stream
 
     def test_same_stream_dep_needs_no_event(self):
@@ -86,16 +89,17 @@ class TestPlanExecutor:
         pb.launch(_ToyKernel(), stream=1, after=(a,))
         PlanExecutor(dev).execute(pb.build())  # queue order suffices; no error
 
-    def test_barrier_joins_streams_to_host(self):
+    def test_barrier_joins_streams_to_host(self, launch_log):
         dev = Device(execute_numerics=False)
+        log = launch_log(dev)
         pb = PlanBuilder(dev)
         pb.launch(_ToyKernel(flops=1e8), stream=1)
         pb.launch(_ToyKernel(flops=1e8), stream=2)
         pb.barrier()
         pb.launch(_ToyKernel(nblocks=1, flops=1e3))  # after the join
         PlanExecutor(dev).execute(pb.build())
-        *_, last = dev.launches
-        prior_end = max(r.end for r in dev.launches[:-1])
+        *prior, last = log.launches
+        prior_end = max(r.end for r in prior)
         assert last.start >= prior_end
 
     def test_scoped_barrier_only_drains_listed_streams(self):
@@ -159,15 +163,16 @@ class TestLaunchProgram:
         pb.launch(_ToyKernel(nblocks=2, flops=1e4))
         return pb.build()
 
-    def test_replay_matches_walk(self):
+    def test_replay_matches_walk(self, launch_log):
         runs = []
         for lowered in (True, False):
             dev = Device(execute_numerics=False)
+            log = launch_log(dev)
             plan = self._plan(dev)
             if lowered:
                 plan.program = LaunchProgram.lower(plan)
             stats = PlanExecutor(dev).execute(plan)
-            runs.append((stats, [(r.start, r.end) for r in dev.launches]))
+            runs.append((stats, [(r.start, r.end) for r in log.launches]))
         (replayed, trace), (walked, walk_trace) = runs
         assert replayed == walked
         assert replayed.event_waits == replayed.events_recorded == 1

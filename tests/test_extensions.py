@@ -65,12 +65,13 @@ class TestGetrfVbatched:
         assert res.launch_stats.swap_launches == 4
         assert res.launch_stats.gemm_launches >= 3
 
-    def test_reuses_vbatched_gemm(self):
+    def test_reuses_vbatched_gemm(self, launch_log):
         """The §V claim: the BLAS kernels are reused out of the box."""
         dev = Device(execute_numerics=False)
+        log = launch_log(dev)
         b = VBatch.allocate(dev, [150] * 3, "d")
         getrf_vbatched(dev, b, max_n=150)
-        names = {rec.kernel_name for rec in dev.launches}
+        names = {rec.kernel_name for rec in log.launches}
         assert any("lu_update" in n for n in names)
 
     def test_validation(self):

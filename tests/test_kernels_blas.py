@@ -155,11 +155,12 @@ class TestVbatchedSyrk:
         with pytest.raises(ValueError, match="square tiles"):
             VbatchedSyrkKernel([SyrkTask(8, 4)], Precision.D, GemmTiling(blk_m=64, blk_n=32))
 
-    def test_streamed_launcher_issues_per_matrix(self):
+    def test_streamed_launcher_issues_per_matrix(self, launch_log):
         dev = Device(execute_numerics=False)
+        log = launch_log(dev)
         launcher = StreamedSyrkLauncher(dev, num_streams=4)
         launcher.launch_all([SyrkTask(64, 16)] * 10, Precision.D)
-        assert len(dev.launches) == 10
+        assert len(log.launches) == 10
         launcher.synchronize()
         assert dev.synchronize() > 0
 
@@ -260,10 +261,11 @@ class TestVbatchedTrsmPanel:
         keep[11:, 3:11] = full[11:, 3:11]
         np.testing.assert_array_equal(full, keep)  # nothing outside B moved
 
-    def test_all_finished_no_launches(self):
+    def test_all_finished_no_launches(self, launch_log):
         dev = Device()
+        log = launch_log(dev)
         assert vbatched_trsm_panel(dev, [TrsmPanelItem(0, 0)], Precision.D) == 0
-        assert dev.launches == []
+        assert log.launches == []
 
     def test_validation(self):
         dev = Device()

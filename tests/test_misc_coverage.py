@@ -169,7 +169,3 @@ class TestDeviceMisc:
         arr = dev.alloc((2, 3), np.float32)
         assert "shape=(2, 3)" in repr(arr)
 
-    def test_interval_duration(self):
-        from repro.device import Interval
-
-        assert Interval(1.0, 3.5, "x").duration == pytest.approx(2.5)

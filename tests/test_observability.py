@@ -272,8 +272,9 @@ class TestTracer:
 # executor + plan-cache instrumentation
 # ---------------------------------------------------------------------------
 class TestExecutorTracing:
-    def test_sim_spans_mirror_execution_stats(self):
+    def test_sim_spans_mirror_execution_stats(self, launch_log):
         dev = Device(execute_numerics=False)
+        log = launch_log(dev)
         pb = PlanBuilder(dev)
         for s in (1, 2):
             pb.launch(_ToyKernel(flops=1e7), stream=s)
@@ -289,7 +290,7 @@ class TestExecutorTracing:
             assert span.track.thread.startswith("stream")
             assert 0.0 <= span.start < span.end <= sync
         # Span stamps are the device's own LaunchRecords, verbatim.
-        recorded = {(r.start, r.end) for r in dev.launches}
+        recorded = {(r.start, r.end) for r in log.launches}
         assert {(s.start, s.end) for s in kernel_spans} <= recorded
         assert len(tr.spans("barrier")) == stats.barriers == 1
 

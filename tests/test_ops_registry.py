@@ -180,7 +180,7 @@ class TestRunOpVbatched:
         for a, b in zip(op_factors, api_factors):
             assert np.array_equal(a, b)
 
-    def test_plan_op_potrf_honours_planner_knobs(self):
+    def test_plan_op_potrf_honours_planner_knobs(self, launch_log):
         """OpOptions' planner knobs reach the POTRF planner, and the
         fields left ``None`` resolve to POTRF's tuned defaults."""
         from repro.core.driver import make_planner
@@ -225,13 +225,13 @@ class TestRunOpVbatched:
 
         explicit = dict(etm="aggressive", sorting=True, panel_nb=128, syrk_mode="vbatched")
         for approach in ("fused", "separated"):
-            default = _timing_run("potrf", sizes, OpOptions(approach=approach))
+            default = _timing_run(launch_log, "potrf", sizes, OpOptions(approach=approach))
             assert default == _timing_run(
-                "potrf", sizes, OpOptions(approach=approach, **explicit)
+                launch_log, "potrf", sizes, OpOptions(approach=approach, **explicit)
             ), approach
         # The other ops' defaults would give a different POTRF plan.
-        assert _timing_run("potrf", sizes, OpOptions(approach="separated")) != _timing_run(
-            "potrf", sizes, OpOptions(approach="separated", sorting=False, panel_nb=64)
+        assert _timing_run(launch_log, "potrf", sizes, OpOptions(approach="separated")) != _timing_run(
+            launch_log, "potrf", sizes, OpOptions(approach="separated", sorting=False, panel_nb=64)
         )
 
     @pytest.mark.parametrize(
@@ -239,18 +239,18 @@ class TestRunOpVbatched:
         [("geqrf", "fused"), ("geqrf", "separated"), ("getrf", "fused"),
          ("getrf", "separated"), ("gesvj", "auto")],
     )
-    def test_plan_op_defaults_resolve_per_op(self, op, approach):
+    def test_plan_op_defaults_resolve_per_op(self, op, approach, launch_log):
         """QR/LU/SVD leave ``None`` fields at sorting=False, panel_nb=64."""
         sizes = np.array([300, 200, 130, 64, 17], dtype=np.int64)
         if op == "gesvj":
             sizes = np.array([40, 24, 17, 9], dtype=np.int64)
-        default = _timing_run(op, sizes, OpOptions(approach=approach))
+        default = _timing_run(launch_log, op, sizes, OpOptions(approach=approach))
         explicit = OpOptions(approach=approach, sorting=False, panel_nb=64)
-        assert default == _timing_run(op, sizes, explicit)
+        assert default == _timing_run(launch_log, op, sizes, explicit)
         if approach == "separated":
             # POTRF's defaults would give a different plan.
             potrf_like = OpOptions(approach=approach, sorting=True, panel_nb=128)
-            assert default != _timing_run(op, sizes, potrf_like)
+            assert default != _timing_run(launch_log, op, sizes, potrf_like)
 
     def test_cross_op_server_plans_each_op_with_its_own_defaults(self, monkeypatch):
         """One server options object: POTRF batches plan with POTRF's
@@ -312,15 +312,16 @@ class TestRunOpVbatched:
         batch.free()
 
 
-def _timing_run(op, sizes, options):
+def _timing_run(launch_log, op, sizes, options):
     """Launches, simulated time and launch stats of one timing-only run."""
     dev = Device(execute_numerics=False)
+    log = launch_log(dev)
     batch = VBatch.allocate(dev, sizes, "d")
     result = run_op_vbatched(dev, batch, int(max(sizes)), op, options)
     batch.free()
     return (
         result.approach, result.elapsed, result.launch_stats.as_dict(),
-        list(dev.timeline.intervals),
+        log.intervals,
     )
 
 

@@ -196,8 +196,8 @@ class TestPassEffects:
             assert opt <= base * (1 + 1e-9), f"{planner}: {opt} > {base}"
 
 
-def _launch_trace(dev):
-    return [(r.kernel_name, r.start, r.end, r.blocks) for r in dev.launches]
+def _launch_trace(log):
+    return [(r.kernel_name, r.start, r.end, r.blocks) for r in log.launches]
 
 
 class TestLaunchProgram:
@@ -206,7 +206,7 @@ class TestLaunchProgram:
 
     @pytest.mark.parametrize("planner", sorted(PLANNERS))
     @pytest.mark.parametrize("level", LEVELS[1:])
-    def test_replay_matches_walk(self, planner, level):
+    def test_replay_matches_walk(self, planner, level, launch_log):
         dev, plan = _timing_plan(planner)
         optimize_plan(plan, level)
         if any(isinstance(n, Barrier) for n in plan.nodes):
@@ -217,12 +217,13 @@ class TestLaunchProgram:
         walk_dev, walk_plan = _timing_plan(planner)
         optimize_plan(walk_plan, level)
         walk_plan.program = None
+        log, walk_log = launch_log(dev), launch_log(walk_dev)
         for _ in range(2):  # the second run replays a warm memo
             replayed = PlanExecutor(dev).execute(plan)
             walked = PlanExecutor(walk_dev).execute(walk_plan)
             assert asdict(replayed) == asdict(walked)
             assert dev.synchronize() == walk_dev.synchronize()
-        assert _launch_trace(dev) == _launch_trace(walk_dev)
+        assert _launch_trace(log) == _launch_trace(walk_log)
         plan.close()
         walk_plan.close()
 

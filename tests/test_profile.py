@@ -1,13 +1,15 @@
 """Tests for the profiling and trace-export tooling."""
 
-import json
+from collections import Counter
 
 import pytest
 
 from repro import Device, OpOptions, VBatch, potrf_vbatched
-from repro.bench import export_chrome_trace, format_profile, profile_timeline
+from repro.__main__ import main
+from repro.bench import format_profile, profile_timeline
 from repro.device.clock import Timeline
 from repro.distributions import uniform_sizes
+from repro.observability import load_chrome_trace
 
 
 def _run_workload():
@@ -44,22 +46,31 @@ class TestProfile:
         assert profile_timeline(Timeline()) == []
 
 
-class TestChromeTrace:
-    def test_export_valid_json(self, tmp_path):
-        dev = _run_workload()
-        path = export_chrome_trace(dev.timeline, tmp_path / "trace.json")
-        data = json.loads(path.read_text())
-        events = data["traceEvents"]
-        assert len(events) == len(dev.timeline.intervals)
-        for e in events:
-            assert e["ph"] == "X"
-            assert e["dur"] >= 0
-            assert "utilization" in e["args"]
+class TestProfileTrace:
+    """``profile --trace`` writes through the one schema-checked exporter."""
 
-    def test_events_ordered_within_simulated_time(self, tmp_path):
-        dev = _run_workload()
-        path = export_chrome_trace(dev.timeline, tmp_path / "t.json")
-        events = json.loads(path.read_text())["traceEvents"]
-        end = dev.synchronize() * 1e6
-        for e in events:
-            assert 0 <= e["ts"] <= end + 1e-6
+    ARGS = ["profile", "-b", "200", "-n", "96"]
+
+    def test_trace_holds_one_span_per_launch(self, capsys, tmp_path):
+        path = tmp_path / "profile.json"
+        assert main(self.ARGS + ["--trace", str(path)]) == 0
+        traced = capsys.readouterr().out
+        assert main(self.ARGS) == 0
+        plain = capsys.readouterr().out
+        table = traced[traced.index("category"):traced.index("Chrome trace")].strip()
+        assert table == plain[plain.index("category"):].strip()
+
+        calls = {
+            row.split()[0]: int(row.split()[1]) for row in table.splitlines()[2:]
+        }
+        spans = [
+            e for e in load_chrome_trace(path)["traceEvents"]
+            if e["ph"] == "X" and e["args"]["clock"] == "sim"
+        ]
+        kernels = Counter(
+            f"kernel:{e['name']}" for e in spans if e["cat"] not in ("wait", "barrier")
+        )
+        assert kernels == {c: n for c, n in calls.items() if c.startswith("kernel:")}
+        assert not any(e["name"].startswith("memcpy") for e in spans)
+
+        assert main(["trace-report", str(path)]) == 0

@@ -22,6 +22,7 @@ from repro.errors import AdmissionError, ArgumentError, ServingError
 from repro.extensions import gesv_vbatched
 from repro.ops import run_op_vbatched
 from repro.serving import BatchServer, closed_loop
+from repro.serving.request import OPS
 
 
 def _direct_factors(matrices, devices=None):
@@ -211,6 +212,19 @@ class TestDifferentialEquivalence:
         rhs[5] = np.nan
         with pytest.raises(ArgumentError, match="right-hand side holds NaN"):
             server.submit(_general(12, seed=1), rhs, op="gesv")
+        assert server.queue_depth == 0
+
+    @pytest.mark.parametrize("kind", ["0x0", "int64"])
+    @pytest.mark.parametrize("op", OPS)
+    def test_unservable_matrix_is_refused_at_submit(self, op, kind):
+        """Empty orders and dtypes with no batched precision would fail
+        only in dispatch (one with an untyped error); refuse them first."""
+        n = 0 if kind == "0x0" else 8
+        matrix = np.zeros((0, 0)) if kind == "0x0" else np.eye(n, dtype=np.int64)
+        rhs = np.ones(n) if op in ("posv", "gesv") else None
+        server = BatchServer(Device())
+        with pytest.raises(ArgumentError, match="empty" if kind == "0x0" else "unsupported dtype"):
+            server.submit(matrix, rhs, op=op)
         assert server.queue_depth == 0
 
     @pytest.mark.parametrize("rhs", [np.arange(16.0), np.ones((16, 3))], ids=["1d", "2d"])

@@ -36,20 +36,21 @@ def _per_matrix(dev, sizes, ldas=None, upload=True):
         dev.alloc((len(sizes),), np.int64)
 
 
-def _device_state(dev):
+def _device_state(dev, log):
     return (
         dev.memory.used,
         dev.memory.peak_used,
-        [(iv.start, iv.end, iv.category) for iv in dev.timeline.intervals],
+        [(start, end, category) for start, end, category, _ in log.intervals],
         dev.host_time,
         dev.default_stream.ready_time,
     )
 
 
 @pytest.mark.parametrize("make", ["from_host", "allocate", "allocate-lda", "shard"])
-def test_shape_only_batch_matches_per_matrix_buffers(make):
+def test_shape_only_batch_matches_per_matrix_buffers(make, launch_log):
     numerics = make == "shard"  # a shard is shape-only on any device
     dev, ref = Device(execute_numerics=numerics), Device(execute_numerics=numerics)
+    log, ref_log = launch_log(dev), launch_log(ref)
     dev.memory.used = ref.memory.used = 1000  # other tenants' residue
     ldas = [n + 5 for n in SIZES] if make == "allocate-lda" else None
     if make == "from_host":
@@ -63,7 +64,7 @@ def test_shape_only_batch_matches_per_matrix_buffers(make):
 
     assert batch.matrices == [] and batch.payload is not None
     assert dev.memory.live_allocations == 4  # payload + sizes/ldas/infos
-    assert _device_state(dev) == _device_state(ref)
+    assert _device_state(dev, log) == _device_state(ref, ref_log)
     assert batch.total_bytes == ref.memory.used - 1000 - 3 * 8 * len(SIZES)
     batch.free()
     assert dev.memory.used == 1000 and dev.memory.live_allocations == 0

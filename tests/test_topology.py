@@ -362,12 +362,13 @@ _GOLDEN_SHARD_PLANE = (
 )
 
 
-def _shard_plane():
+def _shard_plane(launch_log):
     """Each shard device's clocks, launch end times, transfer counts and
     cost-memo counters after a fixed numerics-on op sequence."""
     from repro.ops.driver import run_op_vbatched
 
     group = DeviceGroup.simulated(2)
+    logs = [launch_log(d) for d in group.devices]
     dev = group.staging_device  # the source batches share a shard device
     for op, level in (("potrf", "none"), ("getrf", "none"), ("geqrf", "all"),
                       ("gesvj", "none"), ("potrf", "all")):
@@ -379,19 +380,18 @@ def _shard_plane():
             "host_time": d.host_time.hex(),
             "ready_time": d.default_stream.ready_time.hex(),
             "transfers": tuple(
-                sum(iv.category == c for iv in d.timeline.intervals)
-                for c in ("memcpy_h2d", "memcpy_d2h")
+                d.timeline.sums.get(c, [0])[0] for c in ("memcpy_h2d", "memcpy_d2h")
             ),
             "memo": (d.cost_memo_hits, d.cost_memo_misses),
-            "ends": tuple(r.end.hex() for r in d.launches),
+            "ends": tuple(r.end.hex() for r in log.launches),
         }
-        for d in group.devices
+        for d, log in zip(group.devices, logs)
     )
 
 
-def test_shard_simulated_plane_is_pinned():
+def test_shard_simulated_plane_is_pinned(launch_log):
     """Recorded while the shards still ran the numerics themselves."""
-    assert _shard_plane() == _GOLDEN_SHARD_PLANE
+    assert _shard_plane(launch_log) == _GOLDEN_SHARD_PLANE
 
 
 def test_shard_failure_leaves_source_batch_untouched(monkeypatch):
